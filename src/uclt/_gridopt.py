@@ -23,60 +23,96 @@ def log_grid(lo: float, hi: float, nodes: int) -> np.ndarray:
     return np.geomspace(lo, hi, nodes)
 
 
-def golden_minimize(f: Callable[[float], float], a: float, b: float,
-                    tol: float = 1e-9) -> tuple[float, float]:
-    """Golden-section minimum of f on [a, b] to relative x-tolerance tol."""
-    if b < a:
-        a, b = b, a
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    scale = max(abs(a), abs(b), 1.0)
-    while (b - a) > tol * scale:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    if fc <= fd:
-        return c, fc
-    return d, fd
+def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
+                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section minima on the brackets [a[k], b[k]], advanced together.
+
+    `f(points, rows)` returns the objective of bracket ``rows[j]`` at
+    ``points[j]``.  Each bracket follows the one-bracket iteration exactly
+    (same updates, ties go left, stop once b - a <= tol * max(|a|, |b|, 1)),
+    so its result does not depend on the other brackets.  Returns the
+    arrays (argmin, min).
+    """
+    a = np.array(a, dtype=float, ndmin=1)
+    b = np.array(b, dtype=float, ndmin=1)
+    a, b = np.where(b < a, b, a), np.where(b < a, a, b)
+    step = _INVPHI * (b - a)
+    c, d = b - step, a + step
+    rows = np.arange(a.size)
+    fc, fd = f(c, rows), f(d, rows)
+    width = tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    best_x, best_v = np.empty(a.size), np.empty(a.size)
+    while True:
+        run = (b - a) > width
+        if not run.all():
+            # brackets that stopped report their better interior point
+            stop = ~run
+            left = fc[stop] <= fd[stop]
+            best_x[rows[stop]] = np.where(left, c[stop], d[stop])
+            best_v[rows[stop]] = np.where(left, fc[stop], fd[stop])
+            a, b, c, d, fc, fd, width, rows = (
+                v[run] for v in (a, b, c, d, fc, fd, width, rows))
+        if not rows.size:
+            return best_x, best_v
+        # left: b, d, fd = d, c, fc and a new c; right: a, c, fc = c, d, fd and a new d
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _INVPHI * (b - a)
+        c, d = np.where(left, b - step, d), np.where(left, c, a + step)
+        vals = f(np.where(left, c, d), rows)
+        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
+
+
+def minimize_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: Sequence[float],
+                  nrows: int, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of each of `nrows` objectives over one grid, each refined
+    between the neighbours of its best node.
+
+    `f(points, rows)` evaluates objective ``rows`` at ``points`` with numpy
+    broadcasting: the scan passes a (1, nodes) grid against (nrows, 1) row
+    numbers, the refinement two equal-length 1-D arrays.  Infinite or nan
+    grid values are ignored; a row with nothing finite gets (+inf at its
+    best node).  Returns the arrays (argmin, min).
+    """
+    grid = np.asarray(grid, dtype=float)
+    rows = np.arange(nrows)
+    vals = f(grid[None, :], rows[:, None])
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    i = np.argmin(vals, axis=1)
+    best_x, best_v = grid[i], vals[rows, i]
+    best_v[~np.isfinite(best_v)] = np.inf
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, grid.size - 1)]
+    todo = rows[np.isfinite(best_v) & (b > a)]
+    if todo.size:
+        x, v = golden_minimize(lambda p, k: f(p, todo[k]), a[todo], b[todo], tol=tol)
+        better = v < best_v[todo]
+        best_x[todo[better]] = x[better]
+        best_v[todo[better]] = v[better]
+    return best_x, best_v
 
 
 def minimize_on_grid(f: Callable[[float], float], grid: Sequence[float],
                      fvec: Callable[[np.ndarray], np.ndarray] | None = None,
-                     tol: float = 1e-9, refine: bool = True) -> tuple[float, float]:
-    """Minimum of f over a grid, refined between the neighbours of the best node.
+                     tol: float = 1e-9) -> tuple[float, float]:
+    """Minimum of a scalar f over a grid: the one-row case of :func:`minimize_rows`.
 
     Infinite or nan grid values are ignored; returns (+inf at grid[0]) when
     nothing is finite.  `fvec` is an optional vectorized evaluator used for
     the scan; `f` is always used inside the refinement.
     """
-    grid = np.asarray(grid, dtype=float)
-    vals = fvec(grid) if fvec is not None else np.array([f(x) for x in grid], dtype=float)
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    i = int(np.argmin(vals))
-    best_x, best_v = float(grid[i]), float(vals[i])
-    if not math.isfinite(best_v):
-        return best_x, math.inf
-    if refine and len(grid) > 1:
-        a = float(grid[max(i - 1, 0)])
-        b = float(grid[min(i + 1, len(grid) - 1)])
-        if b > a:
-            x, v = golden_minimize(f, a, b, tol=tol)
-            if v < best_v:
-                best_x, best_v = x, v
-    return best_x, best_v
+    def row(points, rows):
+        if points.ndim == 2:        # the scan over the grid
+            scan = fvec(points[0]) if fvec is not None else [f(p) for p in points[0]]
+            return np.asarray(scan, dtype=float)[None, :]
+        return np.array([f(float(p)) for p in points], dtype=float)
+
+    x, v = minimize_rows(row, grid, 1, tol=tol)
+    return float(x[0]), float(v[0])
 
 
 def maximize_on_grid(f: Callable[[float], float], grid: Sequence[float],
-                     fvec: Callable[[np.ndarray], np.ndarray] | None = None,
-                     tol: float = 1e-9, refine: bool = True) -> tuple[float, float]:
+                     tol: float = 1e-9) -> tuple[float, float]:
     """Maximum counterpart of :func:`minimize_on_grid`."""
-    neg = (lambda x: -f(x))
-    negvec = (lambda xs: -fvec(xs)) if fvec is not None else None
-    x, v = minimize_on_grid(neg, grid, fvec=negvec, tol=tol, refine=refine)
+    x, v = minimize_on_grid(lambda t: -f(t), grid, tol=tol)
     return x, -v

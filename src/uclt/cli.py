@@ -37,6 +37,7 @@ from .distances import PairwiseMomentField, distance_matrix, natural_function, s
 from .errors import ConfigError, MissingRun, UcltError
 from .psi import PsiFunction
 from .simulate import (
+    KERNELS,
     MartingaleFieldModel,
     SimulationReport,
     clt_diagnostic,
@@ -152,6 +153,14 @@ def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
         raise ConfigError(f"{block.path}.kind: unknown model kind {kind!r}")
     block.get("horizon", int, required=True, positive=True)
     block.raw("x_points", required=True)
+    kernel = block.sub("kernel")
+    if kernel is not None:
+        name = kernel.get("name", str, required=True)
+        if name not in KERNELS:
+            raise ConfigError(f"{kernel.path}.name: unknown kernel {name!r}; "
+                              f"expected one of {', '.join(KERNELS)}")
+        kernel.seen.update(("variance", "length_scale", "hurst"))
+        kernel.finish()
     if kind == "weibull_field":
         block.get("K", float, required=True, positive=True)
         block.get("q", float, required=True, positive=True)

@@ -159,6 +159,15 @@ class PairwiseMomentField:
         os.makedirs(path, exist_ok=True)
         p_grid = list(next(iter(self.point_curves.values())).p_grid) if self.point_curves \
             else list(next(iter(self.pair_curves.values())).p_grid)
+
+        def cells(c: MomentCurve) -> list[str]:
+            # repr of a Python float: numpy scalars would print as np.float64(...)
+            se = c.stderr if c.stderr is not None else [0.0] * len(p_grid)
+            return [repr(float(v)) for v in (*c.norms, *se)]
+
+        pairs_by_index = {}
+        for j, pair in sorted(self.pair_curves):
+            pairs_by_index.setdefault(j, []).append((pair, self.pair_curves[(j, pair)]))
         files = {}
         for i in range(1, self.m + 1):
             fname = f"index_{i:04d}.csv"
@@ -174,15 +183,10 @@ class PairwiseMomentField:
                     if key not in self.point_curves:
                         continue
                     c = self.point_curves[key]
-                    se = list(c.stderr) if c.stderr is not None else [0.0] * len(p_grid)
-                    w.writerow(["point", x, "", repr(self.variances.get(key, float(c.norms[0]) ** 2))]
-                               + [repr(v) for v in c.norms] + [repr(v) for v in se])
-                for (j, pair), c in sorted(self.pair_curves.items()):
-                    if j != i:
-                        continue
-                    se = list(c.stderr) if c.stderr is not None else [0.0] * len(p_grid)
-                    w.writerow(["pair", pair[0], pair[1], ""]
-                               + [repr(v) for v in c.norms] + [repr(v) for v in se])
+                    var = self.variances.get(key, float(c.norms[0]) ** 2)
+                    w.writerow(["point", x, "", repr(float(var))] + cells(c))
+                for pair, c in pairs_by_index.get(i, ()):
+                    w.writerow(["pair", pair[0], pair[1], ""] + cells(c))
         manifest = {"x_points": list(self.x_labels), "m": self.m,
                     "p_grid": p_grid, "index_files": files, "meta": self.meta}
         with open(os.path.join(path, "manifest.json"), "w") as fh:

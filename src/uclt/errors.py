@@ -29,10 +29,6 @@ class MissingData(UcltError):
     """A moment field lacks an entry needed by the computation."""
 
 
-class NonIntegrable(UcltError):
-    """A tail integral failed to stabilize numerically."""
-
-
 class HorizonExceeded(UcltError):
     """A simulation asked for more steps than the model's horizon."""
 

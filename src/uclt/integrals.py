@@ -160,23 +160,37 @@ def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-def _classify_model_tail(log_integrand, profile: EntropyProfile) -> tuple[str, str]:
+def _log_integrand(profile: EntropyProfile, eps: np.ndarray, *, psi: PsiFunction | None = None,
+                   power: float | None = None,
+                   r: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(H, log integrand) at the radii `eps` for exactly one of the three
+    integrals.  The chaining integrand takes one lower-transform call for
+    all radii."""
+    hs = np.array([profile.entropy_at(float(e)) for e in eps])
+    if psi is not None:
+        return hs, psi_lower_star(psi, math.log(2.0) + hs)
+    if power is not None:
+        return hs, np.array([power * math.log(h) if h > 0 else -math.inf for h in hs])
+    return hs, hs / r
+
+
+def _classify_model_tail(profile: EntropyProfile, **integrand) -> tuple[str, str]:
     """Power-law integrability test: integrand log-slope in log eps vs -1."""
     e1, e2 = (f * profile.diameter for f in _SLOPE_PROBE)
-    l1, l2 = log_integrand(e1), log_integrand(e2)
+    _, (l1, l2) = _log_integrand(profile, np.array([e1, e2]), **integrand)
     slope = (l2 - l1) / (math.log(e2) - math.log(e1))
     verdict = VERDICT_FINITE if slope > -1.0 else VERDICT_DIVERGENT
     return verdict, f"model tail log-slope {slope:.6g} vs -1"
 
 
-def _integral(profile: EntropyProfile, log_integrand, nodes: int,
-              eps_lo_frac: float) -> IntegralResult:
+def _integral(profile: EntropyProfile, nodes: int, eps_lo_frac: float,
+              **integrand) -> IntegralResult:
     grid = _quad_grid(profile, nodes, eps_lo_frac)
-    logs = np.array([log_integrand(float(e)) for e in grid])
+    _, logs = _log_integrand(profile, grid, **integrand)
     vals = np.where(np.isfinite(logs) | (logs == -math.inf), np.exp(logs), math.inf)
     value = _trapezoid(grid, vals)
     if profile.mode == "model":
-        verdict, notes = _classify_model_tail(log_integrand, profile)
+        verdict, notes = _classify_model_tail(profile, **integrand)
         notes += "; value is the truncated quadrature"
     else:
         verdict = VERDICT_AT_RESOLUTION
@@ -188,11 +202,7 @@ def entropy_integral(profile: EntropyProfile, psi: PsiFunction, *,
                      nodes: int = DEFAULT_QUAD_NODES,
                      eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> IntegralResult:
     """Chaining integral of exp(lower-transform of (log 2 + H)) over (0, D]."""
-
-    def log_integrand(eps: float) -> float:
-        return psi_lower_star(psi, math.log(2.0) + profile.entropy_at(eps))
-
-    return _integral(profile, log_integrand, nodes, eps_lo_frac)
+    return _integral(profile, nodes, eps_lo_frac, psi=psi)
 
 
 def power_entropy_integral(profile: EntropyProfile, exponent: float, *,
@@ -201,12 +211,7 @@ def power_entropy_integral(profile: EntropyProfile, exponent: float, *,
     """Integral of H**exponent over (0, D]; zero entropy contributes nothing."""
     if exponent <= 0:
         raise ValueError("exponent must be positive")
-
-    def log_integrand(eps: float) -> float:
-        h = profile.entropy_at(eps)
-        return exponent * math.log(h) if h > 0 else -math.inf
-
-    return _integral(profile, log_integrand, nodes, eps_lo_frac)
+    return _integral(profile, nodes, eps_lo_frac, power=exponent)
 
 
 def order_r_integral(profile: EntropyProfile, r: float, *,
@@ -215,11 +220,7 @@ def order_r_integral(profile: EntropyProfile, r: float, *,
     """Integral of N**(1/r) = exp(H / r) over (0, D]."""
     if r <= 0:
         raise ValueError("r must be positive")
-
-    def log_integrand(eps: float) -> float:
-        return profile.entropy_at(eps) / r
-
-    return _integral(profile, log_integrand, nodes, eps_lo_frac)
+    return _integral(profile, nodes, eps_lo_frac, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +346,13 @@ def integrand_trace(profile: EntropyProfile, *, psi: PsiFunction | None = None,
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of psi, power, r")
     grid = _quad_grid(profile, nodes, eps_lo_frac)
-    rows = []
-    for eps in grid:
-        h = profile.entropy_at(float(eps))
-        if psi is not None:
-            val = math.exp(min(psi_lower_star(psi, math.log(2.0) + h), 700.0))
-        elif power is not None:
-            val = h ** power
-        else:
-            val = math.exp(min(h / r, 700.0))
-        rows.append((float(eps), h, val))
-    return rows
+    hs, logs = _log_integrand(profile, grid, psi=psi, power=power, r=r)
+    hs = [float(h) for h in hs]
+    if power is not None:
+        vals = [h ** power for h in hs]
+    else:
+        vals = [math.exp(min(float(v), 700.0)) for v in logs]
+    return list(zip((float(e) for e in grid), hs, vals))
 
 
 def write_trace_csv(path: str, rows) -> None:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from ._gridopt import log_grid, maximize_on_grid, minimize_on_grid
+from ._gridopt import log_grid, maximize_on_grid, minimize_on_grid, minimize_rows
 from .errors import EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData
 
 INF = math.inf
@@ -423,50 +423,61 @@ def rosenthal_transform(psi: PsiFunction) -> PsiFunction:
                        support_high=psi.support_high, base=psi)
 
 
-def _closed_power_lower_star(psi: PsiFunction, x: float, lo: float, hi: float) -> float:
+def _closed_power_lower_star(psi: PsiFunction, x: np.ndarray, lo: float,
+                             hi: float) -> np.ndarray:
     """Exact lower transform of p**(1/q): interior stationary point p = q*x,
     clamped to the scan interval [lo, hi]."""
     q = psi.q
     p_star = q * x
-    if p_star <= lo:
-        p_star = lo
-    elif p_star >= hi:
-        p_star = hi
-    else:
-        return (1.0 / q) * (1.0 + math.log(q * x))
-    return x / p_star + math.log(p_star) / q
+    clamped = np.clip(p_star, lo, hi)
+    with np.errstate(divide="ignore"):
+        return np.where((p_star > lo) & (p_star < hi), (1.0 / q) * (1.0 + np.log(p_star)),
+                        x / clamped + np.log(clamped) / q)
 
 
-def psi_lower_star(psi: PsiFunction, x: float, *, method: str = "auto",
+def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto",
                    nodes: int = DEFAULT_NODES, p_cap: float = DEFAULT_P_CAP,
-                   tol: float = 1e-9) -> float:
+                   tol: float = 1e-9):
     """inf over y in (0, 1) with 1/y in the support of [x*y + log psi(1/y)].
 
     In the substitution p = 1/y this is inf over admissible p of
     x/p + log psi(p).  The feasible p must exceed 1 (so that y < 1); for a
     degenerate shape the domain is the single point r and the value is
     x/r + log psi(r) exactly.  `method` is "auto" (closed form for the pure
-    power shape when its stationary point is interior, grid otherwise),
-    "grid", or "closed".
+    power shape, grid otherwise), "grid", or "closed".
+
+    `x` is a scalar (the result is a float) or a 1-D array (the result is an
+    array of the same length).  The distinct entries of an array share one
+    grid scan and one batched golden-section refinement; every entry gets
+    exactly the value a scalar call with it would give.
     """
-    if x < 0:
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError("x must be a scalar or a 1-D array")
+    if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
+    uniq, where = np.unique(xs, return_inverse=True)
+    vals = _lower_star(psi, uniq, method, nodes, p_cap, tol)[where.reshape(xs.shape)]
+    return float(vals) if xs.ndim == 0 else vals
+
+
+def _lower_star(psi: PsiFunction, xs: np.ndarray, method: str, nodes: int,
+                p_cap: float, tol: float) -> np.ndarray:
+    """The lower transform at each entry of the 1-D array `xs`."""
     region = psi.finite_region(p_cap)
     if region[0] == "point":
         r = region[1]
         if r <= 1.0:
             raise EmptyDomain("no y in (0,1) maps into the support")
-        return x / r + math.log(psi.value(r))
+        return xs / r + math.log(psi.value(r))
     lo, hi = max(region[1], 1.0), region[2]
     if not (hi > lo):
         raise EmptyDomain("no y in (0,1) maps into the support")
 
-    if method == "closed":
-        if psi.form != "closed_power":
-            raise ValueError("closed form only available for the pure power shape")
-        return _closed_power_lower_star(psi, x, lo, hi)
-    if method == "auto" and psi.form == "closed_power":
-        return _closed_power_lower_star(psi, x, lo, hi)
+    if method == "closed" and psi.form != "closed_power":
+        raise ValueError("closed form only available for the pure power shape")
+    if method in ("auto", "closed") and psi.form == "closed_power":
+        return _closed_power_lower_star(psi, xs, lo, hi)
 
     # nudge just inside the open interval; for tabulated shapes the grid
     # endpoints themselves are admissible
@@ -475,20 +486,9 @@ def psi_lower_star(psi: PsiFunction, x: float, *, method: str = "auto",
     b = hi * (1.0 - 1e-12) if (psi.form != "tabulated" and math.isfinite(psi.support_high)
                                and hi >= psi.support_high) else hi
     grid = log_grid(a, b, nodes)
-
-    def f(p):
-        v = psi.value(p)
-        return INF if math.isinf(v) else x / p + math.log(v)
-
-    def fvec(ps):
-        v = psi.value_array(ps)
-        out = np.full(ps.shape, INF)
-        fin = np.isfinite(v)
-        out[fin] = x / ps[fin] + np.log(v[fin])
-        return out
-
-    _, val = minimize_on_grid(f, grid, fvec=fvec, tol=tol)
-    return val
+    _, vals = minimize_rows(lambda p, k: xs[k] / p + np.log(psi.value_array(p)),
+                            grid, xs.size, tol=tol)
+    return vals
 
 
 def young_fenchel(g, y: float, *, x_min: float = 2.0, x_max: float = DEFAULT_P_CAP,

@@ -46,6 +46,9 @@ ROSENTHAL_CONSTANT = 0.6535
 
 _KINDS = ("iid_gaussian_field", "weibull_field", "garch_like", "bounded_sign")
 
+#: Covariance kernels known to `kernel_matrix`.
+KERNELS = ("white", "rbf", "brownian", "fractional_brownian")
+
 #: Float budget per generated chunk (count * n * npoints).
 _CHUNK_BUDGET = 1 << 21
 
@@ -136,6 +139,7 @@ class MartingaleFieldModel:
             raise ValueError("horizon must be at least 1")
         if len(self.coords) == 0:
             raise ValueError("need at least one coordinate")
+        self._chol  # factor the kernel now, so that a bad kernel spec fails here
 
     @property
     def npoints(self) -> int:

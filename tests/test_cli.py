@@ -80,6 +80,18 @@ class TestCheckTheorem:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
 
+    @pytest.mark.parametrize("kernel,path", [
+        ({"name": "matern"}, "config.model.kernel.name"),
+        ({"name": "rbf", "lenght_scale": 0.1}, "config.model.kernel.lenght_scale"),
+        ({"name": "fractional_brownian", "hurst": 2.0}, "config.model: hurst"),
+    ])
+    def test_bad_kernel_key_path(self, tmp_path, capsys, kernel, path):
+        doc = theorem_cfg()
+        doc["model"]["kernel"] = kernel
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
+
     def test_malformed_json_line_precise(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text('{\n  "seed": 1,\n  "oops"\n}\n')
@@ -102,6 +114,17 @@ class TestInequalities:
         t0 = time.time()
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
         assert time.time() - t0 < 10.0
+
+    def test_heavy_weibull_tail(self, tmp_path):
+        # q = 0.05: the tail's second moment is Gamma(41), finite but huge
+        doc = {"seed": 3, "replications": 2000,
+               "models": [{"kind": "iid_gaussian_field", "name": "g",
+                           "x_points": {"grid_1d": {"n": 2}}, "horizon": 16,
+                           "kernel": {"name": "white"}}],
+               "tail_domination": {"tail": {"form": "closed_weibull", "K": 1, "q": 0.05},
+                                   "n_values": [16]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
     def test_biased_model_exit_two(self, tmp_path):
         doc = {"seed": 3, "replications": 8000,

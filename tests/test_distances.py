@@ -17,6 +17,7 @@ from uclt.distances import (
 )
 from uclt.errors import MissingData
 from uclt.psi import MomentCurve, PsiFunction, gaussian_lp_norm, gls_norm
+from uclt.simulate import MartingaleFieldModel, estimate_moment_curves, grid_coords
 
 P_GRID = (2.0, 3.0, 4.0, 6.0)
 
@@ -246,3 +247,19 @@ class TestCsvDir:
             assert got.norms == pytest.approx(curve.norms, rel=1e-15)
         for key, v in field.variances.items():
             assert back.variances[key] == pytest.approx(v, rel=1e-15)
+
+    def test_roundtrip_monte_carlo_field(self, tmp_path):
+        model = MartingaleFieldModel("wg", "iid_gaussian_field", grid_coords(3),
+                                     {"kernel": {"name": "rbf"}}, horizon=4, seed=11)
+        field = estimate_moment_curves(model, [("x0", "x1"), ("x1", "x2")], [2.0, 3.0],
+                                       400, i_max=4)
+        field.to_csv_dir(tmp_path / "field")
+        back = PairwiseMomentField.from_csv_dir(tmp_path / "field")
+        assert (back.x_labels, back.m, back.meta) == (field.x_labels, field.m, field.meta)
+        for mine, theirs in ((field.point_curves, back.point_curves),
+                             (field.pair_curves, back.pair_curves)):
+            assert mine.keys() == theirs.keys()
+            for key, curve in mine.items():
+                assert theirs[key].norms == curve.norms
+                assert theirs[key].stderr == curve.stderr
+        assert back.variances == field.variances

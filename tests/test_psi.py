@@ -242,6 +242,45 @@ class TestPsiLowerStar:
         assert np.all(second <= 1e-7)
 
 
+LOWER_STAR_SHAPES = {
+    "power": (PsiFunction.closed_power(2.0), "auto"),
+    "power-clamped": (PsiFunction.closed_power(0.5, support=(2.0, 9.0)), "auto"),
+    "power-grid": (PsiFunction.closed_power(2.0), "grid"),
+    "degenerate": (PsiFunction.degenerate(4, support=(2, 8)), "auto"),
+    "tabulated": (PsiFunction.tabulated([2.1, 3.0, 5.0, 9.0], [1.2, 1.3, 1.6, 2.4]), "auto"),
+    "scaled": (PsiFunction.tabulated([2.1, 3.0, 5.0], [1.2, 1.3, 1.6]).scaled(0.4), "auto"),
+    "rosenthal": (rosenthal_transform(
+        PsiFunction.tabulated([2.1, 3.0, 5.0, 9.0], [1.2, 1.3, 1.6, 2.4])), "auto"),
+}
+
+
+class TestBatchedLowerStar:
+    # 0, repeats, both sides of the clamps of the power shapes (q*x = 2 and 9)
+    XS = np.array([0.0, 3.0, 0.0, 1.5, 3.0, 4.0, 4.0, 17.5, 18.0, 25.0, 0.25, 60.0])
+
+    @pytest.mark.parametrize("name", sorted(LOWER_STAR_SHAPES))
+    def test_array_equals_scalar_calls(self, name):
+        psi, method = LOWER_STAR_SHAPES[name]
+        got = psi_lower_star(psi, self.XS, method=method)
+        assert isinstance(got, np.ndarray) and got.shape == self.XS.shape
+        want = [psi_lower_star(psi, float(x), method=method) for x in self.XS]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tolist() == want
+
+    def test_clamped_power_hits_both_ends(self):
+        psi = PsiFunction.closed_power(0.5, support=(2.0, 9.0))
+        got = psi_lower_star(psi, np.array([1.0, 60.0]))
+        assert got.tolist() == pytest.approx([1.0 / 2.0 + 2.0 * math.log(2.0),
+                                              60.0 / 9.0 + 2.0 * math.log(9.0)])
+
+    def test_empty_and_bad_shapes(self):
+        assert psi_lower_star(PsiFunction.closed_power(1), np.array([])).shape == (0,)
+        with pytest.raises(ValueError):
+            psi_lower_star(PsiFunction.closed_power(1), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            psi_lower_star(PsiFunction.closed_power(1), np.array([1.0, -1.0]))
+
+
 class TestYoungFenchel:
     def test_interior_maximum(self):
         assert young_fenchel(lambda x: x * x / 2, 4.0) == pytest.approx(8.0, abs=1e-8)

@@ -306,6 +306,11 @@ class TestConfigAndReports:
                                 "horizon": 4, "seed": 9})
         assert m2.coords == ((0.0,), (1.0,))
 
+    def test_unknown_kernel_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown kernel 'matern'"):
+            MartingaleFieldModel("m", "garch_like", grid_coords(3),
+                                 {"kernel": {"name": "matern"}}, horizon=8, seed=1)
+
     def test_threads_env_fallback(self, monkeypatch):
         from uclt.simulate import resolve_threads
         monkeypatch.delenv("UCLT_THREADS", raising=False)

@@ -60,10 +60,17 @@ class TestSecondMoment:
         assert tail_second_moment(TailFunction.degenerate_zero(), 0.0) == 0.0
 
     @pytest.mark.parametrize("K,q,v", [(1, 2, 0.0), (1, 2, 1.3), (1, 1, 0.0),
-                                       (2, 0.7, 0.5), (1, 4, 2.0)])
+                                       (2, 0.7, 0.5), (1, 4, 2.0), (1, 0.05, 0.0),
+                                       (1, 0.05, 3.0)])
     def test_weibull_against_gamma_oracle(self, K, q, v):
         got = tail_second_moment(TailFunction.closed_weibull(K, q), v)
         assert got == pytest.approx(weibull_second_moment_oracle(K, q, v), rel=1e-8, abs=1e-12)
+
+    def test_weibull_beyond_float_range(self):
+        # K**2 * Gamma(401) overflows a double; the moment is reported as +inf
+        T = TailFunction.closed_weibull(1.0, 0.005)
+        assert tail_second_moment(T, 0.0) == math.inf
+        assert w_operator(T, 2.0) == 1.0
 
     def test_weibull_against_inverse_cdf_monte_carlo(self):
         # sample Y with P(Y > y) = exp(-y**2) by inverting the tail
