@@ -3,7 +3,10 @@
 A finite point set with a distance matrix stands in for a compact index set.
 Covering numbers use closed balls centered at points of the space; the greedy
 count is an upper bound, nonincreasing in the radius, and the exhaustive
-search (capped in size) is the exact oracle.  Discretized covering numbers
+search (capped in size) is the exact oracle.  The greedy count needs the
+max-gain greedy cover at every distinct distance; one sweep replays a single
+greedy run from one distance to the next, re-running it only from the first
+step where a grown ball would change its pick.  Discretized covering numbers
 lower-bound continuum ones, so condition checks built on them are
 resolution-limited by construction.
 """
@@ -25,8 +28,9 @@ EXACT_SEARCH_CAP = 20
 #: Largest point count for which the triangle inequality is fully checked.
 _TRIANGLE_CHECK_CAP = 128
 
-#: Bytes of packed ball bitsets the greedy covering sweep builds at once.
-_SWEEP_BATCH_BYTES = 1 << 22
+#: Radii, and at most as many pairs, whose grown balls the greedy covering
+#: sweep checks in one pass.
+_REPLAY_BLOCK = 32
 
 
 def _parse_metric(metric):
@@ -155,63 +159,124 @@ def diameter(space: FiniteMetricSpace) -> float:
     return float(np.max(space.dist))
 
 
-def _ball_batches(dist: np.ndarray, radii: np.ndarray):
-    """Closed balls at ascending radii as bitsets, built incrementally in batches.
+def _resume(balls: np.ndarray, run, s: int, m: int, after: int, cap: int):
+    """Run the max-gain greedy on the packed balls (words, n) from step s of
+    the reference run, rewriting the run in place.
 
-    Yields (start, balls) where balls[k, :, i] is the ball of center i at
-    radius radii[start + k], its member bits packed into uint64 words.  Each
-    distance entry is set once, at the first radius that reaches it, and an
-    OR-accumulation along the radius axis carries it to the larger radii.
+    `run` holds, per step j < m, the uncovered bitset before the step (a
+    column of U) with its popcount, the pick and its gain.  Each step picks
+    the center whose ball covers the most uncovered points, breaking ties
+    toward the lowest index.  Gains never grow, so once the run provably
+    needs `cap` or more balls, or its best gain is 1, the count is known and
+    it stops.  Once the uncovered set equals the reference's at a step after
+    `after`, the reference tail holds from there on and is kept.  Returns
+    (steps, size), with size None when the old tail was kept.
+    """
+    U, left, pick, gain = run
+    u = U[:, s].copy()
+    rest = int(left[s])
+    k = s
+    while True:
+        gains = np.bitwise_count(balls & u[:, None]).sum(axis=0, dtype=np.int32)
+        x = int(gains.argmax())  # argmax takes the lowest index on ties
+        g = int(gains[x])
+        pick[k], gain[k] = x, g
+        u &= ~balls[:, x]
+        rest -= g
+        k += 1
+        # the rest needs at least rest/g more balls, exactly that many once g is 1
+        total = k + -(-rest // g)
+        if rest == 0 or g == 1 or total >= cap:
+            return k, min(total, cap)
+        if after < k < m and rest == left[k] and np.array_equal(u, U[:, k]):
+            return m, None
+        U[:, k] = u
+        left[k] = rest
+
+
+def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.ndarray:
+    """Greedy cover size at each of the ascending radii, replaying one run.
+
+    Closed balls are bitsets of uint64 words, one column per center, grown
+    in place as each radius's pairs arrive.  A reference greedy run is kept:
+    per step, the uncovered set, the pick and its gain.  Unchanged balls keep
+    their gains, so at a new radius only a ball that grew can alter the run,
+    and it does at the first step where it covers more uncovered points than
+    the pick, or as many at a lower index.  The last step's tie is exempt: it
+    changes the pick but not the count.  The grown balls of a block of radii
+    are checked against every step in one pass.  Radii with no such step keep
+    the reference count; at the first one that has one the greedy resumes
+    from that step (see `_resume`), and the rest of the block is checked
+    against the new run.
+
+    With `running_min` the result is the running minimum of the sizes; a run
+    that cannot lower it stops early, and the sweep stops once it reaches 1.
     """
     n = dist.shape[0]
     words = -(-n // 64)
+    # each (center, member) entry arrives at the first radius that reaches it
     first = np.searchsorted(radii, dist.ravel())
     order = np.argsort(first, kind="stable")
     first = first[order]
     center, member = np.divmod(order, n)
+    word = member // 64
     bit = np.left_shift(np.uint64(1), (member % 64).astype(np.uint64))
-    batch = max(1, _SWEEP_BATCH_BYTES // (8 * words * n))
-    current = np.zeros((words, n), dtype=np.uint64)
-    for start in range(0, radii.size, batch):
-        stop = min(start + batch, radii.size)
-        balls = np.empty((stop - start, words, n), dtype=np.uint64)
-        balls[:] = current
-        lo, hi = np.searchsorted(first, (start, stop))
-        np.bitwise_or.at(balls, (first[lo:hi] - start, member[lo:hi] // 64, center[lo:hi]),
-                         bit[lo:hi])
-        np.bitwise_or.accumulate(balls, axis=0, out=balls)
-        current = balls[-1]
-        yield start, balls
-
-
-def _greedy_run(balls: np.ndarray, cap: int) -> np.ndarray:
-    """Max-gain greedy cover size for each stack of packed balls (see
-    `_ball_batches`), all instances advanced together.
-
-    Each step picks the center whose ball covers the most uncovered points,
-    breaking ties toward the lowest index; gains are popcounts.  An instance
-    that provably needs `cap` or more balls stops and reports `cap`.
-    """
-    _, words, n = balls.shape
-    everyone = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64)
-    uncovered = np.tile(everyone, (len(balls), 1))
-    sizes = np.zeros(len(balls), dtype=np.int64)
-    live = np.arange(len(balls))
-    while live.size:
-        rows = np.arange(live.size)
-        gains = np.bitwise_count(balls & uncovered[:, :, None]).sum(axis=1, dtype=np.int32)
-        centers = gains.argmax(axis=1)  # argmax takes the lowest index on ties
-        step = gains[rows, centers]
-        uncovered &= ~balls[rows, :, centers]
-        sizes[live] += 1
-        # gains never grow, so the rest needs at least left/step more balls,
-        # exactly that many once the best gain is 1
-        left = np.bitwise_count(uncovered).sum(axis=1, dtype=np.int64)
-        total = sizes[live] + -(-left // step)
-        done = (left == 0) | (step == 1) | (total >= cap)
-        sizes[live[done]] = np.minimum(total[done], cap)
-        if done.any():
-            balls, uncovered, live = balls[~done], uncovered[~done], live[~done]
+    balls = np.zeros((words, n), dtype=np.uint64)
+    run = (np.zeros((words, n), dtype=np.uint64), np.zeros(n + 1, dtype=np.int64),
+           np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    U, left, pick, gain = run
+    U[:, 0] = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64)
+    left[0] = n
+    sizes = np.empty(radii.size, dtype=np.int64)
+    stop = np.searchsorted(first, 1)
+    np.bitwise_or.at(balls, (word[:stop], center[:stop]), bit[:stop])
+    m, size = _resume(balls, run, 0, 0, -1, n + 1)
+    sizes[0] = size
+    cap = size if running_min else n + 1
+    level = 1
+    while level < radii.size and cap > 1:
+        # a block is _REPLAY_BLOCK radii, or fewer so that it holds no more than
+        # _REPLAY_BLOCK pairs; where many pairs tie it is one radius
+        lo = np.searchsorted(first, level)
+        cut = first[lo + 2 * _REPLAY_BLOCK] if lo + 2 * _REPLAY_BLOCK < first.size else radii.size
+        end = min(level + _REPLAY_BLOCK, max(level + 1, int(cut)))
+        hi = np.searchsorted(first, end)
+        # one column per grown ball and radius, ordered by radius, then center
+        key = first[lo:hi] * n + center[lo:hi]
+        fresh = np.diff(key, prepend=-1) != 0
+        col_level, col_center = np.divmod(key[fresh], n)
+        cols = balls[:, col_center]
+        np.bitwise_or.at(cols, (word[lo:hi], np.cumsum(fresh) - 1), bit[lo:hi])
+        # carry each ball's growth at earlier radii of the block forward; pass
+        # r completes the r-th column of each center
+        by_center = np.argsort(col_center, kind="stable")
+        carry = np.flatnonzero(col_center[by_center[1:]] == col_center[by_center[:-1]]) + 1
+        while carry.size:
+            cols[:, by_center[carry]] |= cols[:, by_center[carry - 1]]
+            carry = carry[1:][np.diff(carry) == 1]
+        while level < end and cap > 1:
+            a = np.searchsorted(col_level, level)
+            gains = np.bitwise_count(cols[:, a:, None] & U[:, None, :m]).sum(axis=0, dtype=np.int32)
+            flags = gains > gain[:m]
+            flags[:, :-1] |= ((gains[:, :-1] == gain[:m - 1])
+                              & (col_center[a:, None] < pick[:m - 1]))
+            hits = np.flatnonzero(flags.any(axis=1))
+            diverge = int(col_level[a + hits[0]]) if hits.size else end
+            sizes[level:diverge] = min(size, cap)
+            # grow the balls up to the diverging radius, or the block's last one
+            b = np.searchsorted(col_level, diverge, side="right")
+            np.bitwise_or.at(balls, (slice(None), col_center[a:b]), cols[:, a:b])
+            if diverge == end:
+                level = end
+                break
+            steps = flags[hits[0]:b - a].any(axis=0)
+            s, after = int(steps.argmax()), m - 1 - int(steps[::-1].argmax())
+            m, resized = _resume(balls, run, s, m, after, cap)
+            size = size if resized is None else resized
+            sizes[diverge] = min(size, cap)
+            cap = int(sizes[diverge]) if running_min else cap
+            level = diverge + 1
+    sizes[level:] = 1  # the running minimum reached 1
     return sizes
 
 
@@ -221,8 +286,7 @@ def _greedy_sizes(dist: np.ndarray, radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     order = np.argsort(radii, kind="stable")
     sizes = np.empty(radii.size, dtype=np.int64)
-    for start, balls in _ball_batches(dist, radii[order]):
-        sizes[order[start:start + len(balls)]] = _greedy_run(balls, len(dist) + 1)
+    sizes[order] = _replay_sweep(dist, radii[order], running_min=False)
     return sizes
 
 
@@ -233,10 +297,13 @@ def covering_numbers_greedy(space: FiniteMetricSpace, eps_values) -> np.ndarray:
     built at any radius t in (0, eps]: a cover by closed t-balls also covers
     at eps, so this is an upper bound on the minimum cover size, never above
     the raw greedy size at eps, and nonincreasing in eps by construction.
-    The balls only change at the distinct distances, so the sweep runs the
-    heuristic once at each distinct positive distance up to the largest
-    requested radius, and once at radius 0, which stands for every radius
-    below the smallest positive distance, keeping a running minimum.
+    The balls only change at the distinct distances, so the count needs the
+    heuristic at each distinct positive distance up to the largest requested
+    radius, and at radius 0, which stands for every radius below the
+    smallest positive distance.  One sweep gets them all (`_replay_sweep`):
+    it carries one greedy run from each distance to the next and re-runs it
+    only from the first step that a newly grown ball changes, with the
+    sizes identical to a fresh run at every distance.
     """
     n = len(space)
     if n == 0:
@@ -248,15 +315,7 @@ def covering_numbers_greedy(space: FiniteMetricSpace, eps_values) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     dist = np.asarray(space.dist, dtype=float)
     levels = np.concatenate(([0.0], np.unique(dist[(dist > 0) & (dist <= eps.max())])))
-    curve = np.ones(levels.size, dtype=np.int64)
-    best = n
-    for start, balls in _ball_batches(dist, levels):
-        stop = start + len(balls)
-        # a size at or above `best` cannot lower the minimum, so it may be capped
-        curve[start:stop] = np.minimum.accumulate(_greedy_run(balls, best))
-        best = int(curve[stop - 1])
-        if best == 1:
-            break  # the rest of the curve keeps its initial 1
+    curve = _replay_sweep(dist, levels, running_min=True)
     return curve[np.searchsorted(levels, eps, side="right") - 1]
 
 

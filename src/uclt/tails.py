@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, gammaln
 
-from ._gridopt import log_grid, minimize_on_grid
+from ._gridopt import log_grid, minimize_rows
 
 _FORMS = ("closed_weibull", "tabulated", "degenerate_zero")
 
@@ -132,29 +132,29 @@ class TailFunction:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def tail_second_moment(T: TailFunction, v: float) -> float:
+def tail_second_moment(T: TailFunction, v):
     """Second moment carried above v: -integral over (v, inf) of y**2 dT(y).
 
     For closed_weibull(K, q) the substitution t = (y/K)**q gives
     K**2 * Gamma(1 + 2/q) * Q(1 + 2/q, (v/K)**q), with Q the regularized upper
     incomplete gamma function; it is evaluated in log space and comes back as
     +inf only beyond float range.  Pure-jump shapes sum y**2 over jumps
-    strictly above v.
+    strictly above v.  A scalar v gives a float, an array of split points
+    the array of their moments.
     """
-    v = max(v, 0.0)
+    v = np.maximum(np.asarray(v, dtype=float), 0.0)
     if T.form == "degenerate_zero":
-        return 0.0
-    if T.form == "tabulated":
-        return float(sum(x * x * mass for x, mass in T.jumps() if x > v))
-    K, q = T.scale, T.shape
-    s = 1.0 + 2.0 / q
-    upper = float(gammaincc(s, (v / K) ** q))
-    if upper == 0.0:
-        return 0.0
-    try:
-        return math.exp(2.0 * math.log(K) + float(gammaln(s)) + math.log(upper))
-    except OverflowError:
-        return math.inf
+        m2 = np.zeros_like(v)
+    elif T.form == "tabulated":
+        x, mass = np.array(T.jumps()).T
+        m2 = np.where(x > v[..., None], x * x * mass, 0.0).sum(axis=-1)
+    else:
+        K, q = T.scale, T.shape
+        s = 1.0 + 2.0 / q
+        with np.errstate(divide="ignore", over="ignore"):  # Q = 0 gives 0, overflow +inf
+            m2 = np.exp(2.0 * math.log(K) + float(gammaln(s))
+                        + np.log(gammaincc(s, (v / K) ** q)))
+    return float(m2) if m2.ndim == 0 else m2
 
 
 def w_operator(T: TailFunction, x: float, *, nodes: int = 512,
@@ -163,17 +163,18 @@ def w_operator(T: TailFunction, x: float, *, nodes: int = 512,
     """The uniform-sum tail transform min(1, inf_v [Gaussian term + tail term]).
 
     The infimum over the split point v is taken on a log-spaced grid spanning
-    [v_lo_frac * x, v_hi_frac * x] with golden-section refinement.
+    [v_lo_frac * x, v_hi_frac * x] with golden-section refinement; the scan
+    evaluates the whole grid in one call.
     """
     if x <= 0:
         raise ValueError("x must be positive")
 
-    def objective(v: float) -> float:
-        return math.exp(-x * x / (8.0 * v * v)) + tail_second_moment(T, v)
+    def objective(v: np.ndarray, rows) -> np.ndarray:
+        return np.exp(-x * x / (8.0 * v * v)) + tail_second_moment(T, v)
 
     grid = log_grid(v_lo_frac * x, v_hi_frac * x, nodes)
-    _, best = minimize_on_grid(objective, grid, tol=tol)
-    return min(1.0, best)
+    _, best = minimize_rows(objective, grid, 1, tol=tol)
+    return min(1.0, float(best[0]))
 
 
 def uniform_sum_tail_bound(T: TailFunction, x: float, **kwargs) -> float:

@@ -188,10 +188,31 @@ class TestGreedySweep:
         s = FiniteMetricSpace.from_coords(rng.random((40, 2)))
         eps_values = list(np.geomspace(1.5, 0.01, 12))
         counts = check_sweep(s, eps_values)
-        for levels_per_batch in (1, 7):
-            monkeypatch.setattr(covering, "_SWEEP_BATCH_BYTES", levels_per_batch * 8 * 40)
+        for levels_per_block in (1, 7):
+            monkeypatch.setattr(covering, "_REPLAY_BLOCK", levels_per_block)
             assert list(covering_numbers_greedy(s, eps_values)) == counts
             assert list(_greedy_sizes(s.dist, eps_values)) == [plain_greedy(s, e) for e in eps_values]
+
+    def test_frozen_counts_on_300_random_points(self):
+        # counts frozen from the batched sweep that preceded the replay sweep
+        s = FiniteMetricSpace.from_coords(np.random.default_rng(2024).random((300, 2)))
+        eps_values = np.geomspace(diameter(s), 0.01 * diameter(s), 16)
+        assert list(covering_numbers_greedy(s, eps_values)) == [
+            1, 1, 1, 3, 5, 8, 14, 21, 36, 61, 93, 145, 188, 235, 269, 285]
+
+    @pytest.mark.parametrize("space", ["random129", "random200", "sup_grid"])
+    def test_raw_sizes_per_level(self, space):
+        # consecutive distance levels, so the sweep replays from level to level
+        rng = np.random.default_rng(37)
+        if space == "sup_grid":  # many tied distances: several pairs per level
+            s = FiniteMetricSpace.from_coords(
+                np.stack(np.meshgrid(range(7), range(7)), axis=-1).reshape(-1, 2), metric="sup")
+        else:
+            s = FiniteMetricSpace.from_coords(rng.random((int(space[6:]), 2)))
+        levels = np.concatenate(([0.0], np.unique(s.dist[s.dist > 0])))
+        picked = np.unique(np.concatenate((
+            levels[:60], levels[200:260], rng.choice(levels, 40), levels[-3:])))
+        assert list(_greedy_sizes(s.dist, picked)) == [plain_greedy(s, t) for t in picked]
 
     def test_semi_distance_with_zero_off_diagonal(self):
         rng = np.random.default_rng(29)
@@ -224,6 +245,67 @@ class TestGreedySweep:
                 covering_numbers_greedy(s, bad)
         with pytest.raises(EmptySpace):
             covering_numbers_greedy(FiniteMetricSpace((), np.zeros((0, 0))), [0.1])
+
+
+def traced_sweep(monkeypatch, space, running_min, block=32):
+    """The sweep over every distance level, recording each greedy re-run:
+    its level, start step, reference length, last flagged step, cap, steps,
+    size, and whether its first step was decided by the lower-index tie."""
+    d = space.dist
+    radii = np.concatenate(([0.0], np.unique(d[d > 0])))
+    entries = np.searchsorted(np.sort(d.ravel()), radii, side="right")
+    calls = []
+    resume = covering._resume
+
+    def recorder(balls, run, s, m, after, cap):
+        U, _, pick, gain = run
+        gains = np.bitwise_count(balls & U[:, s, None]).sum(axis=0)
+        tie = m > 0 and gains.max() == gain[s] and gains.argmax() < pick[s]
+        steps, size = resume(balls, run, s, m, after, cap)
+        level = int(np.searchsorted(entries, int(np.bitwise_count(balls).sum())))
+        calls.append(dict(level=level, s=s, m=m, after=after, cap=cap, steps=steps,
+                          size=size, tie=bool(tie)))
+        return steps, size
+
+    monkeypatch.setattr(covering, "_resume", recorder)
+    monkeypatch.setattr(covering, "_REPLAY_BLOCK", block)
+    sizes = covering._replay_sweep(d, radii, running_min)
+    monkeypatch.undo()
+    raw = [plain_greedy(space, t) for t in radii]
+    assert list(sizes) == (list(np.minimum.accumulate(raw)) if running_min else raw)
+    return calls
+
+
+class TestReplayPaths:
+    """Each path of the replay sweep on a small frozen integer space, picked by
+    a random search for one that takes the path, checked against the loop
+    reference at every level."""
+
+    def test_rerun_forced_by_lower_index_tie(self, monkeypatch):
+        s = FiniteMetricSpace.from_coords([[0, 1], [0, 1], [0, 2], [2, 0], [1, 0], [2, 1]])
+        calls = traced_sweep(monkeypatch, s, running_min=False)
+        assert any(c["tie"] for c in calls[1:])
+
+    def test_splice_onto_old_tail(self, monkeypatch):
+        s = FiniteMetricSpace.from_coords([[1, 3], [2, 3], [1, 3], [3, 0], [4, 3], [2, 5]])
+        calls = traced_sweep(monkeypatch, s, running_min=False)
+        assert any(c["size"] is None for c in calls)
+
+    def test_reference_cut_by_cap_is_reused(self, monkeypatch):
+        s = FiniteMetricSpace.from_coords([[0, 1], [0, 1], [0, 2], [2, 0], [1, 0], [2, 1]])
+        calls = traced_sweep(monkeypatch, s, running_min=True)
+        # a run stopped by the cap, kept through a later level, then resumed inside
+        assert any(a["size"] == a["cap"] and a["steps"] < len(s) and b["level"] > a["level"] + 1
+                   and b["m"] == a["steps"] and b["s"] < a["steps"]
+                   for a, b in zip(calls, calls[1:]))
+
+    def test_block_boundary_inside_a_diverging_run(self, monkeypatch):
+        s = FiniteMetricSpace.from_coords([[5, 31], [19, 23], [24, 28], [1, 19], [5, 16]])
+        # all 10 distances differ, so blocks of two levels are [1, 3), [3, 5), ...
+        assert np.unique(s.dist[s.dist > 0]).size == 10
+        calls = traced_sweep(monkeypatch, s, running_min=False, block=2)
+        diverging = {c["level"] for c in calls[1:]}
+        assert any(f % 2 == 0 and f + 1 in diverging for f in diverging)
 
 
 class TestEntropy:

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, gammaincc
+from scipy.special import gamma, gammaincc, gammaln
+
+from uclt._gridopt import log_grid, minimize_on_grid
 
 from uclt.tails import (
     TailFunction,
@@ -25,6 +27,37 @@ def dense_w_oracle(K, q, x, nodes=100000):
     vs = np.geomspace(1e-4 * x, 1e4 * x, nodes)
     m2 = weibull_second_moment_oracle(K, q, vs)
     return float(min(1.0, np.min(np.exp(-x * x / (8 * vs * vs)) + m2)))
+
+
+def scalar_second_moment(T, v):
+    """One split point at a time, in math-module arithmetic."""
+    v = max(v, 0.0)
+    if T.form == "degenerate_zero":
+        return 0.0
+    if T.form == "tabulated":
+        return float(sum(x * x * mass for x, mass in T.jumps() if x > v))
+    s = 1.0 + 2.0 / T.shape
+    upper = float(gammaincc(s, (v / T.scale) ** T.shape))
+    if upper == 0.0:
+        return 0.0
+    try:
+        return math.exp(2.0 * math.log(T.scale) + float(gammaln(s)) + math.log(upper))
+    except OverflowError:
+        return math.inf
+
+
+def scalar_w(T, x, nodes=512):
+    """The transform with one scalar objective call per scan node and golden step."""
+    def objective(v):
+        return math.exp(-x * x / (8.0 * v * v)) + scalar_second_moment(T, v)
+    return min(1.0, minimize_on_grid(objective, log_grid(1e-4 * x, 1e4 * x, nodes))[1])
+
+
+TAILS = [TailFunction.closed_weibull(1.0, 2.0), TailFunction.closed_weibull(2.0, 0.5),
+         TailFunction.closed_weibull(1.5, 0.05), TailFunction.closed_weibull(1.0, 0.005),
+         TailFunction.closed_weibull(0.7, 6.0), TailFunction.step(1.0),
+         TailFunction.tabulated([0.0, 0.5, 1.0, 2.0, 4.0], [0.9, 0.5, 0.25, 0.05, 0.0]),
+         TailFunction.degenerate_zero()]
 
 
 class TestTailFunction:
@@ -96,6 +129,26 @@ class TestSecondMoment:
         ms = np.array([tail_second_moment(T, float(v)) for v in vs])
         assert np.all(np.diff(ms) <= 1e-12)
         assert np.max(np.abs(np.diff(ms))) < 0.15  # no jumps on a fine grid
+
+
+class TestVectorizedTransform:
+    @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
+    def test_array_moments_match_scalar_calls(self, T):
+        vs = np.concatenate(([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(1e-4, 1e4, 97)))
+        got = tail_second_moment(T, vs)
+        assert isinstance(got, np.ndarray) and got.shape == vs.shape
+        for v, m in zip(vs, got):
+            one = tail_second_moment(T, float(v))
+            assert isinstance(one, float)
+            for ref in (one, scalar_second_moment(T, float(v))):
+                assert m == ref or abs(m - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
+    def test_transform_matches_scalar_objective(self, T):
+        for x in (0.3, 1.5, 2.0, 6.0, 40.0):
+            ref = scalar_w(T, x)
+            got = w_operator(T, x)
+            assert got == ref or abs(got - ref) <= 1e-14 * abs(ref)
 
 
 class TestWOperator:
