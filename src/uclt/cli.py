@@ -37,6 +37,8 @@ from .distances import PairwiseMomentField, distance_matrix, natural_function, s
 from .errors import ConfigError, MissingRun, UcltError
 from .psi import PsiFunction
 from .simulate import (
+    _KINDS,
+    _NUMERIC_PARAMS,
     KERNELS,
     MartingaleFieldModel,
     SimulationReport,
@@ -143,13 +145,12 @@ class _Schema:
 
 
 _MODEL_KEYS = {"kind", "name", "x_points", "horizon", "seed", "bias", "growth",
-               "kernel", "K", "q", "cap", "amplitude_slope", "base", "modulation",
-               "cross", "vol_amp", "memory", "vol_lo", "vol_hi"}
+               "kernel", "cross", *_NUMERIC_PARAMS}
 
 
 def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
     kind = block.get("kind", str, required=True)
-    if kind not in ("iid_gaussian_field", "weibull_field", "garch_like", "bounded_sign"):
+    if kind not in _KINDS:
         raise ConfigError(f"{block.path}.kind: unknown model kind {kind!r}")
     block.get("horizon", int, required=True, positive=True)
     block.raw("x_points", required=True)

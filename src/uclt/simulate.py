@@ -6,6 +6,16 @@ own counter-based substream of the master seed, so results are byte-identical
 for a given (model, seed, R) no matter how many worker threads run the
 chunks.  Aggregation combines per-chunk partials in chunk order.
 
+Chunks hold only the grid columns their reducer reads: `osekowski_check`
+its point or its pair's two points, `tail_domination_check`,
+`weighted_tail_domination_check` and `martingale_difference_check` their
+point, `eta_increment_curves` the points of its pairs.  `simulate_eta`,
+`covariance_estimate`, `estimate_moment_curves` and `clt_diagnostic` draw
+every column.  A projected draw has the full law's marginal; it reuses the
+full-width variates for ``weibull_field`` and shared-sign ``bounded_sign``,
+and is a different stream for the Gaussian-driven kinds and for
+independent-sign ``bounded_sign``, which draw only the columns asked for.
+
 Shipped model kinds:
 
 * ``iid_gaussian_field``  — i.i.d. Gaussian fields with a covariance kernel,
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -46,8 +57,16 @@ ROSENTHAL_CONSTANT = 0.6535
 
 _KINDS = ("iid_gaussian_field", "weibull_field", "garch_like", "bounded_sign")
 
+#: Numeric model parameters, each optional in `params` and finite when given.
+_NUMERIC_PARAMS = ("K", "q", "cap", "amplitude_slope", "base", "modulation",
+                   "vol_amp", "memory", "vol_lo", "vol_hi")
+
 #: Covariance kernels known to `kernel_matrix`.
 KERNELS = ("white", "rbf", "brownian", "fractional_brownian")
+
+#: Family-wise false-alarm level of `martingale_difference_check`: that of
+#: one two-sided 3-standard-error test, 2 * (1 - Phi(3)).
+MD_FAMILY_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
 
 #: Float budget per generated chunk (count * n * npoints).
 _CHUNK_BUDGET = 1 << 21
@@ -139,7 +158,22 @@ class MartingaleFieldModel:
             raise ValueError("horizon must be at least 1")
         if len(self.coords) == 0:
             raise ValueError("need at least one coordinate")
-        self._chol  # factor the kernel now, so that a bad kernel spec fails here
+        numeric = {"bias": self.bias, "growth": self.growth,
+                   **{k: self.params[k] for k in _NUMERIC_PARAMS if k in self.params}}
+        if numeric.get("cap", 0.0) is None:
+            del numeric["cap"]  # a null cap means no cap
+        for key, val in numeric.items():
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) \
+                    or not math.isfinite(val):
+                raise ValueError(f"{key} must be a finite number, got {val!r}")
+        if self.params.get("cross", "shared") not in ("shared", "independent"):
+            raise ValueError(f"cross must be shared or independent, "
+                             f"got {self.params['cross']!r}")
+        lo, hi = self._vol_range
+        if self.kind == "garch_like" and not 0.0 < lo <= hi:
+            raise ValueError(f"vol_lo and vol_hi need 0 < vol_lo <= vol_hi, got {lo} and {hi}")
+        if self.kind in ("iid_gaussian_field", "garch_like"):
+            self._chol(tuple(range(self.npoints)))  # so that a bad kernel spec fails here
 
     @property
     def npoints(self) -> int:
@@ -154,11 +188,22 @@ class MartingaleFieldModel:
         return np.asarray(self.coords, dtype=float)
 
     @cached_property
-    def _chol(self) -> np.ndarray | None:
-        if self.kind in ("iid_gaussian_field", "garch_like"):
-            return _cholesky(kernel_matrix(self.params.get("kernel", {"name": "white"}),
-                                           self._coord_array))
-        return None
+    def _kernel(self) -> np.ndarray:
+        return kernel_matrix(self.params.get("kernel", {"name": "white"}), self._coord_array)
+
+    @cached_property
+    def _chols(self) -> dict:
+        return {}
+
+    def _chol(self, cols: tuple[int, ...]) -> np.ndarray:
+        """Cholesky factor of the kernel restricted to the grid columns `cols`."""
+        if cols not in self._chols:
+            self._chols[cols] = _cholesky(self._kernel[np.ix_(cols, cols)])
+        return self._chols[cols]
+
+    @property
+    def _vol_range(self) -> tuple[float, float]:
+        return float(self.params.get("vol_lo", 0.5)), float(self.params.get("vol_hi", 2.0))
 
     def _amplitude(self) -> np.ndarray:
         slope = float(self.params.get("amplitude_slope", 0.0))
@@ -174,8 +219,7 @@ class MartingaleFieldModel:
         if self.bias != 0.0 or self.growth != 0.0:
             return None
         if self.kind == "iid_gaussian_field":
-            return kernel_matrix(self.params.get("kernel", {"name": "white"}),
-                                 self._coord_array)
+            return self._kernel.copy()
         if self.kind == "weibull_field" and not self.params.get("cap"):
             q, K = float(self.params["q"]), float(self.params["K"])
             second = K * K * gamma_fn(1.0 + 2.0 / q)
@@ -199,19 +243,14 @@ class MartingaleFieldModel:
         callers should not rely on this.
         """
         if self.kind == "iid_gaussian_field":
-            kmat = kernel_matrix(self.params.get("kernel", {"name": "white"}),
-                                 self._coord_array)
-            smax = math.sqrt(float(np.max(np.diag(kmat))))
+            smax = math.sqrt(float(np.max(np.diag(self._kernel))))
             return TailFunction.closed_weibull(smax * math.sqrt(2.0), 2.0)
         if self.kind == "weibull_field":
             q, K = float(self.params["q"]), float(self.params["K"])
             return TailFunction.closed_weibull(K * float(np.max(self._amplitude())), q)
         if self.kind == "garch_like":
-            kmat = kernel_matrix(self.params.get("kernel", {"name": "white"}),
-                                 self._coord_array)
-            smax = math.sqrt(float(np.max(np.diag(kmat))))
-            hi = float(self.params.get("vol_hi", 2.0))
-            return TailFunction.closed_weibull(hi * smax * math.sqrt(2.0), 2.0)
+            smax = math.sqrt(float(np.max(np.diag(self._kernel))))
+            return TailFunction.closed_weibull(self._vol_range[1] * smax * math.sqrt(2.0), 2.0)
         base = float(self.params.get("base", 1.0))
         m = float(self.params.get("modulation", 0.0))
         cutoff = base * float(np.max(self._amplitude())) * (1.0 + m)
@@ -295,12 +334,21 @@ def resolve_threads(threads: int | None) -> int:
 
 
 def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
-              count: int) -> np.ndarray:
-    """One chunk of paths with shape (count, n, npoints)."""
-    npts = model.npoints
+              count: int, cols: tuple[int, ...] | None = None) -> np.ndarray:
+    """One chunk of paths with shape (count, n, len(cols)), on the sorted
+    distinct grid columns `cols`, all of them when None.
+
+    Each kind's law on `cols` is the full law's marginal: the Gaussian-driven
+    kinds use the Cholesky factor of K[cols, cols] (the garch volatility at
+    x depends on eps at x only), and sign and Weibull amplitudes are per
+    column.  Which kinds keep their full-width variates: module docstring.
+    """
+    if cols is None:
+        cols = tuple(range(model.npoints))
+    k = len(cols)
     if model.kind == "iid_gaussian_field":
-        z = rng.standard_normal((count, n, npts))
-        paths = z @ model._chol.T
+        z = rng.standard_normal((count, n, k))
+        paths = z @ model._chol(cols).T
     elif model.kind == "weibull_field":
         q, K = float(model.params["q"]), float(model.params["K"])
         u = rng.random((count, n))
@@ -309,35 +357,33 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
         if cap is not None:
             radial = np.minimum(radial, float(cap))
         signs = rng.integers(0, 2, (count, n)) * 2.0 - 1.0
-        paths = (signs * radial)[:, :, None] * model._amplitude()[None, None, :]
+        paths = (signs * radial)[:, :, None] * model._amplitude()[list(cols)][None, None, :]
     elif model.kind == "garch_like":
         amp = float(model.params.get("vol_amp", 0.45))
         mem = float(model.params.get("memory", 0.7))
-        lo = float(model.params.get("vol_lo", 0.5))
-        hi = float(model.params.get("vol_hi", 2.0))
-        chol = model._chol
-        paths = np.empty((count, n, npts))
-        state = np.zeros((count, npts))
+        lo, hi = model._vol_range
+        chol = model._chol(cols)
+        paths = np.empty((count, n, k))
+        state = np.zeros((count, k))
         for i in range(n):
             sigma = np.clip(1.0 + amp * np.tanh(state), lo, hi)
-            eps = rng.standard_normal((count, npts)) @ chol.T
+            eps = rng.standard_normal((count, k)) @ chol.T
             paths[:, i, :] = sigma * eps
             state = mem * state + (1.0 - mem) * eps
     else:  # bounded_sign
         base = float(model.params.get("base", 1.0))
         mod = float(model.params.get("modulation", 0.0))
-        cross = model.params.get("cross", "shared")
-        a0 = base * model._amplitude()
-        if cross == "shared":
+        a0 = base * model._amplitude()[list(cols)]
+        if model.params.get("cross", "shared") == "shared":
             signs = (rng.integers(0, 2, (count, n, 1)) * 2.0 - 1.0)
-            signs = np.broadcast_to(signs, (count, n, npts))
+            signs = np.broadcast_to(signs, (count, n, k))
         else:
-            signs = rng.integers(0, 2, (count, n, npts)) * 2.0 - 1.0
+            signs = rng.integers(0, 2, (count, n, k)) * 2.0 - 1.0
         if mod == 0.0:
             paths = signs * a0[None, None, :]
         else:
-            paths = np.empty((count, n, npts))
-            running = np.zeros((count, npts))
+            paths = np.empty((count, n, k))
+            running = np.zeros((count, k))
             for i in range(n):
                 ampl = a0[None, :] * (1.0 + mod * np.tanh(running / math.sqrt(max(i, 1))))
                 paths[:, i, :] = signs[:, i, :] * ampl
@@ -349,11 +395,19 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     return paths
 
 
+def _columns(model: MartingaleFieldModel, indices) -> tuple[int, ...]:
+    """The sorted distinct grid columns among `indices`, negative ones
+    counting from the end: the `cols` of a chunk that reads only these."""
+    return tuple(sorted({range(model.npoints)[i] for i in indices}))
+
+
 def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
-                threads: int | None = None) -> list:
+                threads: int | None = None, cols: tuple[int, ...] | None = None) -> list:
     """Generate chunks (optionally in parallel) and collect worker results
     in chunk order.  `worker(chunk_index, start, paths)` must only touch
-    chunk-local state or disjoint output slices."""
+    chunk-local state or disjoint output slices.  Chunks hold the grid
+    columns `cols` only (all when None); their spans depend on the full
+    grid, so batch-means groups are the same at any width."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
     spans = _chunk_spans(R, n, model.npoints)
@@ -361,7 +415,7 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
 
     def task(span):
         ci, start, count = span
-        paths = _generate(model, n, _chunk_rng(model.seed, ci), count)
+        paths = _generate(model, n, _chunk_rng(model.seed, ci), count, cols)
         results[ci] = worker(ci, start, paths)
 
     nt = resolve_threads(threads)
@@ -382,14 +436,19 @@ def simulate_eta(model: MartingaleFieldModel, n: int, R: int,
                  threads: int | None = None) -> np.ndarray:
     """R replications of the normalized sums eta_n(x) = n**-0.5 sum_i xi_i(x);
     returns an array of shape (R, npoints)."""
-    out = np.empty((R, model.npoints))
+    return _eta(model, n, R, threads)
+
+
+def _eta(model: MartingaleFieldModel, n: int, R: int, threads: int | None,
+         cols: tuple[int, ...] | None = None) -> np.ndarray:
+    out = np.empty((R, model.npoints if cols is None else len(cols)))
     scale = 1.0 / math.sqrt(n)
 
     def worker(ci, start, paths):
         out[start:start + paths.shape[0]] = paths.sum(axis=1) * scale
         return None
 
-    _run_chunks(model, n, R, worker, threads)
+    _run_chunks(model, n, R, worker, threads, cols)
     return out
 
 
@@ -427,7 +486,10 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
     For each requested index i, E[xi_i * z] must vanish for every bounded
     function z of the past; tested with z in {1, tanh(previous value),
     tanh(normalized running sum)} at one grid point.  Each row reports the
-    sample mean of xi_i * z, its standard error, and whether |mean| <= 3 se.
+    sample mean of xi_i * z, its standard error, the two-sided normal
+    p-value of mean / se, and `ok`: not rejected by Holm's step-down rule
+    over all rows at family level MD_FAMILY_LEVEL, the level of a single
+    3-se test.
     """
     indices = sorted(set(int(i) for i in indices))
     n = max(indices)
@@ -436,7 +498,7 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
     names = ("const", "tanh(prev)", "tanh(runsum)")
 
     def worker(ci, start, paths):
-        xs = paths[:, :, x_index]
+        xs = paths[:, :, 0]
         out = {}
         for i in indices:
             xi = xs[:, i - 1]
@@ -448,7 +510,7 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
                 out[key] = (v.sum(), (v * v).sum(), v.size)
         return out
 
-    parts = _run_chunks(model, n, R, worker, threads)
+    parts = _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
     rows = []
     for i in indices:
         for nm in names:
@@ -458,9 +520,27 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
             mean = float(s1 / cnt)
             var = max(float(s2 / cnt) - mean * mean, 0.0)
             se = math.sqrt(var / cnt)
+            pval = math.erfc(abs(mean) / (se * math.sqrt(2.0))) if se > 0 \
+                else float(abs(mean) <= 1e-15)
             rows.append({"index": i, "regressor": nm, "mean": mean, "se": se,
-                         "ok": bool(abs(mean) <= 3.0 * se + 1e-15)})
+                         "p_value": pval})
+    rejected = holm_rejections([r["p_value"] for r in rows], MD_FAMILY_LEVEL)
+    for row, rej in zip(rows, rejected):
+        row["ok"] = not rej
     return rows
+
+
+def holm_rejections(pvalues, level: float) -> list[bool]:
+    """Holm's step-down rule: the k-th smallest of m p-values (k from 0) is
+    rejected when it and every smaller one lie at or below level / (m - k).
+    The chance of any false rejection stays at or below `level`."""
+    m = len(pvalues)
+    rejected = [False] * m
+    for k, j in enumerate(sorted(range(m), key=lambda j: pvalues[j])):
+        if pvalues[j] > level / (m - k):
+            break
+        rejected[j] = True
+    return rejected
 
 
 # -- moment estimation -------------------------------------------------------
@@ -569,14 +649,14 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         raise ValueError("the inequality is checked for p >= 2 only")
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
-    labels = model.labels
-    idx = {lb: k for k, lb in enumerate(labels)}
+    idx = {lb: k for k, lb in enumerate(model.labels)}
+    cols = _columns(model, [x_index] if mode == "points" else [idx[x] for x in pair])
 
     def series_of(paths):
         if mode == "points":
-            return paths[:, :, x_index]
-        a, b = pair
-        return paths[:, :, idx[a]] - paths[:, :, idx[b]]
+            return paths[:, :, 0]
+        a, b = (cols.index(idx[x]) for x in pair)
+        return paths[:, :, a] - paths[:, :, b]
 
     def worker(ci, start, paths):
         z = series_of(paths)
@@ -590,7 +670,7 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
                 num[pi, ni] = (np.abs(csum[:, n - 1] / math.sqrt(n)) ** p).sum()
         return num, den, z.shape[0]
 
-    parts = _run_chunks(model, n_max, R, worker, threads)
+    parts = _run_chunks(model, n_max, R, worker, threads, cols)
 
     def ratio_from(num, den, cnt):
         out = np.empty((len(p_grid), len(n_grid)))
@@ -623,24 +703,26 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
 def eta_increment_curves(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: int,
                          threads: int | None = None) -> dict:
     """Moment curves of eta_n(x1) - eta_n(x2) per pair and per n in n_grid."""
-    labels = model.labels
-    idx = {lb: k for k, lb in enumerate(labels)}
+    idx = {lb: k for k, lb in enumerate(model.labels)}
     pairs = [_pair_key(a, b) for (a, b) in pairs]
+    if not pairs:
+        return {}
     p_grid = tuple(float(p) for p in p_grid)
     n_grid = sorted(int(n) for n in n_grid)
     n_max = n_grid[-1]
     samples = {pr: np.empty((R, len(n_grid))) for pr in pairs}
+    cols = _columns(model, [idx[x] for pr in pairs for x in pr])
 
     def worker(ci, start, paths):
         for pr in pairs:
-            a, b = pr
-            z = paths[:, :, idx[a]] - paths[:, :, idx[b]]
+            a, b = (cols.index(idx[x]) for x in pr)
+            z = paths[:, :, a] - paths[:, :, b]
             csum = np.cumsum(z, axis=1)
             for ni, n in enumerate(n_grid):
                 samples[pr][start:start + z.shape[0], ni] = csum[:, n - 1] / math.sqrt(n)
         return None
 
-    _run_chunks(model, n_max, R, worker, threads)
+    _run_chunks(model, n_max, R, worker, threads, cols)
     prov = {"kind": "monte_carlo", "seed": model.seed, "replications": R}
     out = {}
     for pr in pairs:
@@ -702,7 +784,7 @@ def tail_domination_check(model: MartingaleFieldModel, tail: TailFunction | None
         tail = model.dominating_tail()
     rows = []
     for n in sorted(int(n) for n in n_values):
-        eta = simulate_eta(model, n, R, threads=threads)[:, x_index]
+        eta = _eta(model, n, R, threads, _columns(model, [x_index]))[:, 0]
         for x in x_values:
             up = float((eta > x).mean())
             dn = float((eta < -x).mean())
@@ -726,10 +808,10 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
     out = np.empty(R)
 
     def worker(ci, start, paths):
-        out[start:start + paths.shape[0]] = paths[:, :, x_index] @ b
+        out[start:start + paths.shape[0]] = paths[:, :, 0] @ b
         return None
 
-    _run_chunks(model, n, R, worker, threads)
+    _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
     rows = []
     for x in x_values:
         emp = max(float((out > x).mean()), float((out < -x).mean()))

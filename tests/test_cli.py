@@ -137,6 +137,21 @@ class TestInequalities:
         run = json.loads((tmp_path / "run" / "run.json").read_text())
         assert run["conclusion"] == "check-failed"
 
+    @pytest.mark.parametrize("params,path", [
+        ({"kind": "bounded_sign", "modulation": "x"}, "config.models[0]: modulation"),
+        ({"kind": "bounded_sign", "base": float("inf")}, "config.models[0]: base"),
+        ({"kind": "bounded_sign", "cross": "foo"}, "config.models[0]: cross"),
+        ({"kind": "garch_like", "vol_lo": 3.0, "vol_hi": 1.0}, "config.models[0]: vol_lo"),
+    ])
+    def test_bad_model_parameter_key_path(self, tmp_path, capsys, params, path):
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"name": "m", "x_points": {"grid_1d": {"n": 2}}, "horizon": 16,
+                           **params}],
+               "osekowski": {"p_grid": [2.0], "n_grid": [8]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
+
     def test_default_suite_all_blocks(self, tmp_path):
         # no report blocks configured: every check runs on the shipped suite
         doc = {"seed": 7, "replications": 1500}

@@ -1,4 +1,5 @@
 """Monte Carlo engine: determinism, normalization, and the statistical checks."""
+import hashlib
 import math
 
 import numpy as np
@@ -15,9 +16,16 @@ from uclt.simulate import (
     SimulationReport,
     clt_diagnostic,
     covariance_estimate,
+    MD_FAMILY_LEVEL,
+    _cholesky,
+    _chunk_rng,
+    _generate,
+    _run_chunks,
     equicontinuity_check,
     estimate_moment_curves,
+    eta_increment_curves,
     grid_coords,
+    holm_rejections,
     ks_gaussian,
     ks_two_sample,
     martingale_difference_check,
@@ -110,6 +118,24 @@ class TestEngine:
     def test_difference_property_all_kinds(self, model):
         rows = martingale_difference_check(model, [2, 16, 64], R=30000)
         assert all(r["ok"] for r in rows)
+
+    def test_holm_rule_on_fixed_rows(self):
+        def pval(z):
+            return math.erfc(z / math.sqrt(2.0))
+
+        # one row at 3.2 se among six: a single 3-se test would flag it
+        calm = [3.2, 1.0, 0.5, 2.0, 0.1, 1.5]
+        assert MD_FAMILY_LEVEL == pytest.approx(2 * (1 - stats.norm.cdf(3.0)), rel=1e-12)
+        assert holm_rejections([pval(z) for z in calm], MD_FAMILY_LEVEL) == [False] * 6
+        loud = [14.0, 1.0, 0.5, 2.0, 0.1, 1.5]
+        assert holm_rejections([pval(z) for z in loud], MD_FAMILY_LEVEL) == \
+            [True] + [False] * 5
+        # step-down: once the smallest is rejected, the next is tested at
+        # level / (m - 1); once one is kept, every larger one is kept
+        assert holm_rejections([pval(14.0), pval(3.1)], MD_FAMILY_LEVEL) == [True, True]
+        assert holm_rejections([pval(3.1), pval(14.0)], MD_FAMILY_LEVEL) == [True, True]
+        assert holm_rejections([pval(2.9), pval(14.0)], MD_FAMILY_LEVEL) == [False, True]
+        assert holm_rejections([pval(3.05), pval(3.08)], MD_FAMILY_LEVEL) == [False, False]
 
     def test_bias_detected(self):
         bad = MartingaleFieldModel("bad", "bounded_sign", grid_coords(2), {},
@@ -330,3 +356,122 @@ class TestConfigAndReports:
         a = SimulationReport("wg", 42, 2000, "osekowski", rows).to_json()
         b = SimulationReport("wg", 42, 2000, "osekowski", rows4).to_json()
         assert a == b
+
+
+def garch_reference(model, n, rng, count, cols):
+    """garch_like paths from normals eps = z @ chol(K[cols, cols]).T, the
+    volatility recursion written out step by step."""
+    chol = _cholesky(model._kernel[np.ix_(cols, cols)])
+    paths = np.empty((count, n, len(cols)))
+    state = np.zeros((count, len(cols)))
+    for i in range(n):
+        eps = rng.standard_normal((count, len(cols))) @ chol.T
+        paths[:, i, :] = np.clip(1.0 + 0.45 * np.tanh(state), 0.5, 2.0) * eps
+        state = 0.7 * state + (1.0 - 0.7) * eps
+    return paths
+
+
+PROJECTION_KINDS = ALL_KINDS + [
+    MartingaleFieldModel("bi", "bounded_sign", grid_coords(3), {"cross": "independent"},
+                         horizon=64, seed=12),
+    MartingaleFieldModel("gb", "iid_gaussian_field", grid_coords(3),
+                         {"kernel": {"name": "fractional_brownian", "hurst": 0.3}},
+                         horizon=64, seed=13, bias=0.2, growth=0.5),
+    # amplitudes 1, 1.5 and 2 across the grid
+    MartingaleFieldModel("ws", "weibull_field", grid_coords(3),
+                         {"K": 1.0, "q": 1.5, "cap": 4.0, "amplitude_slope": 1.0},
+                         horizon=64, seed=14),
+]
+
+
+class TestColumnProjection:
+    N, COUNT = 16, 40
+
+    def chunk(self, model, cols=None, chunk_index=3):
+        return _generate(model, self.N, _chunk_rng(model.seed, chunk_index), self.COUNT, cols)
+
+    @pytest.mark.parametrize("model", PROJECTION_KINDS, ids=lambda m: m.name)
+    def test_all_columns_equal_full_width(self, model):
+        full = self.chunk(model)
+        assert full.shape == (self.COUNT, self.N, model.npoints)
+        assert np.array_equal(self.chunk(model, tuple(range(model.npoints))), full)
+
+    @pytest.mark.parametrize("model", [PROJECTION_KINDS[6], ALL_KINDS[3]], ids=lambda m: m.kind)
+    def test_same_draws_kinds_project_bit_for_bit(self, model):
+        full = self.chunk(model)
+        for cols in ((0,), (2,), (0, 2), (1, 2)):
+            assert np.array_equal(self.chunk(model, cols), full[:, :, list(cols)])
+
+    def test_gaussian_projection_uses_restricted_factor(self):
+        model = PROJECTION_KINDS[5]
+        for cols in ((1,), (0, 2)):
+            rng = _chunk_rng(model.seed, 3)
+            z = rng.standard_normal((self.COUNT, self.N, len(cols)))
+            want = z @ _cholesky(model._kernel[np.ix_(cols, cols)]).T
+            want = want * (np.arange(1, self.N + 1) ** 0.5)[None, :, None] + 0.2
+            assert np.array_equal(self.chunk(model, cols), want)
+
+    def test_garch_projection_uses_restricted_factor(self):
+        model = ALL_KINDS[2]
+        for cols in ((1,), (0, 2), (0, 1, 2)):
+            want = garch_reference(model, self.N, _chunk_rng(model.seed, 3), self.COUNT, cols)
+            assert np.array_equal(self.chunk(model, cols), want)
+
+    @pytest.mark.parametrize("model", [ALL_KINDS[2], PROJECTION_KINDS[4]],
+                             ids=lambda m: m.name)
+    def test_projected_reducers_thread_invariant(self, model):
+        def run(threads):
+            pairs = [("x0", "x2"), ("x1", "x2")]
+            curves = eta_increment_curves(model, pairs, [2.0, 4.0], [4, 16], 600,
+                                          threads=threads)
+            return repr((
+                osekowski_check(model, [2.0, 4.0], [4, 16], 600, x_index=1, threads=threads),
+                osekowski_check(model, [3.0], [16], 600, mode="pairs", pair=("x2", "x0"),
+                                threads=threads),
+                tail_domination_check(model, None, [1.5], [8, 16], 600, x_index=2,
+                                      threads=threads),
+                weighted_tail_domination_check(model, None, [1.5], np.ones(16), 600,
+                                               x_index=1, threads=threads),
+                martingale_difference_check(model, [2, 16], x_index=2, R=600,
+                                            threads=threads),
+                {pr: {n: c.norms for n, c in by_n.items()} for pr, by_n in curves.items()},
+            ))
+
+        assert run(1) == run(4)
+
+    def test_projected_reducers_read_their_column(self, monkeypatch):
+        # weibull_field draws the same variates at any width, so a reducer on
+        # column 2 alone must match the full-width draws' column 2; a small
+        # chunk budget makes the chunk spans depend on the width they are
+        # sized for, which must be the full grid's
+        monkeypatch.setattr("uclt.simulate._CHUNK_BUDGET", 1 << 9)
+        model, R = PROJECTION_KINDS[6], 900
+        eta = simulate_eta(model, 16, R)[:, 2]
+        rows = tail_domination_check(model, None, [1.5, 3.0], [16], R, x_index=2)
+        assert [r["empirical"] for r in rows] == \
+            [max(float((eta > x).mean()), float((eta < -x).mean())) for x in (1.5, 3.0)]
+        chunks = []
+        _run_chunks(model, 16, R, lambda ci, start, paths: chunks.append(paths[:, :, 2]))
+        out = np.concatenate([c @ (np.ones(16) / 4.0) for c in chunks])
+        rows = weighted_tail_domination_check(model, None, [1.5], np.ones(16), R, x_index=2)
+        assert rows[0]["empirical"] == max(float((out > 1.5).mean()), float((out < -1.5).mean()))
+        rows = martingale_difference_check(model, [2, 16], x_index=2, R=R)
+        xs = np.concatenate(chunks)
+        assert (rows[0]["index"], rows[0]["regressor"]) == (2, "const")
+        assert rows[0]["mean"] == pytest.approx(float(xs[:, 1].mean()), rel=1e-12, abs=1e-15)
+
+    # sha256 of simulate_eta(model, 16, 500) rounded to 10 decimals (BLAS
+    # kernels may differ in the last bit between CPUs), frozen before the
+    # engine learned to project
+    FULL_WIDTH_DIGESTS = {
+        "iid_gaussian_field": "0be253760c41d6fc",
+        "weibull_field": "5990573ebb7c4f97",
+        "garch_like": "b7d7e4d22bf5e67f",
+        "bounded_sign": "5228d80216767cfc",
+    }
+
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_full_width_stream_unchanged(self, model):
+        eta = simulate_eta(model, 16, 500)
+        digest = hashlib.sha256(np.round(eta, 10).tobytes()).hexdigest()[:16]
+        assert digest == self.FULL_WIDTH_DIGESTS[model.kind]
