@@ -110,9 +110,3 @@ def minimize_on_grid(f: Callable[[float], float], grid: Sequence[float],
     x, v = minimize_rows(row, grid, 1, tol=tol)
     return float(x[0]), float(v[0])
 
-
-def maximize_on_grid(f: Callable[[float], float], grid: Sequence[float],
-                     tol: float = 1e-9) -> tuple[float, float]:
-    """Maximum counterpart of :func:`minimize_on_grid`."""
-    x, v = minimize_on_grid(lambda t: -f(t), grid, tol=tol)
-    return x, -v

@@ -44,7 +44,6 @@ from .simulate import (
     SimulationReport,
     clt_diagnostic,
     default_model_suite,
-    equicontinuity_check,
     estimate_moment_curves,
     martingale_difference_check,
     model_from_config,
@@ -148,12 +147,23 @@ _MODEL_KEYS = {"kind", "name", "x_points", "horizon", "seed", "bias", "growth",
                "kernel", "cross", *_NUMERIC_PARAMS}
 
 
+def _is_coordinate_table(rows) -> bool:
+    """A nonempty list of nonempty equal-length rows of finite numbers."""
+    return (isinstance(rows, list) and bool(rows)
+            and all(isinstance(row, list) and len(row) == len(rows[0]) > 0 for row in rows)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for row in rows for v in row))
+
+
 def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
     kind = block.get("kind", str, required=True)
     if kind not in _KINDS:
         raise ConfigError(f"{block.path}.kind: unknown model kind {kind!r}")
     block.get("horizon", int, required=True, positive=True)
-    block.raw("x_points", required=True)
+    rows = block.raw("x_points", required=True)
+    if not (isinstance(rows, dict) and "grid_1d" in rows or _is_coordinate_table(rows)):
+        raise ConfigError(f"{block.path}.x_points: expected grid_1d or a nonempty list of "
+                          f"rows of equal length holding finite numbers")
     kernel = block.sub("kernel")
     if kernel is not None:
         name = kernel.get("name", str, required=True)
@@ -285,7 +295,7 @@ def run_check_theorem(cfg: dict, args) -> int:
     psi = natural_function(field) if psi_spec == "natural" else psi_spec
     sigma2 = sigma_squared(field, n_grid, growth_factor=growth_factor)
 
-    space = distance_matrix(field, "dbar", psi=psi, n_grid=n_grid, threads=threads)
+    space = distance_matrix(field, "dbar", psi=psi, n_grid=n_grid)
     if cov.diameter(space) <= 0:
         raise ConfigError("config.model: averaged increment distance is identically zero; "
                           "no profile can be measured")
@@ -310,7 +320,7 @@ def run_check_theorem(cfg: dict, args) -> int:
 
     satisfied = verdict21.satisfied
     if q22 is not None:
-        space_q = distance_matrix(field, "rho_q", q=q22, threads=threads)
+        space_q = distance_matrix(field, "rho_q", q=q22)
         prof_q = integ.measure_profile(space_q, mode=ent_mode, num=ent_nodes,
                                        eps_min_frac=ent_frac)
         verdict22 = integ.subq_level_check(prof_q, q22, sigma2,

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from ._gridopt import log_grid, maximize_on_grid, minimize_on_grid, minimize_rows
+from ._gridopt import log_grid, minimize_rows
 from .errors import EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData
 
 INF = math.inf
@@ -265,15 +265,8 @@ class MomentCurve:
         ns = np.asarray(self.norms, dtype=float)
         if ps.ndim != 1 or ps.size == 0 or ps.shape != ns.shape:
             raise ValueError("p_grid and norms must be matching nonempty 1-D sequences")
-        if np.any(ps < 1.0) or np.any(np.diff(ps) <= 0):
-            raise ValueError("p_grid must be strictly ascending with p >= 1")
-        if np.any(~np.isfinite(ns)) or np.any(ns < 0):
-            raise ValueError("norms must be finite and nonnegative")
-        se = np.zeros_like(ns) if self.stderr is None else np.asarray(self.stderr, dtype=float)
-        slack = self.slack_se * (se[:-1] + se[1:])
-        drops = ns[:-1] - ns[1:]
-        if np.any(drops > slack + 1e-12 * np.maximum(ns[:-1], 1.0)):
-            raise ValueError("norms must be nondecreasing in p (within Monte Carlo slack)")
+        se = None if self.stderr is None else np.asarray(self.stderr, dtype=float)
+        _check_curves(ps, ns, se, self.slack_se)
 
     @classmethod
     def analytic(cls, p_grid, norms) -> "MomentCurve":
@@ -299,34 +292,16 @@ class MomentCurve:
         groups = max(2, min(groups, n))
         bounds = np.linspace(0, n, groups + 1).astype(int)
         p_grid = tuple(float(p) for p in p_grid)
-        norms, errs = [], []
-        for p in p_grid:
-            v = x ** p
-            total = float(v.sum())
-            gsums = np.array([v[bounds[g]:bounds[g + 1]].sum() for g in range(groups)])
-            gsizes = np.diff(bounds)
-            full = (total / n) ** (1.0 / p)
-            loo = ((total - gsums) / (n - gsizes)) ** (1.0 / p)
-            jack = groups * full - (groups - 1) * float(loo.mean())
-            se = math.sqrt((groups - 1) / groups * float(((loo - loo.mean()) ** 2).sum()))
-            norms.append(max(jack, 0.0))
-            errs.append(se)
+        sums = _abs_power_sums(x, p_grid, starts=bounds[:-1])
+        norms, errs = _jackknife(sums.T, np.diff(bounds).astype(float), p_grid)
         prov = provenance or {"kind": "monte_carlo", "seed": None, "replications": n}
-        return cls(p_grid, tuple(norms), provenance=prov, stderr=tuple(errs))
+        return cls(p_grid, tuple(norms.tolist()), provenance=prov, stderr=tuple(errs.tolist()))
 
     def value_at(self, p: float) -> float:
-        for pv, nv in zip(self.p_grid, self.norms):
-            if abs(pv - p) <= 4.0 * np.finfo(float).eps * max(1.0, abs(p)):
-                return nv
-        raise MissingData(f"moment curve has no entry at p = {p}")
+        return self.norms[_p_index(self.p_grid, p)]
 
     def stderr_at(self, p: float) -> float:
-        if self.stderr is None:
-            return 0.0
-        for pv, sv in zip(self.p_grid, self.stderr):
-            if abs(pv - p) <= 4.0 * np.finfo(float).eps * max(1.0, abs(p)):
-                return sv
-        raise MissingData(f"moment curve has no entry at p = {p}")
+        return 0.0 if self.stderr is None else self.stderr[_p_index(self.p_grid, p)]
 
     def with_scale(self, c: float) -> "MomentCurve":
         """Curve of the variable scaled by |c| (L_p norms are homogeneous)."""
@@ -357,54 +332,156 @@ class MomentCurve:
 
 
 # ---------------------------------------------------------------------------
+# moment curves as arrays
+# ---------------------------------------------------------------------------
+
+def _p_index(p_grid, p: float) -> int:
+    """Position of the order p in `p_grid` (to 4 ulp); MissingData if absent."""
+    for k, pv in enumerate(p_grid):
+        if abs(pv - p) <= 4.0 * np.finfo(float).eps * max(1.0, abs(p)):
+            return k
+    raise MissingData(f"moment curve has no entry at p = {p}")
+
+
+def _along_p(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A (P,) array shaped to broadcast along axis 0 of an ndim-array."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None,
+                  slack_se: float = 3.0) -> None:
+    """Validate moment curves held with p along axis 0 of `norms`.
+
+    The grid must be strictly ascending with p >= 1, the norms finite and
+    nonnegative, and each curve nondecreasing in p up to `slack_se`
+    standard errors (Lyapunov's inequality within Monte Carlo noise).
+    """
+    ps = np.asarray(p_grid, dtype=float)
+    if np.any(ps < 1.0) or np.any(np.diff(ps) <= 0):
+        raise ValueError("p_grid must be strictly ascending with p >= 1")
+    if np.any(~np.isfinite(norms)) or np.any(norms < 0):
+        raise ValueError("norms must be finite and nonnegative")
+    se = np.zeros_like(norms) if stderr is None else stderr
+    slack = slack_se * (se[:-1] + se[1:])
+    drops = norms[:-1] - norms[1:]
+    if np.any(drops > slack + 1e-12 * np.maximum(norms[:-1], 1.0)):
+        raise ValueError("norms must be nondecreasing in p (within Monte Carlo slack)")
+
+
+def _abs_power_sums(z: np.ndarray, p_grid, starts=None) -> np.ndarray:
+    """Sums over axis 0 of |z|**p for each p in `p_grid`, stacked along a new
+    first axis; with `starts`, sums over the groups of rows beginning there.
+
+    For p >= 2 with 2p an integer, |z|**p is the product, left to right, of
+    z², sqrt|z| when 2p is odd, |z| when floor(p) is odd, and z² once more
+    for each further whole pair (z²·|z| at p = 3, z²·z² at 4, z⁴·z² at 6,
+    z⁶·z² at 8, z²·sqrt|z| at 2.5).  Such products may differ from `**` in
+    the last bits; other p use `**`.  Overwrites z with |z| and reuses two
+    buffers of its size.
+    """
+    def total(v):
+        return v.sum(axis=0) if starts is None else np.add.reduceat(v, starts, axis=0)
+
+    a = np.abs(z, out=z)
+    z2 = a * a
+    buf = np.empty_like(a)
+    sums, made = [], None         # made: (rest, pairs) of the product v holds
+    for p in p_grid:
+        twice = 2.0 * p
+        if p < 2.0 or not twice.is_integer():
+            sums.append(total(a ** p))
+            continue
+        pairs, rest = divmod(int(twice), 4)     # rest counts half orders: 0..3
+        if made is None or made[0] != rest or made[1] > pairs:
+            v = z2
+            if rest % 2:
+                v = np.multiply(np.sqrt(a, out=buf), v, out=buf)
+            if rest >= 2:
+                v = np.multiply(v, a, out=buf)
+            made = (rest, 1)
+        for _ in range(pairs - made[1]):    # continues the previous product
+            v = np.multiply(v, z2, out=buf)
+        made = (rest, pairs)
+        sums.append(total(v))
+    return np.stack(sums)
+
+
+def _jackknife(group_sums: np.ndarray, counts: np.ndarray, p_grid):
+    """Delete-a-group jackknife of L_p norms from per-group power sums.
+
+    `group_sums` has shape (G, P, ...): the sums of |x|**p over each group;
+    `counts` (G,) holds the group sizes.  Returns the debiased norms
+    (clipped at 0) and their standard errors, each of shape (P, ...).
+    """
+    G = group_sums.shape[0]
+    n = counts.sum()
+    inv = _along_p(1.0 / np.asarray(p_grid, dtype=float), group_sums.ndim - 1)
+    total = group_sums.sum(axis=0)
+    full = (total / n) ** inv
+    if G < 2:
+        return full, np.zeros_like(full)
+    loo = (total[None] - group_sums) / _along_p(n - counts, group_sums.ndim)
+    loo = loo ** inv[None]
+    jack = G * full - (G - 1) * loo.mean(axis=0)
+    se = np.sqrt((G - 1) / G * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    return np.maximum(jack, 0.0), se
+
+
+# ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-def gls_norm(curve: MomentCurve, psi: PsiFunction) -> float:
-    """sup over the curve's grid of norms(p)/psi(p), with c/inf == 0.
+def gls_norms(p_grid, norms, psi: PsiFunction, stderr=None):
+    """The induced norm sup_p norms(p)/psi(p) of every curve held with p
+    along axis 0 of `norms`, with c/inf == 0, and its standard error.
 
+    Returns (values, se), each of the shape of norms[0].  The standard error
+    is stderr/psi at the last order attaining the sup (0 when psi is
+    infinite on the whole grid, and everywhere when `stderr` is None).
     Raises EmptySupportOverlap when no grid point lies inside the open
-    support of psi.  Against the degenerate shape at r this returns the
+    support of psi.  Against the degenerate shape at r the value is the
     curve value at r exactly (division by 1.0 is exact).
     """
+    ps = np.asarray(p_grid, dtype=float)
     a, b = psi.support_low, psi.support_high
-    if not any(a < p < b for p in curve.p_grid):
+    if not np.any((ps > a) & (ps < b)):
         raise EmptySupportOverlap(
-            f"no curve point inside support ({a}, {b}); grid = {curve.p_grid}")
-    weights = psi.value_array(np.asarray(curve.p_grid))
-    best = 0.0
-    for nv, w in zip(curve.norms, weights):
-        if math.isinf(w):
-            continue
-        best = max(best, nv / w)
-    return best
+            f"no curve point inside support ({a}, {b}); grid = {tuple(p_grid)}")
+    norms = np.asarray(norms, dtype=float)
+    w = _along_p(psi.value_array(ps), norms.ndim)
+    ratios = np.where(np.isfinite(w), norms / w, -INF)
+    best = np.maximum(ratios.max(axis=0), 0.0)
+    if stderr is None:
+        return best, np.zeros_like(best)
+    hit = ratios == best
+    last = ps.size - 1 - np.argmax(hit[::-1], axis=0)
+    se = np.take_along_axis(np.asarray(stderr, dtype=float) / w, last[None], axis=0)[0]
+    return best, np.where(hit.any(axis=0), se, 0.0)
 
 
-def gls_norm_with_se(curve: MomentCurve, psi: PsiFunction) -> tuple[float, float]:
-    """gls_norm plus a first-order standard error taken at the attaining point."""
-    a, b = psi.support_low, psi.support_high
-    if not any(a < p < b for p in curve.p_grid):
-        raise EmptySupportOverlap(f"no curve point inside support ({a}, {b})")
-    weights = psi.value_array(np.asarray(curve.p_grid))
-    best, best_se = 0.0, 0.0
-    for i, (nv, w) in enumerate(zip(curve.norms, weights)):
-        if math.isinf(w):
-            continue
-        ratio = nv / w
-        if ratio >= best:
-            best = ratio
-            best_se = (curve.stderr[i] / w) if curve.stderr is not None else 0.0
-    return best, best_se
+def gls_norm(curve: MomentCurve, psi: PsiFunction, with_se: bool = False):
+    """sup over the curve's grid of norms(p)/psi(p): the one-curve case of
+    :func:`gls_norms`.  With `with_se`, returns (norm, standard error)."""
+    value, se = gls_norms(curve.p_grid, curve.norms, psi, curve.stderr)
+    return (float(value), float(se)) if with_se else float(value)
+
+
+def subq_norms(p_grid, norms, q: float) -> np.ndarray:
+    """sup over grid points p >= 2 of norms(p) / p**(1/q), for every curve
+    held with p along axis 0 of `norms`."""
+    if q <= 0:
+        raise ValueError("q must be positive")
+    keep = [k for k, p in enumerate(p_grid) if p >= 2.0]
+    if not keep:
+        raise EmptySupportOverlap(f"no curve point with p >= 2; grid = {tuple(p_grid)}")
+    norms = np.asarray(norms, dtype=float)[keep]
+    weights = np.array([p_grid[k] ** (1.0 / q) for k in keep])
+    return (norms / _along_p(weights, norms.ndim)).max(axis=0)
 
 
 def subq_norm(curve: MomentCurve, q: float) -> float:
     """sup over grid points p >= 2 of norms(p) / p**(1/q)."""
-    if q <= 0:
-        raise ValueError("q must be positive")
-    pts = [(p, v) for p, v in zip(curve.p_grid, curve.norms) if p >= 2.0]
-    if not pts:
-        raise EmptySupportOverlap(f"no curve point with p >= 2; grid = {curve.p_grid}")
-    return max(v / p ** (1.0 / q) for p, v in pts)
+    return float(subq_norms(curve.p_grid, curve.norms, q))
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +556,20 @@ def _lower_star(psi: PsiFunction, xs: np.ndarray, method: str, nodes: int,
     if method in ("auto", "closed") and psi.form == "closed_power":
         return _closed_power_lower_star(psi, xs, lo, hi)
 
-    # nudge just inside the open interval; for tabulated shapes the grid
-    # endpoints themselves are admissible
-    eps = 1e-9
-    a = lo * (1.0 + eps) if psi.form != "tabulated" else lo
-    b = hi * (1.0 - 1e-12) if (psi.form != "tabulated" and math.isfinite(psi.support_high)
-                               and hi >= psi.support_high) else hi
-    grid = log_grid(a, b, nodes)
+    grid = _scan_grid(psi, lo, hi, nodes)
     _, vals = minimize_rows(lambda p, k: xs[k] / p + np.log(psi.value_array(p)),
                             grid, xs.size, tol=tol)
     return vals
+
+
+def _scan_grid(psi: PsiFunction, lo: float, hi: float, nodes: int) -> np.ndarray:
+    """Log grid on [lo, hi] nudged just inside the open support of psi; for
+    tabulated shapes the grid endpoints themselves are admissible."""
+    if psi.form != "tabulated":
+        lo = lo * (1.0 + 1e-9)
+        if math.isfinite(psi.support_high) and hi >= psi.support_high:
+            hi = hi * (1.0 - 1e-12)
+    return log_grid(lo, hi, nodes)
 
 
 def young_fenchel(g, y: float, *, x_min: float = 2.0, x_max: float = DEFAULT_P_CAP,
@@ -500,14 +581,12 @@ def young_fenchel(g, y: float, *, x_min: float = 2.0, x_max: float = DEFAULT_P_C
     infinite do not contribute. Returns -inf if g is infinite everywhere
     on the scan range (extended-real semantics, no exceptions).
     """
-    grid = log_grid(x_min, x_max, nodes)
+    def negated(points, rows):
+        gv = np.array([g(float(x)) for x in np.ravel(points)]).reshape(np.shape(points))
+        return np.where(np.isinf(gv), INF, gv - points * y)
 
-    def obj(xv):
-        gv = g(xv)
-        return -INF if math.isinf(gv) else xv * y - gv
-
-    _, val = maximize_on_grid(obj, grid, tol=tol)
-    return val
+    _, val = minimize_rows(negated, log_grid(x_min, x_max, nodes), 1, tol=tol)
+    return -float(val[0])
 
 
 def psi_bar_conjugate(psi: PsiFunction, y: float, *, x_min: float = 2.0,
@@ -528,25 +607,13 @@ def psi_bar_conjugate(psi: PsiFunction, y: float, *, x_min: float = 2.0,
     lo, hi = max(region[1], x_min), min(region[2], x_max)
     if not (hi > lo):
         return -INF
-    if psi.form != "tabulated":
-        lo = lo * (1.0 + 1e-9)
-        if math.isfinite(psi.support_high) and hi >= psi.support_high:
-            hi = hi * (1.0 - 1e-12)
-    grid = log_grid(lo, hi, nodes)
 
-    def f(xv):
-        bv = psi.bar(xv)
-        return INF if math.isinf(bv) else -(xv * y - bv)
+    def negated(points, rows):
+        bv = psi.bar_array(points)
+        return np.where(np.isfinite(bv), bv - points * y, INF)
 
-    def fvec(xs):
-        bv = psi.bar_array(xs)
-        out = np.full(xs.shape, INF)
-        fin = np.isfinite(bv)
-        out[fin] = -(xs[fin] * y - bv[fin])
-        return out
-
-    _, negval = minimize_on_grid(f, grid, fvec=fvec, tol=tol)
-    return -negval
+    _, val = minimize_rows(negated, _scan_grid(psi, lo, hi, nodes), 1, tol=tol)
+    return -float(val[0])
 
 
 def gls_tail_bound(psi: PsiFunction, gls_norm_value: float, u: float, *,

@@ -45,7 +45,8 @@ from scipy.special import erf, gamma as gamma_fn
 
 from .distances import PairwiseMomentField, _pair_key
 from .errors import HorizonExceeded
-from .psi import MomentCurve, PsiFunction, gls_norm_with_se, rosenthal_transform
+from .psi import (MomentCurve, PsiFunction, _abs_power_sums, _jackknife, gls_norm,
+                  rosenthal_transform)
 from .tails import TailFunction, w_operator
 
 #: Universal constant in the martingale moment inequality
@@ -546,83 +547,42 @@ def holm_rejections(pvalues, level: float) -> list[bool]:
 # -- moment estimation -------------------------------------------------------
 
 def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *,
-                           points="all", i_max: int | None = None,
+                           i_max: int | None = None,
                            threads: int | None = None) -> PairwiseMomentField:
-    """Monte Carlo moment curves for point values and pair increments.
+    """Monte Carlo moment curves for every point value and the given pair increments.
 
     Norm estimates are debiased by a delete-a-group jackknife with the engine
     chunks as groups, which also supplies the standard errors.  `pairs` is a
-    list of (label, label) tuples; `points` defaults to all grid points.
+    list of (label, label) tuples.  Integer and half-integer orders p >= 2
+    are raised by multiplication (`psi._abs_power_sums`).
     """
     labels = model.labels
     idx = {lb: k for k, lb in enumerate(labels)}
-    if points == "all":
-        points = list(labels)
-    pairs = [_pair_key(a, b) for (a, b) in pairs]
+    pairs = sorted({_pair_key(a, b) for (a, b) in pairs})
+    first, second = (np.array([idx[pr[j]] for pr in pairs], dtype=np.intp) for j in (0, 1))
     p_grid = tuple(float(p) for p in p_grid)
     m = int(i_max if i_max is not None else model.horizon)
     if m > model.horizon:
         raise HorizonExceeded(f"i_max = {m} beyond horizon {model.horizon}")
-    P = len(p_grid)
-    parr = np.asarray(p_grid)
 
     def worker(ci, start, paths):
-        pts = np.stack([paths[:, :, idx[x]] for x in points], axis=2) if points else None
-        pt_pows = None
-        if points:
-            a = np.abs(pts)
-            pt_pows = np.stack([(a ** p).sum(axis=0) for p in p_grid])  # (P, m, npts)
-            pt_sum = pts.sum(axis=0)
-            pt_sq = (pts ** 2).sum(axis=0)
-        pr_pows = None
-        if pairs:
-            diffs = np.stack([paths[:, :, idx[a]] - paths[:, :, idx[b]] for a, b in pairs], axis=2)
-            ad = np.abs(diffs)
-            pr_pows = np.stack([(ad ** p).sum(axis=0) for p in p_grid])  # (P, m, npairs)
-        return pt_pows, (pt_sum if points else None), (pt_sq if points else None), pr_pows, paths.shape[0]
+        rows = paths.reshape(-1, paths.shape[2])     # indexing a 2-D view is the fast path
+        diffs = (rows[:, first] - rows[:, second]).reshape(paths.shape[:2] + (len(pairs),))
+        pt_sum, pt_sq = paths.sum(axis=0), (paths ** 2).sum(axis=0)
+        return (_abs_power_sums(paths, p_grid), pt_sum, pt_sq,
+                _abs_power_sums(diffs, p_grid), paths.shape[0])
 
     parts = _run_chunks(model, m, R, worker, threads)
     counts = np.array([p[4] for p in parts], dtype=float)
-    G = len(parts)
-
-    def jackknife(group_sums):
-        """group_sums: (G, P, m, k) power sums; returns (norm, se) arrays (P, m, k)."""
-        total = group_sums.sum(axis=0)
-        full = (total / R) ** (1.0 / parr)[:, None, None]
-        if G < 2:
-            return full, np.zeros_like(full)
-        loo = (total[None] - group_sums) / (R - counts)[:, None, None, None]
-        loo = loo ** (1.0 / parr)[None, :, None, None]
-        jack = G * full - (G - 1) * loo.mean(axis=0)
-        se = np.sqrt((G - 1) / G * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
-        return np.maximum(jack, 0.0), se
-
-    prov = {"kind": "monte_carlo", "seed": model.seed, "replications": R}
-    point_curves, pair_curves, variances = {}, {}, {}
-    if points:
-        gs = np.stack([p[0] for p in parts])
-        norms, ses = jackknife(gs)
-        ssum = np.stack([p[1] for p in parts]).sum(axis=0)
-        ssq = np.stack([p[2] for p in parts]).sum(axis=0)
-        mean = ssum / R
-        var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)
-        for j, x in enumerate(points):
-            for i in range(1, m + 1):
-                point_curves[(i, x)] = MomentCurve(
-                    p_grid, tuple(norms[:, i - 1, j]), provenance=dict(prov),
-                    stderr=tuple(ses[:, i - 1, j]))
-                variances[(i, x)] = float(var[i - 1, j])
-    if pairs:
-        gs = np.stack([p[3] for p in parts])
-        norms, ses = jackknife(gs)
-        for j, pr in enumerate(pairs):
-            for i in range(1, m + 1):
-                pair_curves[(i, pr)] = MomentCurve(
-                    p_grid, tuple(norms[:, i - 1, j]), provenance=dict(prov),
-                    stderr=tuple(ses[:, i - 1, j]))
-    return PairwiseMomentField(labels, m, point_curves, pair_curves, variances,
-                               meta={"model": model.name, "seed": model.seed,
-                                     "replications": R})
+    point_norms, point_se = _jackknife(np.stack([p[0] for p in parts]), counts, p_grid)
+    pair_norms, pair_se = _jackknife(np.stack([p[3] for p in parts]), counts, p_grid)
+    mean = np.stack([p[1] for p in parts]).sum(axis=0) / R
+    ssq = np.stack([p[2] for p in parts]).sum(axis=0)
+    var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)
+    return PairwiseMomentField.from_arrays(
+        labels, m, p_grid, pairs, point_norms, point_se, pair_norms, pair_se, var,
+        meta={"model": model.name, "seed": model.seed, "replications": R},
+        provenance={"kind": "monte_carlo", "seed": model.seed, "replications": R})
 
 
 # -- inequality checks --------------------------------------------------------
@@ -758,7 +718,7 @@ def equicontinuity_check(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: 
     for pr in pairs:
         lhs, lhs_se = 0.0, 0.0
         for n in n_grid:
-            v, s = gls_norm_with_se(curves[pr][n], psi_r)
+            v, s = gls_norm(curves[pr][n], psi_r, with_se=True)
             if v > lhs:
                 lhs, lhs_se = v, s
         dbar = float(distance_bar(field, pr[0], pr[1], psi, n_grid))

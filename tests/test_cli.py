@@ -92,6 +92,22 @@ class TestCheckTheorem:
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x_points", [
+        [[0.1], [0.2, 0.3]],
+        [[0.1], ["a"]],
+        [[0.1], [float("inf")]],
+        [[0.1], [True]],
+        [0.1, 0.2],
+        [],
+        {"grid": 3},
+    ], ids=["ragged", "string", "infinite", "bool", "flat", "empty", "no-grid_1d"])
+    def test_bad_x_points_key_path(self, tmp_path, capsys, x_points):
+        doc = theorem_cfg()
+        doc["model"]["x_points"] = x_points
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config.model.x_points: " in capsys.readouterr().err
+
     def test_malformed_json_line_precise(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text('{\n  "seed": 1,\n  "oops"\n}\n')
@@ -151,6 +167,17 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
+
+    def test_ragged_x_points_key_path(self, tmp_path, capsys):
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"kind": "bounded_sign", "name": "m", "horizon": 16,
+                           "x_points": {"grid_1d": {"n": 2}}},
+                          {"kind": "bounded_sign", "name": "r", "horizon": 16,
+                           "x_points": [[0.1, 0.2], [0.3]]}],
+               "osekowski": {"p_grid": [2.0], "n_grid": [8]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config.models[1].x_points: " in capsys.readouterr().err
 
     def test_default_suite_all_blocks(self, tmp_path):
         # no report blocks configured: every check runs on the shipped suite

@@ -1,5 +1,7 @@
 """Natural semi-distances from pairwise moment data."""
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -173,8 +175,7 @@ class TestSigmaSquared:
         field, _ = brownian_field()
         unit = field.scale(1.0)
         # overwrite variances to 1 everywhere
-        for k in unit.variances:
-            unit.variances[k] = 1.0
+        unit.point_var[:] = 1.0
         assert sigma_squared(unit, [1, 2, 4, 8]) == pytest.approx(1.0)
 
     def test_inf_over_points(self):
@@ -211,7 +212,7 @@ class TestVarianceConsistency:
 
     def test_corrupted_variance_flagged(self):
         field, _ = brownian_field(m=2, npts=2)
-        field.variances[(1, "x1")] = 9.0
+        field.point_var[0, 1] = 9.0      # index 1, point x1
         rows = field.variance_consistency()
         assert rows and rows[0]["point"] == "x1"
 
@@ -221,7 +222,7 @@ class TestMatrixAssembly:
         field, _ = brownian_field()
         psi = natural_function(field)
         s1 = distance_matrix(field, "dbar", psi=psi, n_grid=[1, 2, 4])
-        s2 = distance_matrix(field, "dbar", psi=psi, n_grid=[1, 2, 4], threads=4)
+        s2 = distance_matrix(field, "dbar", psi=psi, n_grid=[1, 2, 4])
         assert isinstance(s1, FiniteMetricSpace)
         assert np.array_equal(s1.dist, s2.dist)
         assert np.allclose(s1.dist, s1.dist.T)
@@ -263,3 +264,169 @@ class TestCsvDir:
                 assert theirs[key].norms == curve.norms
                 assert theirs[key].stderr == curve.stderr
         assert back.variances == field.variances
+
+
+# -- the columnar field ---------------------------------------------------------
+
+def reference_distance(field, kind, x1, x2, psi=None, n_grid=None, r=None, q=None, i=None):
+    """Per-pair scalar loop over curve views: the reference for the array pass."""
+    curves = [field.pair_curve(j, x1, x2) for j in range(1, field.m + 1)]
+
+    def gls(curve):
+        weights = psi.value_array(np.asarray(curve.p_grid))
+        return max([0.0] + [v / w for v, w in zip(curve.norms, weights) if not math.isinf(w)])
+
+    if kind == "di":
+        return gls(curves[i - 1])
+    if kind == "pisier":
+        return max(c.value_at(r) for c in curves)
+    if kind == "rho_q":
+        return max(v / p ** (1.0 / q) for c in curves for p, v in zip(c.p_grid, c.norms)
+                   if p >= 2.0)
+    d = [gls(c) for c in curves[:max(n_grid)]]
+    csum = np.cumsum([v * v for v in d])
+    return max(math.sqrt(csum[n - 1] / n) for n in n_grid)
+
+
+def monte_carlo_field(npts=5, m=8, seed=11):
+    model = MartingaleFieldModel("wg", "iid_gaussian_field", grid_coords(npts),
+                                 {"kernel": {"name": "rbf", "length_scale": 0.3}},
+                                 horizon=m, seed=seed)
+    labels = model.labels
+    pairs = [(labels[a], labels[b]) for a in range(npts) for b in range(a + 1, npts)]
+    return estimate_moment_curves(model, pairs, (2.0, 2.5, 3.0, 4.0, 6.0), 600, i_max=m)
+
+
+def tree_digest(root):
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        h.update(name.encode())
+        with open(os.path.join(root, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+class TestColumnarField:
+    @pytest.mark.parametrize("make", [lambda: brownian_field()[0], monte_carlo_field],
+                             ids=["analytic", "monte-carlo"])
+    def test_array_pass_equals_scalar_loop(self, make):
+        field = make()
+        psi = natural_function(field)
+        labels = field.x_labels
+        for kwargs in ({"kind": "dbar", "psi": psi, "n_grid": [1, 2, 4, 8]},
+                       {"kind": "dbar", "psi": PsiFunction.closed_power(2.0), "n_grid": [1, 3]},
+                       {"kind": "di", "psi": psi, "i": 3},
+                       {"kind": "di", "psi": PsiFunction.degenerate(3.0, (2.0, 5.0)), "i": 8},
+                       {"kind": "pisier", "r": 4.0},
+                       {"kind": "rho_q", "q": 1.0},
+                       {"kind": "rho_q", "q": 2.5}):
+            space = distance_matrix(field, **kwargs)
+            for a in range(len(labels)):
+                for b in range(len(labels)):
+                    want = 0.0 if a == b else reference_distance(field, x1=labels[a],
+                                                                 x2=labels[b], **kwargs)
+                    assert space.dist[a, b] == want, (kwargs, a, b)   # bit for bit
+
+    def test_scalar_functions_are_one_pair_cases(self):
+        field = monte_carlo_field()
+        psi = natural_function(field)
+        space = distance_matrix(field, "dbar", psi=psi, n_grid=[1, 2, 4, 8])
+        assert distance_bar(field, "x3", "x1", psi, [1, 2, 4, 8]) == space.dist[1, 3]
+        assert distance_di(field, 2, "x0", "x4", psi) == reference_distance(
+            field, "di", "x0", "x4", psi=psi, i=2)
+
+    def test_natural_function_and_sigma_squared_against_loops(self):
+        field = monte_carlo_field()
+        field.point_norms[:, -1, -1] *= 2.0      # the sup sits at the last index and point
+        psi = natural_function(field)
+        for k, p in enumerate(field.p_grid):
+            want = max(field.point_curve(i, x).value_at(p)
+                       for x in field.x_labels for i in range(1, field.m + 1))
+            assert psi.value(p) == want
+        n_grid = [1, 2, 4, 8]
+        want = math.inf
+        for x in field.x_labels:
+            csum = np.cumsum([field.variance(i, x) for i in range(1, 9)])
+            want = min(want, max(csum[n - 1] / n for n in n_grid))
+        assert sigma_squared(field, n_grid, growth_factor=100.0) == want
+
+    def test_non_monotone_monte_carlo_curve_rejected(self):
+        prov = {"kind": "monte_carlo", "seed": 0, "replications": 100}
+        # 0.9 after 1.0 is a drop of 5 se (se = 0.01): allowed by a curve built
+        # with slack_se = 10, but not by the field's 3-se rule
+        wide = MomentCurve((2.0, 3.0), (1.0, 0.9), provenance=prov, stderr=(0.01, 0.01),
+                           slack_se=10.0)
+        ok = MomentCurve((2.0, 3.0), (1.0, 1.1), provenance=prov, stderr=(0.01, 0.01))
+        points = {(1, "a"): ok, (1, "b"): ok}
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PairwiseMomentField(("a", "b"), 1, points, {(1, ("a", "b")): wide}, {})
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PairwiseMomentField(("a", "b"), 1, {(1, "a"): wide, (1, "b"): ok},
+                                {(1, ("a", "b")): ok}, {})
+        norms = np.array([1.0, 1.1]).reshape(2, 1, 1) * np.ones((2, 1, 2))
+        se = np.full((2, 1, 2), 0.01)
+        bad = norms.copy()
+        bad[:, 0, 1] = (1.0, 0.9)
+        args = (("a", "b"), 1, (2.0, 3.0), [("a", "b")])
+        PairwiseMomentField.from_arrays(*args, norms, se, norms[:, :, :1], se[:, :, :1],
+                                        np.ones((1, 2)))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PairwiseMomentField.from_arrays(*args, bad, se, norms[:, :, :1], se[:, :, :1],
+                                            np.ones((1, 2)))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            PairwiseMomentField.from_arrays(*args, norms, se, bad[:, :, 1:], se[:, :, :1],
+                                            np.ones((1, 2)))
+        bad[1, 0, 1] = np.nan        # a curve with data at some orders only
+        with pytest.raises(ValueError, match="finite"):
+            PairwiseMomentField.from_arrays(*args, bad, se, norms[:, :, :1], se[:, :, :1],
+                                            np.ones((1, 2)))
+
+    def test_analytic_csv_bytes_frozen(self, tmp_path):
+        # sha256 of the tree written at the commit before the columnar field
+        field = PairwiseMomentField.from_gaussian_kernel(
+            np.linspace(0.2, 1.0, 4), lambda a, b: min(a[0], b[0]), P_GRID, m=3)
+        field.to_csv_dir(tmp_path / "f")
+        assert tree_digest(tmp_path / "f") == \
+            "21350c6258fbb4867b6e60bb703e01f6071473bd410649ec16005f55191b095f"
+
+    @pytest.mark.parametrize("make", [lambda: brownian_field()[0], monte_carlo_field,
+                                      field_with_decaying_increments],
+                             ids=["analytic", "monte-carlo", "dict"])
+    def test_dict_constructor_and_csv_round_trip_give_equal_fields(self, make, tmp_path):
+        field = make()
+        again = PairwiseMomentField(field.x_labels, field.m, dict(field.point_curves),
+                                    dict(field.pair_curves), dict(field.variances),
+                                    meta=field.meta)
+        assert again == field
+        field.to_csv_dir(tmp_path / "f")
+        assert PairwiseMomentField.from_csv_dir(tmp_path / "f") == field
+        assert field.scale(2.0) != field
+
+    def test_views(self, tmp_path):
+        field = monte_carlo_field(npts=3, m=2)
+        assert list(field.point_curves) == [(1, "x0"), (2, "x0"), (1, "x1"), (2, "x1"),
+                                            (1, "x2"), (2, "x2")]
+        assert len(field.pair_curves) == 6 and (2, ("x0", "x2")) in field.pair_curves
+        curve = field.pair_curves[(2, ("x0", "x2"))]
+        assert curve.norms == tuple(field.pair_norms[:, 1, 1].tolist())
+        assert curve.stderr == tuple(field.pair_se[:, 1, 1].tolist())
+        assert field.variances[(2, "x1")] == field.point_var[1, 1]
+        for view in (field.point_curves, field.pair_curves, field.variances):
+            with pytest.raises(TypeError):
+                view[(1, "x0")] = 1.0
+        with pytest.raises(MissingData):
+            field.pair_curve(3, "x0", "x1")
+        sparse = PairwiseMomentField(("a", "b"), 2,
+                                     {(1, "a"): MomentCurve.standard_gaussian(P_GRID, 3.0)},
+                                     {}, {(2, "b"): 1.0})
+        assert list(sparse.point_curves) == [(1, "a")] and list(sparse.variances) == [(2, "b")]
+        sparse.to_csv_dir(tmp_path / "f")           # a point without a variance writes norm**2
+        assert (tmp_path / "f" / "index_0001.csv").read_text().splitlines()[1].startswith(
+            f"point,a,,{gaussian_lp_norm(2.0, 3.0) ** 2!r},")
+        assert (tmp_path / "f" / "index_0002.csv").read_text().splitlines()[1:] == []
+        with pytest.raises(MissingData):
+            sparse.point_curve(2, "a")
+        with pytest.raises(MissingData):
+            natural_function(sparse)
+        with pytest.raises(ValueError):
+            PairwiseMomentField(("a",), 2, {(3, "a"): MomentCurve.zero(P_GRID)}, {}, {})

@@ -155,6 +155,27 @@ class TestGlsNorm:
             gls_norm(curve, PsiFunction.closed_power(2, support=(4, 8)))
 
 
+    @pytest.mark.parametrize("psi", [PsiFunction.closed_power(2.0),
+                                     PsiFunction.degenerate(4.0, (2.5, 6.0)),
+                                     PsiFunction.tabulated([2.0, 4.0], [1.0, 1.0]),
+                                     PsiFunction.closed_power(1.0, (1.5, 16.0))],
+                             ids=["power", "degenerate", "tabulated-ties", "power-zero"])
+    def test_standard_error_at_last_attaining_order(self, psi):
+        """gls_norm(..., with_se=True) against the running-max loop it replaced."""
+        prov = {"kind": "monte_carlo", "seed": 0, "replications": 10}
+        grid = (2.0, 3.0, 4.0, 6.0)
+        for norms in ((1.0, 1.0, 1.0, 1.2), (0.0, 0.0, 0.0, 0.0), (1.0, 1.2, 1.5, 1.8)):
+            curve = MomentCurve(grid, norms, provenance=prov, stderr=(0.1, 0.2, 0.3, 0.4))
+            weights = psi.value_array(np.asarray(grid))
+            best, best_se = 0.0, 0.0
+            for k, (v, w) in enumerate(zip(norms, weights)):
+                if not math.isinf(w) and v / w >= best:
+                    best, best_se = v / w, curve.stderr[k] / w
+            assert gls_norm(curve, psi, with_se=True) == (best, best_se)
+        assert gls_norm(MomentCurve.analytic(grid, (1.0, 1.1, 1.2, 1.3)), psi,
+                        with_se=True)[1] == 0.0
+
+
 class TestSubqNorm:
     def test_zero_and_single_point(self):
         assert subq_norm(MomentCurve.zero([2, 4]), 3.0) == 0.0

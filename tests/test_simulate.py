@@ -9,7 +9,7 @@ from scipy.special import gamma as gamma_fn
 
 from uclt.distances import natural_function, sigma_squared
 from uclt.errors import HorizonExceeded
-from uclt.psi import gaussian_lp_norm
+from uclt.psi import _abs_power_sums, gaussian_lp_norm
 from uclt.simulate import (
     OSEKOWSKI_CONSTANT,
     MartingaleFieldModel,
@@ -199,6 +199,141 @@ class TestMomentEstimation:
             expect = K * gamma_fn(1 + p / q) ** (1 / p)
             got = field.point_curve(1, "x0")
             assert got.value_at(p) == pytest.approx(expect, abs=5 * got.stderr_at(p) + 2e-3)
+
+
+# -- a small moment field frozen at the commit before orders p >= 2 with 2p an
+# integer were raised by multiplication: rbf field on 3 points, pairs
+# (x0, x1) and (x1, x2), i = 1..2, R = 800 (16 chunk groups).  Layout (P, m, k).
+FROZEN_P = (1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 8.0)
+POINT_NORMS = [
+    [[0.9122508780655512, 0.9529223671491849, 0.8976343036810306],
+     [0.8693964944423236, 0.8597929967150932, 0.8973011016702728]],
+    [[1.0155553409754798, 1.0515696446815817, 0.9872396114193212],
+     [0.9565076649234179, 0.9450406741706718, 0.9949131702691361]],
+    [[1.1106682648983472, 1.141354047263082, 1.0700704905916325],
+     [1.0358474314207733, 1.0222645152029486, 1.0851512311273268]],
+    [[1.1988545332560818, 1.2243029379078862, 1.1475753842169674],
+     [1.1090077281793675, 1.0932062795753588, 1.1692593561551732]],
+    [[1.3121293598331931, 1.331872712436514, 1.2486948488912368],
+     [1.2029854056932159, 1.1840262924698877, 1.2781679585350858]],
+    [[1.3573656098187392, 1.3756621074325892, 1.2896950961377094],
+     [1.2406795851909038, 1.2203480082547955, 1.3220161017224683]],
+    [[1.615903098834778, 1.6493590255620134, 1.532055941847517],
+     [1.4609169123736123, 1.430503963215962, 1.578566794187271]],
+    [[1.8160301115181525, 1.9199515843251085, 1.727879878006334],
+     [1.6396239093777218, 1.5968941607833465, 1.7875040584819182]],
+]
+POINT_SE = [
+    [[0.02509080342291476, 0.01699879290716367, 0.020993906935371533],
+     [0.019313732393205395, 0.025627693269582336, 0.02881790962252594]],
+    [[0.028385307787134436, 0.01903466924685276, 0.022389053616491093],
+     [0.020635775440866234, 0.028380311724997814, 0.0315879133075872]],
+    [[0.03152037482829917, 0.02163390013353931, 0.023831826213095802],
+     [0.021873639656875908, 0.03128392533357741, 0.03414061484176554]],
+    [[0.03444035537930081, 0.025053879776727205, 0.02561487298797563],
+     [0.022951001737002444, 0.03413530580143519, 0.03651789181301768]],
+    [[0.03815371164928816, 0.03172214652191981, 0.028868197565656617],
+     [0.02432509894137462, 0.0378045300984616, 0.039708789180809966]],
+    [[0.039620156891388925, 0.035396813550240006, 0.030505135313821707],
+     [0.024934551161910998, 0.039223187063561114, 0.04108102653242448]],
+    [[0.04805567804920093, 0.07576669499659235, 0.04284001803831642],
+     [0.030618274721511993, 0.046120031741786575, 0.05160487013378655]],
+    [[0.05610504371894317, 0.1448134082304937, 0.05356973969592439],
+     [0.03850141756262539, 0.04919302932915236, 0.06568080081337656]],
+]
+PAIR_NORMS = [
+    [[0.8067330327760089, 0.7902558581627677],
+     [0.79914721184314, 0.8181358325122652]],
+    [[0.8839950350642827, 0.87227951357257],
+     [0.8820952862288731, 0.9001548666745833]],
+    [[0.9537182478606692, 0.9477393628216202],
+     [0.9573673864298229, 0.9736687459139102]],
+    [[1.0176605473683455, 1.0181053863499976],
+     [1.0267164281624925, 1.040556548518536]],
+    [[1.0995654627881883, 1.1099504096916952],
+     [1.1159308028517003, 1.1253506273023142]],
+    [[1.1324191508736305, 1.147363851604787],
+     [1.1518004941621385, 1.1590457102644365]],
+    [[1.3266195303396735, 1.3750002312550507],
+     [1.3631351155377232, 1.3536176699218814]],
+    [[1.4927031766376047, 1.5738854978980292],
+     [1.5384933921502153, 1.5122863296723565]],
+]
+PAIR_SE = [
+    [[0.013215165386148713, 0.02399068093500414],
+     [0.02249295611547823, 0.022117882367660813]],
+    [[0.015069965190483595, 0.025790947882954864],
+     [0.023399891886724457, 0.02300346239090163]],
+    [[0.016797696594434756, 0.02781973306846893],
+     [0.024569860696925554, 0.0238725027234033]],
+    [[0.018404344305083184, 0.030134415855223768],
+     [0.02598561577440382, 0.024617140490470136]],
+    [[0.020687592178030366, 0.03389476417084173],
+     [0.028392919925319258, 0.02559209522874196]],
+    [[0.021771346821943954, 0.035697827037721064],
+     [0.029580154387846936, 0.02606360843665652]],
+    [[0.03284365423251802, 0.05056895461226238],
+     [0.039663396965663025, 0.0318664739491982]],
+    [[0.051609627510604925, 0.06841954073716107],
+     [0.051833694807105805, 0.042648691366076186]],
+]
+VARIANCES = [
+    [1.0292225201428737, 1.1040720795233723, 0.9751897271522136],
+    [0.9114288874657875, 0.8890863418317966, 0.9895054531391599],
+]
+
+
+class TestFrozenMomentField:
+    """Orders raised by `**` (1.5, 3.7) and p = 2 (z*z either way) are
+    bit-identical to the frozen field; 2.5, 3, 4, 6 and 8 are products now.
+    A product differs from `**` by a few ulp per term; the jackknife scales a
+    relative change of a power sum by up to 2G - 1 = 31 (G = 16 groups) in a
+    norm, and more in a standard error, which is a spread of nearly equal
+    leave-one-out norms.  Bounds: 64 ulp for norms, 256 ulp for standard
+    errors."""
+
+    ULPS = {"norms": 64, "se": 256}
+
+    def field(self):
+        model = MartingaleFieldModel("wg", "iid_gaussian_field", grid_coords(3),
+                                     {"kernel": {"name": "rbf"}}, horizon=4, seed=11)
+        return estimate_moment_curves(model, [("x1", "x2"), ("x0", "x1")], FROZEN_P, 800,
+                                      i_max=2)
+
+    def test_matches_frozen_field(self):
+        field = self.field()
+        assert field.pairs == (("x0", "x1"), ("x1", "x2"))
+        assert np.array_equal(field.point_var, np.array(VARIANCES))
+        for got, frozen, kind in ((field.point_norms, POINT_NORMS, "norms"),
+                                  (field.point_se, POINT_SE, "se"),
+                                  (field.pair_norms, PAIR_NORMS, "norms"),
+                                  (field.pair_se, PAIR_SE, "se")):
+            frozen = np.array(frozen)
+            assert got.shape == frozen.shape
+            for k, p in enumerate(FROZEN_P):
+                if p in (1.5, 2.0, 3.7):
+                    assert np.array_equal(got[k], frozen[k]), (kind, p)
+                else:
+                    ulps = np.abs(got[k] - frozen[k]) / np.spacing(frozen[k])
+                    assert ulps.max() <= self.ULPS[kind], (kind, p, ulps.max())
+
+    def test_products_follow_the_documented_formula(self):
+        z = np.random.default_rng(3).standard_normal((200, 3, 4)) * 3.0
+        grid = (1.5, 2.0, 2.5, 3.0, 3.5, 3.7, 4.0, 4.5, 6.0, 8.0)
+        sums = _abs_power_sums(z.copy(), grid)
+        a = np.abs(z)
+        for k, p in enumerate(grid):
+            if p in (1.5, 3.7):
+                v = a ** p
+            else:
+                v = a * a
+                if 2 * p % 2:
+                    v = v * np.sqrt(a)
+                if int(p) % 2:
+                    v = v * a
+                for _ in range(int(p) // 2 - 1):
+                    v = v * (a * a)
+            assert np.array_equal(sums[k], v.sum(axis=0)), p
 
 
 class TestOsekowski:
