@@ -35,11 +35,10 @@ from . import covering as cov
 from . import integrals as integ
 from .distances import PairwiseMomentField, distance_matrix, natural_function, sigma_squared
 from .errors import ConfigError, MissingRun, UcltError
-from .psi import PsiFunction
+from .psi import PsiFunction, rosenthal_transform
 from .simulate import (
-    _KINDS,
-    _NUMERIC_PARAMS,
     KERNELS,
+    KINDS,
     MartingaleFieldModel,
     SimulationReport,
     clt_diagnostic,
@@ -122,9 +121,10 @@ class _Schema:
                 raise ConfigError(f"{self.path}.{key}: required key missing")
             return default
         val = self.cfg[key]
-        if not isinstance(val, list) or not val or \
-                any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val):
-            raise ConfigError(f"{self.path}.{key}: expected a nonempty list of numbers")
+        if not isinstance(val, list) or not val or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+                for v in val):
+            raise ConfigError(f"{self.path}.{key}: expected a nonempty list of finite numbers")
         if positive and not all(v > 0 for v in val):
             raise ConfigError(f"{self.path}.{key}: entries must be > 0")
         return [float(v) for v in val]
@@ -143,10 +143,6 @@ class _Schema:
             raise ConfigError(f"{self.path}.{sorted(unknown)[0]}: unknown key")
 
 
-_MODEL_KEYS = {"kind", "name", "x_points", "horizon", "seed", "bias", "growth",
-               "kernel", "cross", *_NUMERIC_PARAMS}
-
-
 def _is_coordinate_table(rows) -> bool:
     """A nonempty list of nonempty equal-length rows of finite numbers."""
     return (isinstance(rows, list) and bool(rows)
@@ -156,14 +152,17 @@ def _is_coordinate_table(rows) -> bool:
 
 
 def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
+    """JSON shape and the kind's keys (`KINDS`) here; the model checks values."""
     kind = block.get("kind", str, required=True)
-    if kind not in _KINDS:
+    if kind not in KINDS:
         raise ConfigError(f"{block.path}.kind: unknown model kind {kind!r}")
     block.get("horizon", int, required=True, positive=True)
     rows = block.raw("x_points", required=True)
     if not (isinstance(rows, dict) and "grid_1d" in rows or _is_coordinate_table(rows)):
         raise ConfigError(f"{block.path}.x_points: expected grid_1d or a nonempty list of "
                           f"rows of equal length holding finite numbers")
+    block.seen.update(("name", "seed", "bias", "growth", *KINDS[kind]))
+    block.finish()
     kernel = block.sub("kernel")
     if kernel is not None:
         name = kernel.get("name", str, required=True)
@@ -172,14 +171,6 @@ def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
                               f"expected one of {', '.join(KERNELS)}")
         kernel.seen.update(("variance", "length_scale", "hurst"))
         kernel.finish()
-    if kind == "weibull_field":
-        block.get("K", float, required=True, positive=True)
-        block.get("q", float, required=True, positive=True)
-    for key in _MODEL_KEYS:
-        block.seen.add(key)
-    unknown = set(block.cfg) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"{block.path}.{sorted(unknown)[0]}: unknown key")
     try:
         return model_from_config(dict(block.cfg), default_seed=default_seed)
     except (KeyError, ValueError, TypeError) as exc:
@@ -243,7 +234,9 @@ def run_check_theorem(cfg: dict, args) -> int:
     out = args.out or s.get("out", str, default="uclt-check-theorem")
     model = _validate_model(s.sub("model", required=True), seed)
     psi_spec = _validate_psi(s.sub("psi"))
-    p_grid = s.number_list("p_grid", default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0], positive=True)
+    p_grid = s.number_list("p_grid", default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+    if p_grid[0] < 1 or any(a >= b for a, b in zip(p_grid, p_grid[1:])):
+        raise ConfigError("config.p_grid: need strictly ascending orders p >= 1")
     default_n = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= model.horizon]
     n_grid = [int(n) for n in s.number_list("n_grid", default=default_n, positive=True)]
     if max(n_grid) > model.horizon:
@@ -305,7 +298,6 @@ def run_check_theorem(cfg: dict, args) -> int:
     verdicts = {"moment_level": verdict21.to_dict()}
     files = {}
 
-    from .psi import rosenthal_transform
     trace = integ.integrand_trace(profile, psi=rosenthal_transform(psi),
                                   nodes=quad_nodes, eps_lo_frac=quad_frac)
     integ_path = os.path.join(out, "entropy_trace.csv")
@@ -389,7 +381,9 @@ def run_inequalities(cfg: dict, args) -> int:
     ose = s.sub("osekowski")
     ose_spec = None
     if ose is not None:
-        ps = ose.number_list("p_grid", default=[2.0, 3.0, 4.0], positive=True)
+        ps = ose.number_list("p_grid", default=[2.0, 3.0, 4.0])
+        if min(ps) < 2:
+            raise ConfigError("config.osekowski.p_grid: the inequality is checked for p >= 2 only")
         ns = [int(v) for v in ose.number_list("n_grid", default=[8, 64], positive=True)]
         mode = ose.get("mode", str, default="points")
         if mode not in ("points", "pairs"):

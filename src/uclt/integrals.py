@@ -14,7 +14,6 @@ the log-slope of the integrand near zero radius (integrable iff slope > -1).
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -353,11 +352,3 @@ def integrand_trace(profile: EntropyProfile, *, psi: PsiFunction | None = None,
     else:
         vals = [math.exp(min(float(v), 700.0)) for v in logs]
     return list(zip((float(e) for e in grid), hs, vals))
-
-
-def write_trace_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["epsilon", "entropy", "integrand"])
-        for eps, h, val in rows:
-            w.writerow([repr(eps), repr(h), repr(val)])

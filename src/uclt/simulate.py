@@ -16,19 +16,22 @@ full-width variates for ``weibull_field`` and shared-sign ``bounded_sign``,
 and is a different stream for the Gaussian-driven kinds and for
 independent-sign ``bounded_sign``, which draw only the columns asked for.
 
-Shipped model kinds:
+Shipped model kinds, with their parameters and defaults in `KINDS`:
 
 * ``iid_gaussian_field``  — i.i.d. Gaussian fields with a covariance kernel,
 * ``weibull_field``       — i.i.d. symmetric stretched-exponential variables
-                            times a spatial amplitude profile,
+                            times a spatial amplitude profile, optionally
+                            capped (``cap`` > 0, or null for no cap),
 * ``garch_like``          — xi_i(x) = sigma_i(x) * eps_i(x) with sigma_i a
                             bounded function of past draws (dependent m.d.),
 * ``bounded_sign``        — xi_i(x) = +-a_i(x) with an optional
                             past-dependent bounded amplitude (dependent m.d.).
 
-All kinds accept ``bias`` (additive, deliberately breaking the difference
-property for detector tests) and ``growth`` (deterministic index scaling
-i**growth, used to manufacture exploding-variance examples).
+Building a model with another kind's parameter, or with a bad value,
+raises ValueError (`MartingaleFieldModel.p`).  All kinds accept ``bias``
+(additive, deliberately breaking the difference property for detector
+tests) and ``growth`` (deterministic index scaling i**growth, used to
+manufacture exploding-variance examples).
 """
 from __future__ import annotations
 
@@ -56,11 +59,16 @@ OSEKOWSKI_CONSTANT = 15.5879
 #: Sharp constant of the analogous inequality for independent summands.
 ROSENTHAL_CONSTANT = 0.6535
 
-_KINDS = ("iid_gaussian_field", "weibull_field", "garch_like", "bounded_sign")
-
-#: Numeric model parameters, each optional in `params` and finite when given.
-_NUMERIC_PARAMS = ("K", "q", "cap", "amplitude_slope", "base", "modulation",
-                   "vol_amp", "memory", "vol_lo", "vol_hi")
+#: Each model kind's parameters and their defaults (``...``: required).  All
+#: but ``kernel`` and ``cross`` are finite numbers; a null ``cap`` means no cap.
+KINDS = {
+    "iid_gaussian_field": {"kernel": {"name": "white"}},
+    "weibull_field": {"K": ..., "q": ..., "cap": None, "amplitude_slope": 0.0},
+    "garch_like": {"kernel": {"name": "white"}, "vol_amp": 0.45, "memory": 0.7,
+                   "vol_lo": 0.5, "vol_hi": 2.0},
+    "bounded_sign": {"base": 1.0, "modulation": 0.0, "amplitude_slope": 0.0,
+                     "cross": "shared"},
+}
 
 #: Covariance kernels known to `kernel_matrix`.
 KERNELS = ("white", "rbf", "brownian", "fractional_brownian")
@@ -153,28 +161,47 @@ class MartingaleFieldModel:
     growth: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {tuple(KINDS)}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if len(self.coords) == 0:
             raise ValueError("need at least one coordinate")
-        numeric = {"bias": self.bias, "growth": self.growth,
-                   **{k: self.params[k] for k in _NUMERIC_PARAMS if k in self.params}}
-        if numeric.get("cap", 0.0) is None:
-            del numeric["cap"]  # a null cap means no cap
-        for key, val in numeric.items():
+        p = self.p
+        if "cross" in p and p["cross"] not in ("shared", "independent"):
+            raise ValueError(f"cross must be shared or independent, got {p['cross']!r}")
+        if "vol_lo" in p and not 0.0 < p["vol_lo"] <= p["vol_hi"]:
+            raise ValueError(f"vol_lo and vol_hi need 0 < vol_lo <= vol_hi, "
+                             f"got {p['vol_lo']} and {p['vol_hi']}")
+        if "amplitude_slope" in p and np.any(self._amplitude <= 0):
+            raise ValueError(f"amplitude_slope = {p['amplitude_slope']} makes the amplitude "
+                             f"profile 1 + amplitude_slope * x nonpositive on the grid")
+        if "kernel" in p:
+            self._chol(tuple(range(self.npoints)))  # so that a bad kernel spec fails here
+
+    @cached_property
+    def p(self) -> dict:
+        """`params` over the kind's `KINDS` defaults, numbers as floats; raises
+        ValueError on a key of another kind, a missing, non-finite or bad value."""
+        table = KINDS[self.kind]
+        extra = sorted(set(self.params) - set(table))
+        if extra:
+            raise ValueError(f"{extra[0]} is not a parameter of {self.kind}; "
+                             f"it takes {', '.join(table)}")
+        p = {**table, **self.params}
+        for key, val in {"bias": self.bias, "growth": self.growth, **p}.items():
+            if val is ...:
+                raise ValueError(f"{key} is required for {self.kind}")
+            if key in ("kernel", "cross") or key == "cap" and val is None:
+                continue
             if isinstance(val, bool) or not isinstance(val, numbers.Real) \
                     or not math.isfinite(val):
                 raise ValueError(f"{key} must be a finite number, got {val!r}")
-        if self.params.get("cross", "shared") not in ("shared", "independent"):
-            raise ValueError(f"cross must be shared or independent, "
-                             f"got {self.params['cross']!r}")
-        lo, hi = self._vol_range
-        if self.kind == "garch_like" and not 0.0 < lo <= hi:
-            raise ValueError(f"vol_lo and vol_hi need 0 < vol_lo <= vol_hi, got {lo} and {hi}")
-        if self.kind in ("iid_gaussian_field", "garch_like"):
-            self._chol(tuple(range(self.npoints)))  # so that a bad kernel spec fails here
+            if key in ("K", "q", "cap", "base") and not val > 0:
+                raise ValueError(f"{key} must be > 0, got {val!r}")
+            if key in p:
+                p[key] = float(val)
+        return p
 
     @property
     def npoints(self) -> int:
@@ -190,7 +217,7 @@ class MartingaleFieldModel:
 
     @cached_property
     def _kernel(self) -> np.ndarray:
-        return kernel_matrix(self.params.get("kernel", {"name": "white"}), self._coord_array)
+        return kernel_matrix(self.p["kernel"], self._coord_array)
 
     @cached_property
     def _chols(self) -> dict:
@@ -202,16 +229,10 @@ class MartingaleFieldModel:
             self._chols[cols] = _cholesky(self._kernel[np.ix_(cols, cols)])
         return self._chols[cols]
 
-    @property
-    def _vol_range(self) -> tuple[float, float]:
-        return float(self.params.get("vol_lo", 0.5)), float(self.params.get("vol_hi", 2.0))
-
+    @cached_property
     def _amplitude(self) -> np.ndarray:
-        slope = float(self.params.get("amplitude_slope", 0.0))
-        amp = 1.0 + slope * self._coord_array[:, 0]
-        if np.any(amp <= 0):
-            raise ValueError("amplitude profile must stay positive on the grid")
-        return amp
+        """The spatial profile 1 + amplitude_slope * x on the first coordinate."""
+        return 1.0 + self.p["amplitude_slope"] * self._coord_array[:, 0]
 
     # -- analytic companions -------------------------------------------------
 
@@ -221,14 +242,13 @@ class MartingaleFieldModel:
             return None
         if self.kind == "iid_gaussian_field":
             return self._kernel.copy()
-        if self.kind == "weibull_field" and not self.params.get("cap"):
-            q, K = float(self.params["q"]), float(self.params["K"])
-            second = K * K * gamma_fn(1.0 + 2.0 / q)
-            amp = self._amplitude()
-            return second * np.outer(amp, amp)
-        if self.kind == "bounded_sign" and float(self.params.get("modulation", 0.0)) == 0.0:
-            amp = float(self.params.get("base", 1.0)) * self._amplitude()
-            if self.params.get("cross", "shared") == "shared":
+        p = self.p
+        if self.kind == "weibull_field" and p["cap"] is None:
+            second = p["K"] * p["K"] * gamma_fn(1.0 + 2.0 / p["q"])
+            return second * np.outer(self._amplitude, self._amplitude)
+        if self.kind == "bounded_sign" and p["modulation"] == 0.0:
+            amp = p["base"] * self._amplitude
+            if p["cross"] == "shared":
                 return np.outer(amp, amp)
             return np.diag(amp ** 2)
         return None
@@ -243,18 +263,15 @@ class MartingaleFieldModel:
         Ignores `growth`; with growth > 0 no fixed dominating tail exists and
         callers should not rely on this.
         """
-        if self.kind == "iid_gaussian_field":
+        p = self.p
+        if self.kind in ("iid_gaussian_field", "garch_like"):
+            vol = p["vol_hi"] if self.kind == "garch_like" else 1.0
             smax = math.sqrt(float(np.max(np.diag(self._kernel))))
-            return TailFunction.closed_weibull(smax * math.sqrt(2.0), 2.0)
+            return TailFunction.closed_weibull(vol * smax * math.sqrt(2.0), 2.0)
         if self.kind == "weibull_field":
-            q, K = float(self.params["q"]), float(self.params["K"])
-            return TailFunction.closed_weibull(K * float(np.max(self._amplitude())), q)
-        if self.kind == "garch_like":
-            smax = math.sqrt(float(np.max(np.diag(self._kernel))))
-            return TailFunction.closed_weibull(self._vol_range[1] * smax * math.sqrt(2.0), 2.0)
-        base = float(self.params.get("base", 1.0))
-        m = float(self.params.get("modulation", 0.0))
-        cutoff = base * float(np.max(self._amplitude())) * (1.0 + m)
+            return TailFunction.closed_weibull(p["K"] * float(np.max(self._amplitude)), p["q"])
+        # the modulation factor 1 + m tanh(.) lies strictly inside 1 -+ |m|
+        cutoff = p["base"] * float(np.max(self._amplitude)) * (1.0 + abs(p["modulation"]))
         return TailFunction.step(cutoff)
 
     def to_dict(self) -> dict:
@@ -347,22 +364,19 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     if cols is None:
         cols = tuple(range(model.npoints))
     k = len(cols)
+    p = model.p
     if model.kind == "iid_gaussian_field":
         z = rng.standard_normal((count, n, k))
         paths = z @ model._chol(cols).T
     elif model.kind == "weibull_field":
-        q, K = float(model.params["q"]), float(model.params["K"])
         u = rng.random((count, n))
-        radial = K * (-np.log1p(-u)) ** (1.0 / q)
-        cap = model.params.get("cap")
-        if cap is not None:
-            radial = np.minimum(radial, float(cap))
+        radial = p["K"] * (-np.log1p(-u)) ** (1.0 / p["q"])
+        if p["cap"] is not None:
+            radial = np.minimum(radial, p["cap"])
         signs = rng.integers(0, 2, (count, n)) * 2.0 - 1.0
-        paths = (signs * radial)[:, :, None] * model._amplitude()[list(cols)][None, None, :]
+        paths = (signs * radial)[:, :, None] * model._amplitude[list(cols)][None, None, :]
     elif model.kind == "garch_like":
-        amp = float(model.params.get("vol_amp", 0.45))
-        mem = float(model.params.get("memory", 0.7))
-        lo, hi = model._vol_range
+        amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
         chol = model._chol(cols)
         paths = np.empty((count, n, k))
         state = np.zeros((count, k))
@@ -372,10 +386,9 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
             paths[:, i, :] = sigma * eps
             state = mem * state + (1.0 - mem) * eps
     else:  # bounded_sign
-        base = float(model.params.get("base", 1.0))
-        mod = float(model.params.get("modulation", 0.0))
-        a0 = base * model._amplitude()[list(cols)]
-        if model.params.get("cross", "shared") == "shared":
+        mod = p["modulation"]
+        a0 = p["base"] * model._amplitude[list(cols)]
+        if p["cross"] == "shared":
             signs = (rng.integers(0, 2, (count, n, 1)) * 2.0 - 1.0)
             signs = np.broadcast_to(signs, (count, n, k))
         else:
@@ -639,7 +652,7 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
             for ni, n in enumerate(n_grid):
                 lhs = (num[pi, ni] / cnt) ** (1.0 / p)
                 rhs = (p / math.log(p)) * math.sqrt(float((lp[:n] ** 2).mean()))
-                out[pi, ni] = lhs / rhs
+                out[pi, ni] = 0.0 if lhs == 0 else lhs / rhs  # a zero series is 0 / 0
         return out
 
     tot_num = sum(p[0] for p in parts)

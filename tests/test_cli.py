@@ -1,11 +1,17 @@
 """Command-line contract: exit codes, schema errors, reproducibility, export."""
+import contextlib
+import io
 import json
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uclt.cli import main
+from uclt.simulate import KINDS
 
 
 def write_cfg(path, doc):
@@ -108,6 +114,13 @@ class TestCheckTheorem:
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.model.x_points: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p_grid", [[3, 2], [0.5, 2], [2, 2], [2, float("inf")]],
+                             ids=["descending", "below-one", "repeated", "infinite"])
+    def test_bad_p_grid_key_path(self, tmp_path, capsys, p_grid):
+        cfg = write_cfg(tmp_path / "c.json", theorem_cfg(p_grid=p_grid))
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config.p_grid: " in capsys.readouterr().err
+
     def test_malformed_json_line_precise(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text('{\n  "seed": 1,\n  "oops"\n}\n')
@@ -158,6 +171,14 @@ class TestInequalities:
         ({"kind": "bounded_sign", "base": float("inf")}, "config.models[0]: base"),
         ({"kind": "bounded_sign", "cross": "foo"}, "config.models[0]: cross"),
         ({"kind": "garch_like", "vol_lo": 3.0, "vol_hi": 1.0}, "config.models[0]: vol_lo"),
+        ({"kind": "bounded_sign", "amplitude_slope": -2, "x_points": {"grid_1d": {"n": 3}}},
+         "config.models[0]: amplitude_slope"),
+        ({"kind": "weibull_field", "K": 1, "q": 2, "cap": -5}, "config.models[0]: cap"),
+        ({"kind": "weibull_field", "K": 1, "q": 2, "cap": 0}, "config.models[0]: cap"),
+        ({"kind": "weibull_field", "K": 1, "q": 2, "vol_lo": 0.5}, "config.models[0].vol_lo"),
+        ({"kind": "weibull_field", "K": 1, "q": 2, "kernel": {"name": "white"}},
+         "config.models[0].kernel"),
+        ({"kind": "weibull_field", "q": 2}, "config.models[0]: K"),
     ])
     def test_bad_model_parameter_key_path(self, tmp_path, capsys, params, path):
         doc = {"seed": 3, "replications": 500,
@@ -167,6 +188,33 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_grid", [[1.5, 2], [2, float("inf")]], ids=["below-two", "infinite"])
+    def test_bad_osekowski_p_grid_key_path(self, tmp_path, capsys, p_grid):
+        doc = {"seed": 3, "replications": 500, "osekowski": {"p_grid": p_grid, "n_grid": [8]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config.osekowski.p_grid: " in capsys.readouterr().err
+
+    def test_zero_series_ratio_is_zero(self, tmp_path):
+        # shared signs and no slope: every column is the same, so the pair
+        # increments vanish and the ratio is 0 / 0
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"kind": "bounded_sign", "name": "flat",
+                           "x_points": {"grid_1d": {"n": 3}}, "horizon": 64}],
+               "osekowski": {"p_grid": [2], "n_grid": [8], "mode": "pairs"}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "osekowski.csv").read_text().splitlines()[-1] == \
+            "flat,2.0,8,0.0,0.0,15.5879"
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rep = json.loads((tmp_path / "run" / "inequalities.json").read_text(),
+                         parse_constant=reject)
+        (row,) = rep["reports"][0]["rows"]
+        assert (row["ratio"], row["se"], row["within_bound"]) == (0.0, 0.0, True)
 
     def test_ragged_x_points_key_path(self, tmp_path, capsys):
         doc = {"seed": 3, "replications": 500,
@@ -201,6 +249,67 @@ class TestInequalities:
         body = (tmp_path / "run" / "osekowski.csv").read_text()
         assert body.startswith("# provenance: config_sha256=")
         assert "model,p,n,ratio,se,bound" in body
+
+
+# every parameter of each kind set to a valid value
+FULL_MODELS = {
+    "iid_gaussian_field": {"kernel": {"name": "rbf", "length_scale": 0.5}},
+    "weibull_field": {"K": 1.0, "q": 2.0, "cap": 4.0, "amplitude_slope": 0.5},
+    "garch_like": {"kernel": {"name": "white"}, "vol_amp": 0.45, "memory": 0.7,
+                   "vol_lo": 0.5, "vol_hi": 2.0},
+    "bounded_sign": {"base": 1.0, "modulation": 0.25, "amplitude_slope": 0.5,
+                     "cross": "independent"},
+}
+BAD_VALUES = ["x", True, None, float("inf"), float("-inf"), -1.0, -3]
+
+
+@st.composite
+def mutated_model(draw, kind):
+    """The kind's full block with one key dropped, one set to a bad value, or
+    one of another kind's keys added."""
+    block = dict(FULL_MODELS[kind])
+    own = sorted(block)
+    foreign = sorted({k for table in KINDS.values() for k in table} - set(own))
+    how = draw(st.sampled_from(["drop", "bad", "foreign"]))
+    if how == "drop":
+        del block[draw(st.sampled_from(own))]
+    elif how == "bad":
+        block[draw(st.sampled_from(own))] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        block[draw(st.sampled_from(foreign))] = draw(st.sampled_from([0.5, "shared", {}]))
+    return block
+
+
+class TestMutatedModels:
+    def test_full_models_cover_the_table(self):
+        assert {k: set(v) for k, v in FULL_MODELS.items()} == \
+            {k: set(v) for k, v in KINDS.items()}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_mutated_block_exits_cleanly(self, kind):
+        @settings(max_examples=25, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(mutated_model(kind))
+        def run(params):
+            doc = {"seed": 3, "replications": 64,
+                   "models": [{"kind": kind, "name": "m", "x_points": {"grid_1d": {"n": 3}},
+                               "horizon": 8, **params}],
+                   "osekowski": {"p_grid": [2.0], "n_grid": [8], "mode": "pairs"},
+                   "tail_domination": {"x_values": [1.5], "n_values": [8]}}
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                cfg = os.path.join(tmp, "c.json")
+                with open(cfg, "w") as fh:
+                    json.dump(doc, fh)
+                code = main(["inequalities", "--config", cfg, "--out", os.path.join(tmp, "run")])
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert "config.models[0]" in err.getvalue()
+
+        t0 = time.time()
+        run()
+        assert time.time() - t0 < 10.0
 
 
 class TestCovering:

@@ -11,6 +11,7 @@ from uclt.distances import natural_function, sigma_squared
 from uclt.errors import HorizonExceeded
 from uclt.psi import _abs_power_sums, gaussian_lp_norm
 from uclt.simulate import (
+    KINDS,
     OSEKOWSKI_CONSTANT,
     MartingaleFieldModel,
     SimulationReport,
@@ -491,6 +492,54 @@ class TestConfigAndReports:
         a = SimulationReport("wg", 42, 2000, "osekowski", rows).to_json()
         b = SimulationReport("wg", 42, 2000, "osekowski", rows4).to_json()
         assert a == b
+
+
+class TestKindsTable:
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_parameters_resolve_over_the_defaults(self, model):
+        assert set(model.p) == set(KINDS[model.kind])
+        for key, default in KINDS[model.kind].items():
+            want = model.params.get(key, default)
+            assert model.p[key] == want
+            if key not in ("kernel", "cross", "cap"):
+                assert type(model.p[key]) is float
+
+    def test_integer_parameters_become_floats(self):
+        m = MartingaleFieldModel("w", "weibull_field", grid_coords(2), {"K": 2, "q": 1, "cap": 5},
+                                 horizon=4, seed=1)
+        assert [type(m.p[k]) for k in ("K", "q", "cap")] == [float] * 3
+        assert m.to_dict()["params"] == {"K": 2, "q": 1, "cap": 5}  # written as given
+
+    @pytest.mark.parametrize("kind,params,match", [
+        ("weibull_field", {"K": 1.0, "q": 2.0, "kernel": {"name": "white"}},
+         "kernel is not a parameter of weibull_field"),
+        ("iid_gaussian_field", {"cap": 1.0}, "cap is not a parameter of iid_gaussian_field"),
+        ("weibull_field", {"q": 2.0}, "K is required for weibull_field"),
+        ("weibull_field", {"K": 1.0, "q": 0.0}, "q must be > 0"),
+        ("weibull_field", {"K": 1.0, "q": 2.0, "cap": 0}, "cap must be > 0"),
+        ("weibull_field", {"K": 1.0, "q": 2.0, "cap": float("nan")}, "cap must be a finite"),
+        ("bounded_sign", {"base": -1.0}, "base must be > 0"),
+        ("bounded_sign", {"amplitude_slope": -1.0}, "amplitude_slope = -1.0 makes"),
+        ("garch_like", {"vol_lo": 0.0}, "vol_lo and vol_hi need"),
+        ("garch_like", {"memory": True}, "memory must be a finite number"),
+    ])
+    def test_rejected_at_construction(self, kind, params, match):
+        with pytest.raises(ValueError, match=match):
+            MartingaleFieldModel("m", kind, grid_coords(3), params, horizon=8, seed=1)
+
+    def test_null_cap_is_no_cap(self):
+        m = MartingaleFieldModel("w", "weibull_field", grid_coords(2),
+                                 {"K": 1.0, "q": 2.0, "cap": None}, horizon=4, seed=1)
+        assert m.p["cap"] is None and m.analytic_covariance() is not None
+
+    def test_negative_modulation_tail_dominates(self):
+        # the amplitude factor 1 + m tanh(.) reaches 1 + |m| when m < 0
+        m = MartingaleFieldModel("b", "bounded_sign", grid_coords(2), {"modulation": -0.5},
+                                 horizon=64, seed=3)
+        cutoff = m.dominating_tail().x_grid[-1]
+        assert cutoff == 1.5
+        top = float(np.abs(_generate(m, 64, _chunk_rng(m.seed, 0), 200)).max())
+        assert 1.0 < top <= cutoff
 
 
 def garch_reference(model, n, rng, count, cols):
