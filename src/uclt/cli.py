@@ -44,8 +44,8 @@ from .simulate import (
     clt_diagnostic,
     default_model_suite,
     estimate_moment_curves,
+    grid_coords,
     martingale_difference_check,
-    model_from_config,
     osekowski_check,
     resolve_threads,
     tail_domination_check,
@@ -86,61 +86,68 @@ class _Schema:
         self.path = path
         self.seen: set[str] = set()
 
-    def sub(self, key: str, required: bool = False) -> "_Schema | None":
+    def sub(self, key: str, required: bool = False, default: dict | None = None) -> "_Schema | None":
+        """The object at `key`; a missing one reads as `default` (None: absent)."""
         self.seen.add(key)
         if key not in self.cfg:
             if required:
                 raise ConfigError(f"{self.path}.{key}: required block missing")
-            return None
-        return _Schema(self.cfg[key], f"{self.path}.{key}")
+            if default is None:
+                return None
+        return _Schema(self.cfg.get(key, default), f"{self.path}.{key}")
 
-    def get(self, key: str, kind, required: bool = False, default=None,
-            positive: bool = False, minimum=None):
+    def get(self, key: str, kind=None, *, required: bool = False, default=None,
+            positive: bool = False, minimum=None, maximum=None, many: bool = False):
+        """The value at `key`, else `default` (None: absent).  `kind` int takes a
+        JSON integer, float a finite number (returned as a float), str a string
+        and None any value; `many` takes a nonempty list of them.  The bounds
+        hold for every value returned, defaults included."""
         self.seen.add(key)
-        if key not in self.cfg:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: required key missing")
-            return default
-        val = self.cfg[key]
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
-        if kind is not None and not isinstance(val, kind) or isinstance(val, bool) and kind in (int, float):
-            raise ConfigError(f"{self.path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-                              f"got {type(val).__name__}")
-        if positive and not val > 0:
-            raise ConfigError(f"{self.path}.{key}: must be > 0, got {val}")
-        if minimum is not None and val < minimum:
-            raise ConfigError(f"{self.path}.{key}: must be >= {minimum}, got {val}")
+        where = f"{self.path}.{key}"
+        if key in self.cfg:
+            val = self.cfg[key]
+            if many and (not isinstance(val, list) or not val):
+                raise ConfigError(f"{where}: expected a nonempty list")
+            if kind is not None:
+                val = [_typed(v, kind, where) for v in val] if many else _typed(val, kind, where)
+        elif required:
+            raise ConfigError(f"{where}: required key missing")
+        else:
+            val = default
+        for v in (val if many else [val]) if val is not None else ():
+            if positive and not v > 0:
+                raise ConfigError(f"{where}: must be > 0, got {v}")
+            if minimum is not None and v < minimum:
+                raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
+            if maximum is not None and v > maximum:
+                raise ConfigError(f"{where}: must be <= {maximum}, got {v}")
         return val
-
-    def number_list(self, key: str, required: bool = False, default=None,
-                    positive: bool = False):
-        self.seen.add(key)
-        if key not in self.cfg:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: required key missing")
-            return default
-        val = self.cfg[key]
-        if not isinstance(val, list) or not val or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-                for v in val):
-            raise ConfigError(f"{self.path}.{key}: expected a nonempty list of finite numbers")
-        if positive and not all(v > 0 for v in val):
-            raise ConfigError(f"{self.path}.{key}: entries must be > 0")
-        return [float(v) for v in val]
-
-    def raw(self, key: str, required: bool = False, default=None):
-        self.seen.add(key)
-        if key not in self.cfg:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: required key missing")
-            return default
-        return self.cfg[key]
 
     def finish(self):
         unknown = set(self.cfg) - self.seen
         if unknown:
             raise ConfigError(f"{self.path}.{sorted(unknown)[0]}: unknown key")
+
+
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(val, kind, where: str):
+    if kind is float and isinstance(val, int) and not isinstance(val, bool):
+        val = float(val)
+    if not isinstance(val, kind) or isinstance(val, bool) \
+            or kind is float and not math.isfinite(val):
+        raise ConfigError(f"{where}: expected {_KIND_NAMES[kind]}, got {val!r}")
+    return val
+
+
+def _flag_or_key(s: _Schema, flag, key: str, kind, **rules):
+    """The command-line flag for `key` when given, else the config value; the
+    same rules check either."""
+    if flag is not None:
+        s.seen.add(key)
+        s = _Schema({key: flag}, s.path)
+    return s.get(key, kind, **rules)
 
 
 def _is_coordinate_table(rows) -> bool:
@@ -151,17 +158,37 @@ def _is_coordinate_table(rows) -> bool:
                     for row in rows for v in row))
 
 
+def _grid_1d(parent: _Schema) -> tuple[int, float, float]:
+    """The `grid_1d` block under `parent`: n, low and high of an even grid."""
+    g = parent.sub("grid_1d", required=True)
+    grid = (g.get("n", int, required=True, minimum=1), g.get("low", float, default=0.0),
+            g.get("high", float, default=1.0))
+    g.finish()
+    return grid
+
+
 def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
-    """JSON shape and the kind's keys (`KINDS`) here; the model checks values."""
+    """Reads a model block and builds the model, which checks the values of
+    the kind's keys (`KINDS`)."""
     kind = block.get("kind", str, required=True)
     if kind not in KINDS:
         raise ConfigError(f"{block.path}.kind: unknown model kind {kind!r}")
-    block.get("horizon", int, required=True, positive=True)
-    rows = block.raw("x_points", required=True)
-    if not (isinstance(rows, dict) and "grid_1d" in rows or _is_coordinate_table(rows)):
+    rows = block.get("x_points", required=True)
+    if isinstance(rows, dict) and "grid_1d" in rows:
+        xs = _Schema(rows, f"{block.path}.x_points")
+        coords = grid_coords(*_grid_1d(xs))
+        xs.finish()
+    elif _is_coordinate_table(rows):
+        coords = tuple(tuple(float(v) for v in row) for row in rows)
+    else:
         raise ConfigError(f"{block.path}.x_points: expected grid_1d or a nonempty list of "
                           f"rows of equal length holding finite numbers")
-    block.seen.update(("name", "seed", "bias", "growth", *KINDS[kind]))
+    fields = {"name": block.get("name", str, default=kind),
+              "horizon": block.get("horizon", int, required=True, positive=True),
+              "seed": block.get("seed", int, default=default_seed, minimum=0),
+              "bias": block.get("bias", float, default=0.0),
+              "growth": block.get("growth", float, default=0.0)}
+    params = {key: block.get(key) for key in KINDS[kind] if key in block.cfg}
     block.finish()
     kernel = block.sub("kernel")
     if kernel is not None:
@@ -172,7 +199,7 @@ def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
         kernel.seen.update(("variance", "length_scale", "hurst"))
         kernel.finish()
     try:
-        return model_from_config(dict(block.cfg), default_seed=default_seed)
+        return MartingaleFieldModel(kind=kind, coords=coords, params=params, **fields)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"{block.path}: {exc}") from None
 
@@ -212,6 +239,31 @@ def _write_csv(path: str, header: list[str], rows, provenance: str) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _start_run(cfg: dict, out: str, seed: int) -> tuple[str, str]:
+    """Creates `out`; returns the config hash and the CSV provenance line."""
+    cfg_hash = config_hash(cfg)
+    os.makedirs(out, exist_ok=True)
+    return cfg_hash, f"provenance: config_sha256={cfg_hash} seed={seed}"
+
+
+#: The tables `export` consolidates: manifest key -> (run file, export file, header).
+_TABLES = {
+    "entropy_trace": ("entropy_trace.csv", "entropy_trace.csv",
+                      ["epsilon", "entropy", "integrand"]),
+    "tail_bounds": ("tail_bounds.csv", "tail_bounds.csv",
+                    ["model", "n", "x", "empirical_tail", "bound", "stderr"]),
+    "ks": ("ks.csv", "ks_stats.csv", ["n", "ks", "scope"]),
+    "osekowski": ("osekowski.csv", "osekowski_ratios.csv",
+                  ["model", "p", "n", "ratio", "se", "bound"]),
+}
+
+
+def _write_table(out: str, files: dict, key: str, rows, provenance: str) -> None:
+    fname, _, header = _TABLES[key]
+    _write_csv(os.path.join(out, fname), header, rows, provenance)
+    files[key] = fname
+
+
 def _finish_run(out: str, command: str, cfg_hash: str, seed: int, files: dict,
                 conclusion: str, exit_code: int) -> None:
     _write_json(os.path.join(out, "run.json"),
@@ -225,38 +277,30 @@ def _finish_run(out: str, command: str, cfg_hash: str, seed: int, files: dict,
 
 def run_check_theorem(cfg: dict, args) -> int:
     s = _Schema(cfg)
-    seed = args.seed if args.seed is not None else s.get("seed", int, required=True)
-    s.seen.add("seed")
-    reps = args.reps if args.reps is not None else s.get("replications", int, default=4000, positive=True)
-    s.seen.add("replications")
-    threads = resolve_threads(args.threads if args.threads is not None
-                              else s.get("threads", int, default=None))
-    out = args.out or s.get("out", str, default="uclt-check-theorem")
+    seed = _flag_or_key(s, args.seed, "seed", int, required=True, minimum=0)
+    reps = _flag_or_key(s, args.reps, "replications", int, default=4000, positive=True)
+    threads = resolve_threads(_flag_or_key(s, args.threads, "threads", int))
+    out = _flag_or_key(s, args.out or None, "out", str, default="uclt-check-theorem")
     model = _validate_model(s.sub("model", required=True), seed)
     psi_spec = _validate_psi(s.sub("psi"))
-    p_grid = s.number_list("p_grid", default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
-    if p_grid[0] < 1 or any(a >= b for a, b in zip(p_grid, p_grid[1:])):
+    p_grid = s.get("p_grid", float, many=True, minimum=1,
+                   default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+    if any(a >= b for a, b in zip(p_grid, p_grid[1:])):
         raise ConfigError("config.p_grid: need strictly ascending orders p >= 1")
-    default_n = [n for n in (1, 2, 4, 8, 16, 32, 64) if n <= model.horizon]
-    n_grid = [int(n) for n in s.number_list("n_grid", default=default_n, positive=True)]
-    if max(n_grid) > model.horizon:
-        raise ConfigError("config.n_grid: exceeds the model horizon")
+    n_grid = s.get("n_grid", int, many=True, positive=True, maximum=model.horizon,
+                   default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= model.horizon])
 
-    ent = s.sub("entropy")
-    ent_nodes, ent_frac, ent_mode = 24, 1e-3, "greedy"
-    if ent is not None:
-        ent_nodes = ent.get("nodes", int, default=24, positive=True)
-        ent_frac = ent.get("eps_min_frac", float, default=1e-3, positive=True)
-        ent_mode = ent.get("mode", str, default="greedy")
-        if ent_mode not in ("greedy", "exact"):
-            raise ConfigError("config.entropy.mode: must be greedy or exact")
-        ent.finish()
-    quad = s.sub("integral")
-    quad_nodes, quad_frac = 400, 1e-4
-    if quad is not None:
-        quad_nodes = quad.get("nodes", int, default=400, positive=True)
-        quad_frac = quad.get("eps_lo_frac", float, default=1e-4, positive=True)
-        quad.finish()
+    ent = s.sub("entropy", default={})
+    ent_nodes = ent.get("nodes", int, default=24, positive=True)
+    ent_frac = ent.get("eps_min_frac", float, default=1e-3, positive=True)
+    ent_mode = ent.get("mode", str, default="greedy")
+    if ent_mode not in ("greedy", "exact"):
+        raise ConfigError("config.entropy.mode: must be greedy or exact")
+    ent.finish()
+    quad = s.sub("integral", default={})
+    quad_nodes = quad.get("nodes", int, default=integ.DEFAULT_QUAD_NODES, positive=True)
+    quad_frac = quad.get("eps_lo_frac", float, default=integ.DEFAULT_EPS_LO_FRAC, positive=True)
+    quad.finish()
     t22 = s.sub("subq_level")
     q22 = None
     if t22 is not None:
@@ -265,20 +309,16 @@ def run_check_theorem(cfg: dict, args) -> int:
     cltb = s.sub("clt")
     clt_spec = None
     if cltb is not None:
-        pairn = cltb.number_list("n_pair", required=True, positive=True)
-        if len(pairn) != 2 or not pairn[0] < pairn[1] or pairn[1] > model.horizon:
+        pairn = cltb.get("n_pair", int, required=True, many=True, positive=True,
+                         maximum=model.horizon)
+        if len(pairn) != 2 or not pairn[0] < pairn[1]:
             raise ConfigError("config.clt.n_pair: need [n_small, n_large] within the horizon")
-        clt_spec = (int(pairn[0]), int(pairn[1]),
-                    cltb.get("replications", int, default=2000, positive=True))
+        clt_spec = (tuple(pairn), cltb.get("replications", int, default=2000, positive=True))
         cltb.finish()
     growth_factor = s.get("variance_growth_factor", float, default=1.5, positive=True)
-    s.seen.add("out")
     s.finish()
 
-    cfg_hash = config_hash(cfg)
-    prov = f"provenance: config_sha256={cfg_hash} seed={seed}"
-    os.makedirs(out, exist_ok=True)
-
+    cfg_hash, prov = _start_run(cfg, out, seed)
     labels = model.labels
     pairs = [(labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))]
     field = estimate_moment_curves(model, pairs, p_grid, reps,
@@ -300,12 +340,9 @@ def run_check_theorem(cfg: dict, args) -> int:
 
     trace = integ.integrand_trace(profile, psi=rosenthal_transform(psi),
                                   nodes=quad_nodes, eps_lo_frac=quad_frac)
-    integ_path = os.path.join(out, "entropy_trace.csv")
-    _write_csv(integ_path, ["epsilon", "entropy", "integrand"], trace, prov)
-    files["entropy_trace"] = "entropy_trace.csv"
+    _write_table(out, files, "entropy_trace", trace, prov)
 
-    dmat_path = os.path.join(out, "dbar_matrix.csv")
-    _write_csv(dmat_path, ["label"] + list(labels),
+    _write_csv(os.path.join(out, "dbar_matrix.csv"), ["label"] + list(labels),
                [[lb] + [float(v) for v in row] for lb, row in zip(labels, space.dist)], prov)
     files["dbar_matrix"] = "dbar_matrix.csv"
     files["field_csv"] = "field_csv"
@@ -323,17 +360,14 @@ def run_check_theorem(cfg: dict, args) -> int:
                                                                     eps_lo_frac=quad_frac)
         satisfied = satisfied and verdict22.satisfied
 
-    ks_rows = []
     if clt_spec is not None:
-        diag = clt_diagnostic(model, (clt_spec[0], clt_spec[1]), clt_spec[2], threads=threads)
+        (n_small, n_large), clt_reps = clt_spec
+        diag = clt_diagnostic(model, (n_small, n_large), clt_reps, threads=threads)
         verdicts["clt_diagnostic"] = diag
-        ks_rows.append([clt_spec[1], float(diag["ks_supnorm"]), "supnorm"])
-        if diag["per_point_ks"]:
-            for lb, two in sorted(diag["per_point_ks"].items()):
-                ks_rows.append([clt_spec[1], float(two["n_large"]), lb])
-    if ks_rows:
-        _write_csv(os.path.join(out, "ks.csv"), ["n", "ks", "scope"], ks_rows, prov)
-        files["ks"] = "ks.csv"
+        ks_rows = [[n_large, float(diag["ks_supnorm"]), "supnorm"]]
+        for lb, two in sorted((diag["per_point_ks"] or {}).items()):
+            ks_rows.append([n_large, float(two["n_large"]), lb])
+        _write_table(out, files, "ks", ks_rows, prov)
 
     verdict_doc = {"config_sha256": cfg_hash, "seed": seed, "model": model.to_dict(),
                    "replications": reps, "psi": (psi.to_dict()), "sigma2":
@@ -358,47 +392,46 @@ def run_check_theorem(cfg: dict, args) -> int:
 # inequalities
 # ---------------------------------------------------------------------------
 
+#: The report blocks of `inequalities`; a config with none of them runs all.
+_INEQUALITY_BLOCKS = ("osekowski", "tail_domination", "weibull_slope", "md_check")
+
+
 def run_inequalities(cfg: dict, args) -> int:
     s = _Schema(cfg)
-    seed = args.seed if args.seed is not None else s.get("seed", int, required=True)
-    s.seen.add("seed")
-    reps = args.reps if args.reps is not None else s.get("replications", int, default=20000, positive=True)
-    s.seen.add("replications")
-    threads = resolve_threads(args.threads if args.threads is not None
-                              else s.get("threads", int, default=None))
-    out = args.out or s.get("out", str, default="uclt-inequalities")
-    s.seen.add("out")
+    seed = _flag_or_key(s, args.seed, "seed", int, required=True, minimum=0)
+    reps = _flag_or_key(s, args.reps, "replications", int, default=20000, positive=True)
+    threads = resolve_threads(_flag_or_key(s, args.threads, "threads", int))
+    out = _flag_or_key(s, args.out or None, "out", str, default="uclt-inequalities")
 
-    models_raw = s.raw("models")
+    models_raw = s.get("models", many=True)
     if models_raw is None:
         models = default_model_suite(seed)
     else:
-        if not isinstance(models_raw, list) or not models_raw:
-            raise ConfigError("config.models: expected a nonempty list")
         models = [_validate_model(_Schema(m, f"config.models[{i}]"), seed + i)
                   for i, m in enumerate(models_raw)]
+    horizon = min(model.horizon for model in models)
+    run_all = None if any(key in cfg for key in _INEQUALITY_BLOCKS) else {}
 
-    ose = s.sub("osekowski")
+    ose = s.sub("osekowski", default=run_all)
     ose_spec = None
     if ose is not None:
-        ps = ose.number_list("p_grid", default=[2.0, 3.0, 4.0])
-        if min(ps) < 2:
-            raise ConfigError("config.osekowski.p_grid: the inequality is checked for p >= 2 only")
-        ns = [int(v) for v in ose.number_list("n_grid", default=[8, 64], positive=True)]
+        ps = ose.get("p_grid", float, many=True, minimum=2, default=[2.0, 3.0, 4.0])
+        ns = ose.get("n_grid", int, many=True, positive=True, maximum=horizon, default=[8, 64])
         mode = ose.get("mode", str, default="points")
         if mode not in ("points", "pairs"):
             raise ConfigError("config.osekowski.mode: must be points or pairs")
         ose_spec = (ps, ns, mode)
         ose.finish()
-    lem = s.sub("tail_domination")
+    lem = s.sub("tail_domination", default=run_all)
     lem_spec = None
     if lem is not None:
-        xs = lem.number_list("x_values", default=[1.5, 2.0, 3.0], positive=True)
+        xs = lem.get("x_values", float, many=True, default=[1.5, 2.0, 3.0])
         if any(x <= 1 for x in xs):
             raise ConfigError("config.tail_domination.x_values: the bound needs x > 1")
-        ns = [int(v) for v in lem.number_list("n_values", default=[16, 256], positive=True)]
+        ns = lem.get("n_values", int, many=True, positive=True, maximum=horizon,
+                     default=[16, 256])
         r2 = lem.get("replications", int, default=reps, positive=True)
-        tail_raw = lem.raw("tail")
+        tail_raw = lem.get("tail")
         tail = None
         if tail_raw is not None:
             try:
@@ -407,10 +440,10 @@ def run_inequalities(cfg: dict, args) -> int:
                 raise ConfigError(f"config.tail_domination.tail: {exc}") from None
         lem_spec = (xs, ns, r2, tail)
         lem.finish()
-    slope = s.sub("weibull_slope")
+    slope = s.sub("weibull_slope", default=run_all)
     slope_spec = None
     if slope is not None:
-        qs = slope.number_list("q_values", default=[1.0, 2.0], positive=True)
+        qs = slope.get("q_values", float, many=True, positive=True, default=[1.0, 2.0])
         kk = slope.get("K", float, default=1.0, positive=True)
         xlo = slope.get("x_lo", float, default=10.0, positive=True)
         xhi = slope.get("x_hi", float, default=100.0, positive=True)
@@ -420,23 +453,15 @@ def run_inequalities(cfg: dict, args) -> int:
             raise ConfigError("config.weibull_slope: need x_hi > x_lo")
         slope_spec = (qs, kk, xlo, xhi, pts, tol)
         slope.finish()
-    mdc = s.sub("md_check")
+    mdc = s.sub("md_check", default=run_all)
     mdc_spec = None
     if mdc is not None:
-        ids = [int(v) for v in mdc.number_list("indices", default=[2, 16], positive=True)]
-        r3 = mdc.get("replications", int, default=reps, positive=True)
-        mdc_spec = (ids, r3)
+        ids = mdc.get("indices", int, many=True, positive=True, maximum=horizon, default=[2, 16])
+        mdc_spec = (ids, mdc.get("replications", int, default=reps, positive=True))
         mdc.finish()
-    if ose_spec is None and lem_spec is None and slope_spec is None and mdc_spec is None:
-        ose_spec = ([2.0, 3.0, 4.0], [8, 64], "points")
-        lem_spec = ([1.5, 2.0, 3.0], [16, 256], reps, None)
-        slope_spec = ([1.0, 2.0], 1.0, 10.0, 100.0, 10, 0.05)
-        mdc_spec = ([2, 16], reps)
     s.finish()
 
-    cfg_hash = config_hash(cfg)
-    prov = f"provenance: config_sha256={cfg_hash} seed={seed}"
-    os.makedirs(out, exist_ok=True)
+    cfg_hash, prov = _start_run(cfg, out, seed)
     reports: list[SimulationReport] = []
     ose_rows, tail_rows, slope_rows = [], [], []
     all_ok = True
@@ -444,8 +469,6 @@ def run_inequalities(cfg: dict, args) -> int:
     for model in models:
         if ose_spec is not None:
             ps, ns, mode = ose_spec
-            if max(ns) > model.horizon:
-                raise ConfigError("config.osekowski.n_grid: exceeds a model horizon")
             pair = None
             if mode == "pairs":
                 pair = (model.labels[0], model.labels[-1])
@@ -455,8 +478,6 @@ def run_inequalities(cfg: dict, args) -> int:
             all_ok &= all(r["within_bound"] for r in rows)
         if lem_spec is not None:
             xs, ns, r2, tail = lem_spec
-            if max(ns) > model.horizon:
-                raise ConfigError("config.tail_domination.n_values: exceeds a model horizon")
             rows = tail_domination_check(model, tail, xs, ns, r2, threads=threads)
             reports.append(SimulationReport(model.name, model.seed, r2, "tail_domination", rows))
             tail_rows += [[model.name, r["n"], r["x"], r["empirical"], r["bound"], r["se"]]
@@ -464,7 +485,6 @@ def run_inequalities(cfg: dict, args) -> int:
             all_ok &= all(r["ok"] for r in rows)
         if mdc_spec is not None:
             ids, r3 = mdc_spec
-            ids = [i for i in ids if i <= model.horizon]
             rows = martingale_difference_check(model, ids, R=r3, threads=threads)
             reports.append(SimulationReport(model.name, model.seed, r3, "md_property", rows))
             all_ok &= all(r["ok"] for r in rows)
@@ -486,13 +506,9 @@ def run_inequalities(cfg: dict, args) -> int:
 
     files = {}
     if ose_rows:
-        _write_csv(os.path.join(out, "osekowski.csv"),
-                   ["model", "p", "n", "ratio", "se", "bound"], ose_rows, prov)
-        files["osekowski"] = "osekowski.csv"
+        _write_table(out, files, "osekowski", ose_rows, prov)
     if tail_rows:
-        _write_csv(os.path.join(out, "tail_bounds.csv"),
-                   ["model", "n", "x", "empirical_tail", "bound", "stderr"], tail_rows, prov)
-        files["tail_bounds"] = "tail_bounds.csv"
+        _write_table(out, files, "tail_bounds", tail_rows, prov)
     if slope_rows:
         _write_csv(os.path.join(out, "slopes.csv"),
                    ["q", "slope", "required", "ok"], slope_rows, prov)
@@ -515,23 +531,23 @@ def run_inequalities(cfg: dict, args) -> int:
 
 def run_covering(cfg: dict, args) -> int:
     s = _Schema(cfg)
-    seed = args.seed if args.seed is not None else s.get("seed", int, default=0)
-    s.seen.add("seed")
-    out = args.out or s.get("out", str, default="uclt-covering")
-    s.seen.add("out")
+    seed = _flag_or_key(s, args.seed, "seed", int, default=0, minimum=0)
+    out = _flag_or_key(s, args.out or None, "out", str, default="uclt-covering")
     sp = s.sub("space", required=True)
     metric = sp.get("metric", str, default="euclidean")
+    try:
+        cov._parse_metric(metric)
+    except ValueError as exc:
+        raise ConfigError(f"{sp.path}.metric: {exc}") from None
     if "grid_1d" in sp.cfg:
-        g = _Schema(sp.raw("grid_1d"), f"{sp.path}.grid_1d")
-        n = g.get("n", int, required=True, minimum=1)
-        low = g.get("low", float, default=0.0)
-        high = g.get("high", float, default=1.0)
-        g.finish()
-        space = cov.FiniteMetricSpace.grid_1d(n, low, high, metric=metric)
-    elif "coords_csv" in sp.cfg:
-        space = cov.load_coords_csv(sp.get("coords_csv", str, required=True), metric=metric)
-    elif "distance_csv" in sp.cfg:
-        space = cov.load_distance_csv(sp.get("distance_csv", str, required=True))
+        space = cov.FiniteMetricSpace.grid_1d(*_grid_1d(sp), metric=metric)
+    elif "coords_csv" in sp.cfg or "distance_csv" in sp.cfg:
+        key = "coords_csv" if "coords_csv" in sp.cfg else "distance_csv"
+        try:
+            space = (cov.load_coords_csv(sp.get(key, str), metric=metric) if key == "coords_csv"
+                     else cov.load_distance_csv(sp.get(key, str)))
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"{sp.path}.{key}: {exc}") from None
     else:
         raise ConfigError(f"{sp.path}: need one of grid_1d, coords_csv, distance_csv")
     sp.finish()
@@ -539,30 +555,28 @@ def run_covering(cfg: dict, args) -> int:
     mode = s.get("mode", str, default="greedy")
     if mode not in ("greedy", "exact", "both"):
         raise ConfigError("config.mode: must be greedy, exact or both")
-    eps_block = s.sub("eps")
     diam = cov.diameter(space)
-    if eps_block is None:
-        eps_values = list(np.geomspace(diam, 0.01 * diam, 16))
+    eps_block = s.sub("eps", default={})
+    eps_values = eps_block.get("values", float, many=True, positive=True)
+    if eps_values is not None:
+        eps_values = sorted(eps_values, reverse=True)
     else:
-        vals = eps_block.number_list("values", positive=True)
-        if vals is not None:
-            eps_values = sorted(vals, reverse=True)
-        else:
-            num = eps_block.get("num", int, default=16, positive=True)
-            frac = eps_block.get("min_frac", float, default=0.01, positive=True)
-            eps_values = list(np.geomspace(diam, frac * diam, num))
-        eps_block.finish()
+        num = eps_block.get("num", int, default=16, positive=True)
+        frac = eps_block.get("min_frac", float, default=0.01, positive=True)
+        if not diam > 0:
+            raise ConfigError(f"{sp.path}: the space has diameter 0, so its radii "
+                              f"must be given as config.eps.values")
+        eps_values = list(np.geomspace(diam, frac * diam, num))
+    eps_block.finish()
     hf = s.sub("holder_fit")
     holder_spec = None
     if hf is not None:
         holder_spec = (hf.get("dim", int, required=True, minimum=1),
-                       hf.get("alpha", float, required=True, positive=True))
+                       hf.get("alpha", float, required=True, positive=True, maximum=1))
         hf.finish()
     s.finish()
 
-    cfg_hash = config_hash(cfg)
-    prov = f"provenance: config_sha256={cfg_hash} seed={seed}"
-    os.makedirs(out, exist_ok=True)
+    cfg_hash, prov = _start_run(cfg, out, seed)
     rows = []
     greedy = cov.covering_numbers_greedy(space, eps_values) if mode in ("greedy", "both") else None
     for i, eps in enumerate(eps_values):
@@ -627,33 +641,24 @@ def run_export(args) -> int:
         raise MissingRun(f"{rundir}: no completed run manifests found")
     os.makedirs(outdir, exist_ok=True)
 
-    consolidated = {
-        "entropy_trace.csv": (["epsilon", "entropy", "integrand"], []),
-        "tail_bounds.csv": (["model", "n", "x", "empirical_tail", "bound", "stderr"], []),
-        "ks_stats.csv": (["n", "ks", "scope"], []),
-        "osekowski_ratios.csv": (["model", "p", "n", "ratio", "se", "bound"], []),
-    }
-    sources = {"entropy_trace.csv": "entropy_trace", "tail_bounds.csv": "tail_bounds",
-               "ks_stats.csv": "ks", "osekowski_ratios.csv": "osekowski"}
+    bodies = {key: [] for key in _TABLES}
     prov_parts = []
     for d, man in manifests:
         prov_parts.append(f"{man['command']}:{man['config_sha256'][:12]}:seed={man['seed']}")
-        for target, key in sources.items():
+        for key, (_, _, want) in _TABLES.items():
             rel = man.get("files", {}).get(key)
             if rel is None:
                 continue
             header, body = _read_csv_body(os.path.join(d, rel))
-            want = consolidated[target][0]
             if header != want:
                 raise MissingRun(f"{d}/{rel}: header {header} does not match contract {want}")
-            consolidated[target][1].extend(body)
+            bodies[key].extend(body)
     prov = "provenance: " + " ".join(sorted(prov_parts))
     written = []
-    for fname, (header, body) in consolidated.items():
-        if not body:
-            continue
-        _write_csv(os.path.join(outdir, fname), header, body, prov)
-        written.append(fname)
+    for key, (_, fname, header) in _TABLES.items():
+        if bodies[key]:
+            _write_csv(os.path.join(outdir, fname), header, bodies[key], prov)
+            written.append(fname)
     if not written:
         raise MissingRun(f"{rundir}: manifests found but no exportable tables")
     print(f"export: wrote {', '.join(sorted(written))} (outputs in {outdir})")
@@ -694,14 +699,9 @@ def main(argv=None) -> int:
         if args.command == "inequalities":
             return run_inequalities(cfg, args)
         return run_covering(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MissingRun as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except UcltError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

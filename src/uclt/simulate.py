@@ -301,25 +301,6 @@ def default_model_suite(seed: int) -> list[MartingaleFieldModel]:
     ]
 
 
-def model_from_config(cfg: dict, default_seed: int | None = None) -> MartingaleFieldModel:
-    """Build a model from its JSON configuration block."""
-    cfg = dict(cfg)
-    xspec = cfg.pop("x_points")
-    if isinstance(xspec, dict) and "grid_1d" in xspec:
-        g = xspec["grid_1d"]
-        coords = grid_coords(int(g["n"]), float(g.get("low", 0.0)), float(g.get("high", 1.0)))
-    else:
-        coords = tuple(tuple(float(v) for v in row) for row in xspec)
-    kind = cfg.pop("kind")
-    name = cfg.pop("name", kind)
-    horizon = int(cfg.pop("horizon"))
-    seed = int(cfg.pop("seed", default_seed if default_seed is not None else 0))
-    bias = float(cfg.pop("bias", 0.0))
-    growth = float(cfg.pop("growth", 0.0))
-    return MartingaleFieldModel(name=name, kind=kind, coords=coords, params=cfg,
-                                horizon=horizon, seed=seed, bias=bias, growth=growth)
-
-
 # ---------------------------------------------------------------------------
 # the chunked engine
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, schema errors, reproducibility, export."""
 import contextlib
+import copy
 import io
 import json
 import os
@@ -7,10 +8,10 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from uclt.cli import main
+from uclt.cli import _Schema, _validate_model, main
 from uclt.simulate import KINDS
 
 
@@ -38,6 +39,18 @@ def theorem_cfg(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def run_quiet(command, doc):
+    """`main` on `doc` in a temporary directory: the exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        cfg = os.path.join(tmp, "c.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        code = main([command, "--config", cfg, "--out", os.path.join(tmp, "run")])
+    return code, err.getvalue()
 
 
 def read_tree(root):
@@ -121,6 +134,28 @@ class TestCheckTheorem:
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.p_grid: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change,path", [
+        ({"n_grid": [0.5, 2]}, "config.n_grid: "),
+        ({"n_grid": [1, 32]}, "config.n_grid: "),
+        ({"clt": {"n_pair": [1.5, 8]}}, "config.clt.n_pair: "),
+        ({"clt": {"n_pair": [4, 32]}}, "config.clt.n_pair: "),
+        ({"integral": {"eps_lo_frac": float("inf")}}, "config.integral.eps_lo_frac: "),
+        ({"variance_growth_factor": float("inf")}, "config.variance_growth_factor: "),
+        ({"seed": -1}, "config.seed: "),
+    ], ids=["fractional-n", "n-beyond-horizon", "fractional-n_pair", "n_pair-beyond-horizon",
+            "infinite-eps_lo_frac", "infinite-growth-factor", "negative-seed"])
+    def test_bad_key_path(self, tmp_path, capsys, change, path):
+        cfg = write_cfg(tmp_path / "c.json", theorem_cfg(**change))
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", theorem_cfg())
+        assert main(["check-theorem", "--config", cfg, "--seed", "-1",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "config.seed: " in capsys.readouterr().err
+
     def test_malformed_json_line_precise(self, tmp_path, capsys):
         p = tmp_path / "c.json"
         p.write_text('{\n  "seed": 1,\n  "oops"\n}\n')
@@ -130,6 +165,17 @@ class TestCheckTheorem:
 
     def test_missing_config(self, tmp_path):
         assert main(["check-theorem", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+class TestModelBlock:
+    def test_model_from_block(self):
+        m = _validate_model(_Schema({"kind": "weibull_field", "name": "w",
+                                     "x_points": {"grid_1d": {"n": 3}}, "horizon": 8,
+                                     "K": 1.0, "q": 2.0}, "config.model"), 5)
+        assert m.seed == 5 and m.npoints == 3
+        m2 = _validate_model(_Schema({"kind": "bounded_sign", "x_points": [[0.0], [1.0]],
+                                      "horizon": 4, "seed": 9}, "config.model"), 0)
+        assert m2.coords == ((0.0,), (1.0,))
 
 
 class TestInequalities:
@@ -179,6 +225,13 @@ class TestInequalities:
         ({"kind": "weibull_field", "K": 1, "q": 2, "kernel": {"name": "white"}},
          "config.models[0].kernel"),
         ({"kind": "weibull_field", "q": 2}, "config.models[0]: K"),
+        ({"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2.7}}},
+         "config.models[0].x_points.grid_1d.n"),
+        ({"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2, "step": 0.5}}},
+         "config.models[0].x_points.grid_1d.step"),
+        ({"kind": "bounded_sign", "seed": "7"}, "config.models[0].seed"),
+        ({"kind": "bounded_sign", "bias": "0.1"}, "config.models[0].bias"),
+        ({"kind": "bounded_sign", "name": 5}, "config.models[0].name"),
     ])
     def test_bad_model_parameter_key_path(self, tmp_path, capsys, params, path):
         doc = {"seed": 3, "replications": 500,
@@ -195,6 +248,41 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.osekowski.p_grid: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks,path", [
+        ({"osekowski": {"n_grid": [0.5]}}, "config.osekowski.n_grid: "),
+        ({"md_check": {"indices": [0.5]}}, "config.md_check.indices: "),
+        ({"weibull_slope": {"x_hi": float("inf")}}, "config.weibull_slope.x_hi: "),
+        ({"osekowski": {"n_grid": [8, 32]}}, "config.osekowski.n_grid: "),
+        ({"osekowski": {}}, "config.osekowski.n_grid: "),
+        ({"tail_domination": {"n_values": [8, 32]}}, "config.tail_domination.n_values: "),
+        ({"md_check": {"indices": [32]}}, "config.md_check.indices: "),
+        ({"seed": -1, "md_check": {}}, "config.seed: "),
+    ], ids=["fractional-n_grid", "fractional-indices", "infinite-x_hi", "n_grid-beyond-horizon",
+            "default-n_grid-beyond-horizon", "n_values-beyond-horizon",
+            "indices-beyond-horizon", "negative-seed"])
+    def test_bad_block_key_path(self, tmp_path, capsys, blocks, path):
+        # the second model's horizon bounds every n list, so nothing may run
+        # on the first before the error
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"kind": "bounded_sign", "name": "long",
+                           "x_points": {"grid_1d": {"n": 2}}, "horizon": 64},
+                          {"kind": "bounded_sign", "name": "short",
+                           "x_points": {"grid_1d": {"n": 2}}, "horizon": 16}],
+               **blocks}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_threads_key_with_flag(self, tmp_path):
+        doc = {"seed": 3, "replications": 500, "threads": 2,
+               "models": [{"kind": "bounded_sign", "name": "b",
+                           "x_points": {"grid_1d": {"n": 2}}, "horizon": 16}],
+               "osekowski": {"p_grid": [2.0], "n_grid": [8]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--threads", "1",
+                     "--out", str(tmp_path / "run")]) == 0
 
     def test_zero_series_ratio_is_zero(self, tmp_path):
         # shared signs and no slope: every column is the same, so the pair
@@ -296,20 +384,111 @@ class TestMutatedModels:
                                "horizon": 8, **params}],
                    "osekowski": {"p_grid": [2.0], "n_grid": [8], "mode": "pairs"},
                    "tail_domination": {"x_values": [1.5], "n_values": [8]}}
-            err = io.StringIO()
-            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                cfg = os.path.join(tmp, "c.json")
-                with open(cfg, "w") as fh:
-                    json.dump(doc, fh)
-                code = main(["inequalities", "--config", cfg, "--out", os.path.join(tmp, "run")])
+            code, err = run_quiet("inequalities", doc)
             assert code in (0, 1, 2)
             if code == 1:
-                assert "config.models[0]" in err.getvalue()
+                assert "config.models[0]" in err
 
         t0 = time.time()
         run()
         assert time.time() - t0 < 10.0
+
+
+# one small valid config per command, with every block set
+FULL_CONFIGS = {
+    "check-theorem": {
+        "seed": 3, "replications": 64,
+        "model": {"kind": "iid_gaussian_field", "name": "g", "seed": 5, "bias": 0.0,
+                  "growth": 0.0, "x_points": {"grid_1d": {"n": 3, "low": 0.1, "high": 1.0}},
+                  "kernel": {"name": "rbf", "length_scale": 0.5}, "horizon": 8},
+        "psi": {"form": "natural"},
+        "p_grid": [2, 3], "n_grid": [1, 2, 4, 8],
+        "entropy": {"nodes": 6, "eps_min_frac": 0.01, "mode": "greedy"},
+        "integral": {"nodes": 40, "eps_lo_frac": 1e-3},
+        "subq_level": {"q": 1.0},
+        "clt": {"n_pair": [2, 8], "replications": 64},
+        "variance_growth_factor": 1.5,
+    },
+    "inequalities": {
+        "seed": 3, "replications": 64,
+        "models": [{"kind": "bounded_sign", "name": "b", "x_points": [[0.0], [0.5], [1.0]],
+                    "modulation": 0.25, "horizon": 8}],
+        "osekowski": {"p_grid": [2, 3], "n_grid": [8], "mode": "pairs"},
+        "tail_domination": {"x_values": [1.5], "n_values": [8], "replications": 64},
+        "weibull_slope": {"q_values": [1.0], "K": 1.0, "x_lo": 10.0, "x_hi": 100.0,
+                          "points": 4, "tol": 0.05},
+        "md_check": {"indices": [2, 8], "replications": 64},
+    },
+    "covering": {
+        "seed": 3, "space": {"grid_1d": {"n": 6, "low": 0.0, "high": 1.0}, "metric": "holder(0.5)"},
+        "mode": "both", "eps": {"num": 5, "min_frac": 0.1}, "holder_fit": {"dim": 1, "alpha": 0.5},
+    },
+}
+BAD_LEAVES = ["x", True, None, float("inf"), float("-inf"), -3, 0.5, []]
+
+
+def key_paths(node, prefix=()):
+    """The path of every value below `node`: object keys and list indices."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+DROP = object()
+
+
+def mutate(command, path, value=DROP):
+    """The command's full config with the key at `path` dropped or its value
+    set to `value`."""
+    doc = copy.deepcopy(FULL_CONFIGS[command])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_config(draw, command):
+    """One key dropped at any depth, or one value (a leaf, a list or a block)
+    set to a bad leaf."""
+    paths = list(key_paths(FULL_CONFIGS[command]))
+    if draw(st.booleans()):
+        return mutate(command, draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)])))
+    return mutate(command, draw(st.sampled_from(paths)), draw(st.sampled_from(BAD_LEAVES)))
+
+
+# one escape per command that once ended in a traceback, always tried
+PINNED = {"check-theorem": (("seed",), -3),
+          "inequalities": (("md_check", "indices", 0), 0.5),
+          "covering": (("space", "metric"), "x")}
+
+
+class TestMutatedConfigs:
+    @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+    def test_full_config_runs(self, command):
+        assert run_quiet(command, FULL_CONFIGS[command])[0] in (0, 2)
+
+    @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+    def test_mutated_config_exits_cleanly(self, command):
+        @settings(max_examples=25, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(mutated_config(command))
+        @example(mutate(command, *PINNED[command]))
+        def run(doc):
+            code, err = run_quiet(command, doc)
+            assert code in (0, 1, 2)
+            if code == 1:
+                assert err.startswith("config error: config."), err
+
+        t0 = time.time()
+        run()
+        assert time.time() - t0 < 6.5
 
 
 class TestCovering:
@@ -334,6 +513,19 @@ class TestCovering:
         doc = {"space": {"grid_1d": {"n": 3}}, "mode": "approximate"}
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["covering", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+
+    @pytest.mark.parametrize("change,path", [
+        ({"space": {"grid_1d": {"n": 3}, "metric": "x"}}, "config.space.metric: "),
+        ({"space": {"grid_1d": {"n": 3, "high": 0}}}, "config.space: "),
+        ({"holder_fit": {"dim": 1, "alpha": 2}}, "config.holder_fit.alpha: "),
+        ({"space": {"coords_csv": "no-such-file.csv"}}, "config.space.coords_csv: "),
+        ({"space": {"distance_csv": "no-such-file.csv"}}, "config.space.distance_csv: "),
+    ], ids=["unknown-metric", "zero-diameter", "alpha-above-one", "missing-coords-file",
+            "missing-distance-file"])
+    def test_bad_key_path(self, tmp_path, capsys, change, path):
+        cfg = write_cfg(tmp_path / "c.json", {"space": {"grid_1d": {"n": 3}}, **change})
+        assert main(["covering", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
 
     def test_nan_radius_rejected(self, tmp_path, capsys):
         doc = {"space": {"grid_1d": {"n": 3}}, "eps": {"values": [0.5, float("nan")]}}

@@ -30,7 +30,6 @@ from uclt.simulate import (
     ks_gaussian,
     ks_two_sample,
     martingale_difference_check,
-    model_from_config,
     osekowski_check,
     simulate_eta,
     tail_domination_check,
@@ -459,15 +458,6 @@ class TestTailDomination:
 
 
 class TestConfigAndReports:
-    def test_model_from_config(self):
-        m = model_from_config({"kind": "weibull_field", "name": "w",
-                               "x_points": {"grid_1d": {"n": 3}}, "horizon": 8,
-                               "K": 1.0, "q": 2.0}, default_seed=5)
-        assert m.seed == 5 and m.npoints == 3
-        m2 = model_from_config({"kind": "bounded_sign", "x_points": [[0.0], [1.0]],
-                                "horizon": 4, "seed": 9})
-        assert m2.coords == ((0.0,), (1.0,))
-
     def test_unknown_kernel_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown kernel 'matern'"):
             MartingaleFieldModel("m", "garch_like", grid_coords(3),
