@@ -39,12 +39,14 @@ from .psi import PsiFunction, rosenthal_transform
 from .simulate import (
     KERNELS,
     KINDS,
+    MD_FAMILY_LEVEL,
     MartingaleFieldModel,
     SimulationReport,
     clt_diagnostic,
     default_model_suite,
     estimate_moment_curves,
     grid_coords,
+    holm_rejections,
     martingale_difference_check,
     osekowski_check,
     resolve_threads,
@@ -239,13 +241,6 @@ def _write_csv(path: str, header: list[str], rows, provenance: str) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _start_run(cfg: dict, out: str, seed: int) -> tuple[str, str]:
-    """Creates `out`; returns the config hash and the CSV provenance line."""
-    cfg_hash = config_hash(cfg)
-    os.makedirs(out, exist_ok=True)
-    return cfg_hash, f"provenance: config_sha256={cfg_hash} seed={seed}"
-
-
 #: The tables `export` consolidates: manifest key -> (run file, export file, header).
 _TABLES = {
     "entropy_trace": ("entropy_trace.csv", "entropy_trace.csv",
@@ -258,17 +253,37 @@ _TABLES = {
 }
 
 
-def _write_table(out: str, files: dict, key: str, rows, provenance: str) -> None:
+def _table(key: str, rows) -> tuple[str, tuple[list[str], list]]:
+    """The `_write_run` output of export table `key`: its run file, header and rows."""
     fname, _, header = _TABLES[key]
-    _write_csv(os.path.join(out, fname), header, rows, provenance)
-    files[key] = fname
+    return fname, (header, rows)
 
 
-def _finish_run(out: str, command: str, cfg_hash: str, seed: int, files: dict,
-                conclusion: str, exit_code: int) -> None:
-    _write_json(os.path.join(out, "run.json"),
-                {"command": command, "config_sha256": cfg_hash, "seed": seed,
-                 "files": files, "conclusion": conclusion, "exit_code": exit_code})
+def _write_run(out: str, command: str, cfg: dict, seed: int, outputs: dict,
+               conclusion: str, exit_code: int) -> None:
+    """Writes a finished run into `out`, with `run.json` listing `outputs`:
+    manifest key -> (file name, content).  Content is a JSON document (stamped
+    with the config hash and seed), a (header, rows) table or the moment
+    field.  Callers compute every output first, so a failed run writes nothing."""
+    cfg_hash = config_hash(cfg)
+    prov = f"provenance: config_sha256={cfg_hash} seed={seed}"
+    try:
+        os.makedirs(out, exist_ok=True)
+        for fname, content in outputs.values():
+            path = os.path.join(out, fname)
+            if isinstance(content, PairwiseMomentField):
+                content.meta["config_sha256"] = cfg_hash
+                content.to_csv_dir(path)
+            elif isinstance(content, dict):
+                _write_json(path, {**content, "config_sha256": cfg_hash, "seed": seed})
+            else:
+                _write_csv(path, *content, prov)
+        _write_json(os.path.join(out, "run.json"),
+                    {"command": command, "config_sha256": cfg_hash, "seed": seed,
+                     "files": {key: fname for key, (fname, _) in outputs.items()},
+                     "conclusion": conclusion, "exit_code": exit_code})
+    except OSError as exc:
+        raise ConfigError(f"config.out: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +311,9 @@ def run_check_theorem(cfg: dict, args) -> int:
     ent_mode = ent.get("mode", str, default="greedy")
     if ent_mode not in ("greedy", "exact"):
         raise ConfigError("config.entropy.mode: must be greedy or exact")
+    if ent_mode == "exact" and model.npoints > cov.EXACT_SEARCH_CAP:
+        raise ConfigError(f"config.entropy.mode: exact search is capped at "
+                          f"{cov.EXACT_SEARCH_CAP} points; the model has {model.npoints}")
     ent.finish()
     quad = s.sub("integral", default={})
     quad_nodes = quad.get("nodes", int, default=integ.DEFAULT_QUAD_NODES, positive=True)
@@ -318,13 +336,10 @@ def run_check_theorem(cfg: dict, args) -> int:
     growth_factor = s.get("variance_growth_factor", float, default=1.5, positive=True)
     s.finish()
 
-    cfg_hash, prov = _start_run(cfg, out, seed)
     labels = model.labels
     pairs = [(labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))]
     field = estimate_moment_curves(model, pairs, p_grid, reps,
                                    i_max=max(n_grid), threads=threads)
-    field.meta["config_sha256"] = cfg_hash
-    field.to_csv_dir(os.path.join(out, "field_csv"))
     psi = natural_function(field) if psi_spec == "natural" else psi_spec
     sigma2 = sigma_squared(field, n_grid, growth_factor=growth_factor)
 
@@ -336,16 +351,12 @@ def run_check_theorem(cfg: dict, args) -> int:
     verdict21 = integ.moment_level_check(sigma2, profile, psi,
                                       nodes=quad_nodes, eps_lo_frac=quad_frac)
     verdicts = {"moment_level": verdict21.to_dict()}
-    files = {}
-
     trace = integ.integrand_trace(profile, psi=rosenthal_transform(psi),
                                   nodes=quad_nodes, eps_lo_frac=quad_frac)
-    _write_table(out, files, "entropy_trace", trace, prov)
-
-    _write_csv(os.path.join(out, "dbar_matrix.csv"), ["label"] + list(labels),
-               [[lb] + [float(v) for v in row] for lb, row in zip(labels, space.dist)], prov)
-    files["dbar_matrix"] = "dbar_matrix.csv"
-    files["field_csv"] = "field_csv"
+    outputs = {"field_csv": ("field_csv", field),
+               "entropy_trace": _table("entropy_trace", trace),
+               "dbar_matrix": ("dbar_matrix.csv", (["label"] + list(labels), [
+                   [lb] + [float(v) for v in row] for lb, row in zip(labels, space.dist)]))}
 
     satisfied = verdict21.satisfied
     if q22 is not None:
@@ -367,14 +378,10 @@ def run_check_theorem(cfg: dict, args) -> int:
         ks_rows = [[n_large, float(diag["ks_supnorm"]), "supnorm"]]
         for lb, two in sorted((diag["per_point_ks"] or {}).items()):
             ks_rows.append([n_large, float(two["n_large"]), lb])
-        _write_table(out, files, "ks", ks_rows, prov)
-
-    verdict_doc = {"config_sha256": cfg_hash, "seed": seed, "model": model.to_dict(),
-                   "replications": reps, "psi": (psi.to_dict()), "sigma2":
-                       (None if math.isinf(sigma2) else sigma2),
-                   "verdicts": verdicts}
-    _write_json(os.path.join(out, "verdict.json"), verdict_doc)
-    files["verdict"] = "verdict.json"
+        outputs["ks"] = _table("ks", ks_rows)
+    outputs["verdict"] = ("verdict.json", {
+        "model": model.to_dict(), "replications": reps, "psi": psi.to_dict(),
+        "sigma2": None if math.isinf(sigma2) else sigma2, "verdicts": verdicts})
 
     if satisfied:
         conclusion = integ.CONCLUSION_SATISFIED
@@ -383,7 +390,7 @@ def run_check_theorem(cfg: dict, args) -> int:
     else:
         conclusion = verdicts["subq_level"]["conclusion"]
     code = EXIT_OK if satisfied else EXIT_CHECK_FAILED
-    _finish_run(out, "check-theorem", cfg_hash, seed, files, conclusion, code)
+    _write_run(out, "check-theorem", cfg, seed, outputs, conclusion, code)
     print(f"check-theorem: {conclusion} (outputs in {out})")
     return code
 
@@ -461,9 +468,8 @@ def run_inequalities(cfg: dict, args) -> int:
         mdc.finish()
     s.finish()
 
-    cfg_hash, prov = _start_run(cfg, out, seed)
     reports: list[SimulationReport] = []
-    ose_rows, tail_rows, slope_rows = [], [], []
+    ose_rows, tail_rows, slope_rows, md_rows = [], [], [], []
     all_ok = True
 
     for model in models:
@@ -487,7 +493,13 @@ def run_inequalities(cfg: dict, args) -> int:
             ids, r3 = mdc_spec
             rows = martingale_difference_check(model, ids, R=r3, threads=threads)
             reports.append(SimulationReport(model.name, model.seed, r3, "md_property", rows))
-            all_ok &= all(r["ok"] for r in rows)
+            md_rows += rows
+    # one Holm family over every model's rows: a correct run fails with
+    # probability at most MD_FAMILY_LEVEL however many models it has
+    rejected = holm_rejections([r["p_value"] for r in md_rows], MD_FAMILY_LEVEL)
+    for row, rej in zip(md_rows, rejected):
+        row["ok"] = not rej
+    all_ok &= not any(rejected)
 
     if slope_spec is not None:
         qs, kk, xlo, xhi, pts, tol = slope_spec
@@ -504,23 +516,18 @@ def run_inequalities(cfg: dict, args) -> int:
                                             [{"q": q, "slope": fit, "required": need, "ok": ok}]))
             all_ok &= ok
 
-    files = {}
+    outputs = {}
     if ose_rows:
-        _write_table(out, files, "osekowski", ose_rows, prov)
+        outputs["osekowski"] = _table("osekowski", ose_rows)
     if tail_rows:
-        _write_table(out, files, "tail_bounds", tail_rows, prov)
+        outputs["tail_bounds"] = _table("tail_bounds", tail_rows)
     if slope_rows:
-        _write_csv(os.path.join(out, "slopes.csv"),
-                   ["q", "slope", "required", "ok"], slope_rows, prov)
-        files["slopes"] = "slopes.csv"
-    _write_json(os.path.join(out, "inequalities.json"),
-                {"config_sha256": cfg_hash, "seed": seed,
-                 "reports": [r.to_dict() for r in reports]})
-    files["inequalities"] = "inequalities.json"
+        outputs["slopes"] = ("slopes.csv", (["q", "slope", "required", "ok"], slope_rows))
+    outputs["inequalities"] = ("inequalities.json", {"reports": [r.to_dict() for r in reports]})
 
     conclusion = "all-checks-passed" if all_ok else "check-failed"
     code = EXIT_OK if all_ok else EXIT_CHECK_FAILED
-    _finish_run(out, "inequalities", cfg_hash, seed, files, conclusion, code)
+    _write_run(out, "inequalities", cfg, seed, outputs, conclusion, code)
     print(f"inequalities: {conclusion} (outputs in {out})")
     return code
 
@@ -555,6 +562,9 @@ def run_covering(cfg: dict, args) -> int:
     mode = s.get("mode", str, default="greedy")
     if mode not in ("greedy", "exact", "both"):
         raise ConfigError("config.mode: must be greedy, exact or both")
+    if mode != "greedy" and len(space) > cov.EXACT_SEARCH_CAP:
+        raise ConfigError(f"config.mode: exact search is capped at {cov.EXACT_SEARCH_CAP} "
+                          f"points; the space has {len(space)}")
     diam = cov.diameter(space)
     eps_block = s.sub("eps", default={})
     eps_values = eps_block.get("values", float, many=True, positive=True)
@@ -576,26 +586,14 @@ def run_covering(cfg: dict, args) -> int:
         hf.finish()
     s.finish()
 
-    cfg_hash, prov = _start_run(cfg, out, seed)
-    rows = []
-    greedy = cov.covering_numbers_greedy(space, eps_values) if mode in ("greedy", "both") else None
-    for i, eps in enumerate(eps_values):
-        row = [float(eps)]
-        ng = ne = None
-        if greedy is not None:
-            ng = int(greedy[i])
-            row.append(ng)
-        if mode in ("exact", "both"):
-            ne = cov.covering_number_exact(space, eps)
-            row.append(ne)
-        row.append(math.log(ne if ne is not None else ng))
-        rows.append(row)
-    header = ["epsilon"] + (["n_greedy"] if mode in ("greedy", "both") else []) \
-        + (["n_exact"] if mode in ("exact", "both") else []) + ["entropy"]
-    _write_csv(os.path.join(out, "covering.csv"), header, rows, prov)
-
-    doc = {"config_sha256": cfg_hash, "seed": seed, "points": len(space),
-           "diameter": diam, "mode": mode,
+    columns = {}
+    if mode != "exact":
+        columns["n_greedy"] = [int(c) for c in cov.covering_numbers_greedy(space, eps_values)]
+    if mode != "greedy":
+        columns["n_exact"] = [cov.covering_number_exact(space, eps) for eps in eps_values]
+    header = ["epsilon", *columns, "entropy"]   # the entropy of the exact count when there is one
+    rows = [[float(eps), *ns, math.log(ns[-1])] for eps, *ns in zip(eps_values, *columns.values())]
+    doc = {"points": len(space), "diameter": diam, "mode": mode,
            "table": [dict(zip(header, r)) for r in rows]}
     if holder_spec is not None:
         dim, alpha = holder_spec
@@ -604,10 +602,9 @@ def run_covering(cfg: dict, args) -> int:
         doc["holder_fit"] = {"dim": dim, "alpha": alpha, "c2": c2,
                              "bound_at_eps": {repr(r[0]): cov.holder_covering_bound(dim, alpha, c2, r[0])
                                               for r in rows}}
-    _write_json(os.path.join(out, "covering.json"), doc)
-    _finish_run(out, "covering", cfg_hash, seed,
-                {"covering": "covering.csv", "summary": "covering.json"},
-                "covering-computed", EXIT_OK)
+    _write_run(out, "covering", cfg, seed,
+               {"covering": ("covering.csv", (header, rows)), "summary": ("covering.json", doc)},
+               "covering-computed", EXIT_OK)
     print(f"covering: wrote {len(rows)} radii (outputs in {out})")
     return EXIT_OK
 
@@ -624,44 +621,49 @@ def _read_csv_body(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def run_export(args) -> int:
+    """Reads and checks every manifest and table of the runs below `--run`,
+    then writes the consolidated tables; a failed export writes nothing."""
     rundir = args.run
     outdir = args.out or os.path.join(rundir, "export")
-    manifests = []
     candidates = []
     if os.path.isdir(rundir):
         candidates = [rundir] + sorted(
             os.path.join(rundir, d) for d in os.listdir(rundir)
             if os.path.isdir(os.path.join(rundir, d)))
-    for d in candidates:
-        mpath = os.path.join(d, "run.json")
-        if os.path.exists(mpath):
-            with open(mpath) as fh:
-                manifests.append((d, json.load(fh)))
-    if not manifests:
-        raise MissingRun(f"{rundir}: no completed run manifests found")
-    os.makedirs(outdir, exist_ok=True)
-
     bodies = {key: [] for key in _TABLES}
     prov_parts = []
-    for d, man in manifests:
-        prov_parts.append(f"{man['command']}:{man['config_sha256'][:12]}:seed={man['seed']}")
-        for key, (_, _, want) in _TABLES.items():
-            rel = man.get("files", {}).get(key)
-            if rel is None:
-                continue
-            header, body = _read_csv_body(os.path.join(d, rel))
-            if header != want:
-                raise MissingRun(f"{d}/{rel}: header {header} does not match contract {want}")
-            bodies[key].extend(body)
-    prov = "provenance: " + " ".join(sorted(prov_parts))
-    written = []
-    for key, (_, fname, header) in _TABLES.items():
-        if bodies[key]:
-            _write_csv(os.path.join(outdir, fname), header, bodies[key], prov)
-            written.append(fname)
+    for d in candidates:
+        path = os.path.join(d, "run.json")
+        if not os.path.exists(path):
+            continue
+        try:
+            with open(path) as fh:
+                man = json.load(fh)
+            prov_parts.append(f"{man['command']}:{man['config_sha256'][:12]}:seed={man['seed']}")
+            files = man.get("files", {})
+            for key, (_, _, want) in _TABLES.items():
+                if key in files:
+                    path = os.path.join(d, files[key])
+                    header, body = _read_csv_body(path)
+                    if header != want:
+                        raise MissingRun(f"{path}: header {header} does not match contract {want}")
+                    bodies[key].extend(body)
+        except (OSError, ValueError, LookupError, TypeError, csv.Error) as exc:
+            raise MissingRun(f"{path}: unreadable ({exc})") from None
+    if not prov_parts:
+        raise MissingRun(f"{rundir}: no completed run manifests found")
+    written = [(fname, header, bodies[key])
+               for key, (_, fname, header) in _TABLES.items() if bodies[key]]
     if not written:
         raise MissingRun(f"{rundir}: manifests found but no exportable tables")
-    print(f"export: wrote {', '.join(sorted(written))} (outputs in {outdir})")
+    prov = "provenance: " + " ".join(sorted(prov_parts))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        for fname, header, body in written:
+            _write_csv(os.path.join(outdir, fname), header, body, prov)
+    except OSError as exc:
+        raise UcltError(f"--out: {exc}") from None
+    print(f"export: wrote {', '.join(sorted(f for f, _, _ in written))} (outputs in {outdir})")
     return EXIT_OK
 
 

@@ -86,10 +86,6 @@ class EntropyProfile:
         if self.diameter <= 0:
             raise ValueError("diameter must be positive")
 
-    @property
-    def eps_min(self) -> float:
-        return self.eps_grid[-1]
-
     def entropy_at(self, eps: float) -> float:
         """H at an arbitrary radius: closed form for models, log-radius
         interpolation for measured profiles (held constant below the grid)."""

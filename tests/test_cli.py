@@ -3,6 +3,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from uclt.cli import _Schema, _validate_model, main
-from uclt.simulate import KINDS
+from uclt.simulate import KINDS, MD_FAMILY_LEVEL
 
 
 def write_cfg(path, doc):
@@ -42,15 +43,17 @@ def theorem_cfg(**overrides):
 
 
 def run_quiet(command, doc):
-    """`main` on `doc` in a temporary directory: the exit code and stderr."""
+    """`main` on `doc` in a temporary directory: the exit code, stderr and
+    whether the output directory exists afterwards."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         cfg = os.path.join(tmp, "c.json")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
-        code = main([command, "--config", cfg, "--out", os.path.join(tmp, "run")])
-    return code, err.getvalue()
+        out = os.path.join(tmp, "run")
+        code = main([command, "--config", cfg, "--out", out])
+        return code, err.getvalue(), os.path.exists(out)
 
 
 def read_tree(root):
@@ -110,6 +113,7 @@ class TestCheckTheorem:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("x_points", [
         [[0.1], [0.2, 0.3]],
@@ -126,6 +130,7 @@ class TestCheckTheorem:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.model.x_points: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("p_grid", [[3, 2], [0.5, 2], [2, 2], [2, float("inf")]],
                              ids=["descending", "below-one", "repeated", "infinite"])
@@ -133,6 +138,7 @@ class TestCheckTheorem:
         cfg = write_cfg(tmp_path / "c.json", theorem_cfg(p_grid=p_grid))
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.p_grid: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("change,path", [
         ({"n_grid": [0.5, 2]}, "config.n_grid: "),
@@ -142,8 +148,14 @@ class TestCheckTheorem:
         ({"integral": {"eps_lo_frac": float("inf")}}, "config.integral.eps_lo_frac: "),
         ({"variance_growth_factor": float("inf")}, "config.variance_growth_factor: "),
         ({"seed": -1}, "config.seed: "),
+        # a one-point model has no pair, so its averaged increment distance is zero
+        ({"model": {"kind": "iid_gaussian_field", "x_points": {"grid_1d": {"n": 1}},
+                    "horizon": 16}}, "config.model: "),
+        ({"model": {"kind": "iid_gaussian_field", "x_points": {"grid_1d": {"n": 21}},
+                    "horizon": 16}, "entropy": {"mode": "exact"}}, "config.entropy.mode: "),
     ], ids=["fractional-n", "n-beyond-horizon", "fractional-n_pair", "n_pair-beyond-horizon",
-            "infinite-eps_lo_frac", "infinite-growth-factor", "negative-seed"])
+            "infinite-eps_lo_frac", "infinite-growth-factor", "negative-seed", "one-point-model",
+            "exact-entropy-above-cap"])
     def test_bad_key_path(self, tmp_path, capsys, change, path):
         cfg = write_cfg(tmp_path / "c.json", theorem_cfg(**change))
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
@@ -201,6 +213,29 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
 
+    @pytest.mark.parametrize("nmodels,code", [(1, 2), (2, 0)])
+    def test_md_check_one_family_per_run(self, tmp_path, monkeypatch, nmodels, code):
+        # one row per model at 3.1 standard errors (p = 0.0019), which a family
+        # of its own rejects; one Holm family over both models' rows keeps
+        # each at the level 0.0027 / 2 and rejects neither
+        pval = math.erfc(3.1 / math.sqrt(2.0))
+        assert MD_FAMILY_LEVEL / 2 < pval <= MD_FAMILY_LEVEL
+
+        def one_row(model, indices, R, threads):
+            return [{"index": 2, "regressor": "const", "mean": 3.1, "se": 1.0,
+                     "p_value": pval, "ok": False}]
+
+        monkeypatch.setattr("uclt.cli.martingale_difference_check", one_row)
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"kind": "bounded_sign", "name": f"b{i}",
+                           "x_points": {"grid_1d": {"n": 2}}, "horizon": 16}
+                          for i in range(nmodels)],
+               "md_check": {"indices": [2]}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == code
+        rep = json.loads((tmp_path / "run" / "inequalities.json").read_text())
+        assert [row["ok"] for r in rep["reports"] for row in r["rows"]] == [code == 0] * nmodels
+
     def test_biased_model_exit_two(self, tmp_path):
         doc = {"seed": 3, "replications": 8000,
                "models": [{"kind": "bounded_sign", "name": "biased",
@@ -241,6 +276,7 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("p_grid", [[1.5, 2], [2, float("inf")]], ids=["below-two", "infinite"])
     def test_bad_osekowski_p_grid_key_path(self, tmp_path, capsys, p_grid):
@@ -248,6 +284,7 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.osekowski.p_grid: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("blocks,path", [
         ({"osekowski": {"n_grid": [0.5]}}, "config.osekowski.n_grid: "),
@@ -314,6 +351,7 @@ class TestInequalities:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.models[1].x_points: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_default_suite_all_blocks(self, tmp_path):
         # no report blocks configured: every check runs on the shipped suite
@@ -384,10 +422,11 @@ class TestMutatedModels:
                                "horizon": 8, **params}],
                    "osekowski": {"p_grid": [2.0], "n_grid": [8], "mode": "pairs"},
                    "tail_domination": {"x_values": [1.5], "n_values": [8]}}
-            code, err = run_quiet("inequalities", doc)
+            code, err, made = run_quiet("inequalities", doc)
             assert code in (0, 1, 2)
             if code == 1:
                 assert "config.models[0]" in err
+                assert not made
 
         t0 = time.time()
         run()
@@ -474,6 +513,18 @@ class TestMutatedConfigs:
     def test_full_config_runs(self, command):
         assert run_quiet(command, FULL_CONFIGS[command])[0] in (0, 2)
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
+    def test_out_not_a_directory(self, tmp_path, capsys, command, below):
+        # `--out` naming a file, or a path below one, fails when the run is
+        # written: exit 1 naming config.out, and the file is left as it was
+        cfg = write_cfg(tmp_path / "c.json", FULL_CONFIGS[command])
+        (tmp_path / "f").write_text("keep\n")
+        out = tmp_path / "f" / "run" if below else tmp_path / "f"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: config.out: ")
+        assert (tmp_path / "f").read_text() == "keep\n"
+
     @pytest.mark.parametrize("command", sorted(FULL_CONFIGS))
     def test_mutated_config_exits_cleanly(self, command):
         @settings(max_examples=25, deadline=None, derandomize=True,
@@ -481,10 +532,11 @@ class TestMutatedConfigs:
         @given(mutated_config(command))
         @example(mutate(command, *PINNED[command]))
         def run(doc):
-            code, err = run_quiet(command, doc)
+            code, err, made = run_quiet(command, doc)
             assert code in (0, 1, 2)
             if code == 1:
                 assert err.startswith("config error: config."), err
+                assert not made
 
         t0 = time.time()
         run()
@@ -520,12 +572,15 @@ class TestCovering:
         ({"holder_fit": {"dim": 1, "alpha": 2}}, "config.holder_fit.alpha: "),
         ({"space": {"coords_csv": "no-such-file.csv"}}, "config.space.coords_csv: "),
         ({"space": {"distance_csv": "no-such-file.csv"}}, "config.space.distance_csv: "),
+        ({"space": {"grid_1d": {"n": 30}}, "mode": "exact"}, "config.mode: "),
+        ({"space": {"grid_1d": {"n": 21}}, "mode": "both"}, "config.mode: "),
     ], ids=["unknown-metric", "zero-diameter", "alpha-above-one", "missing-coords-file",
-            "missing-distance-file"])
+            "missing-distance-file", "exact-above-cap", "both-above-cap"])
     def test_bad_key_path(self, tmp_path, capsys, change, path):
         cfg = write_cfg(tmp_path / "c.json", {"space": {"grid_1d": {"n": 3}}, **change})
         assert main(["covering", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nan_radius_rejected(self, tmp_path, capsys):
         doc = {"space": {"grid_1d": {"n": 3}}, "eps": {"values": [0.5, float("nan")]}}
@@ -538,6 +593,24 @@ class TestExport:
     def test_empty_run_dir(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert main(["export", "--run", str(tmp_path / "empty")]) == 1
+
+    @pytest.mark.parametrize("manifest,table,path", [
+        (None, "model,p,n\nm,2.0,8\n", "osekowski.csv: header"),
+        (None, None, "osekowski.csv: unreadable"),
+        ("{\n", None, "run.json: unreadable"),
+    ], ids=["header-mismatch", "missing-table", "malformed-manifest"])
+    def test_bad_run_writes_nothing(self, tmp_path, capsys, manifest, table, path):
+        run = tmp_path / "runs" / "r"
+        run.mkdir(parents=True)
+        (run / "run.json").write_text(manifest or json.dumps(
+            {"command": "inequalities", "config_sha256": "0" * 64, "seed": 1,
+             "files": {"osekowski": "osekowski.csv"}}))
+        if table is not None:
+            (run / "osekowski.csv").write_text("# provenance: x\n" + table)
+        out = tmp_path / "exp"
+        assert main(["export", "--run", str(tmp_path / "runs"), "--out", str(out)]) == 1
+        assert path in capsys.readouterr().err
+        assert not out.exists()
 
     def test_consolidates_and_idempotent(self, tmp_path):
         cfg = write_cfg(tmp_path / "ct.json", theorem_cfg(clt={"n_pair": [4, 16],
