@@ -22,6 +22,7 @@ any command with the same config and seed is byte-identical regardless of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -264,10 +265,12 @@ def _write_run(out: str, command: str, cfg: dict, seed: int, outputs: dict,
     """Writes a finished run into `out`, with `run.json` listing `outputs`:
     manifest key -> (file name, content).  Content is a JSON document (stamped
     with the config hash and seed), a (header, rows) table or the moment
-    field.  Callers compute every output first, so a failed run writes nothing."""
+    field.  Callers compute every output first, so a failed run writes nothing.
+    The files of an earlier run in `out` are removed first (`_remove_run`)."""
     cfg_hash = config_hash(cfg)
     prov = f"provenance: config_sha256={cfg_hash} seed={seed}"
     try:
+        _remove_run(out)
         os.makedirs(out, exist_ok=True)
         for fname, content in outputs.values():
             path = os.path.join(out, fname)
@@ -286,6 +289,28 @@ def _write_run(out: str, command: str, cfg: dict, seed: int, outputs: dict,
         raise ConfigError(f"config.out: {exc}") from None
 
 
+def _remove_run(out: str) -> None:
+    """Removes the files that the `run.json` in `out` lists; a listed directory
+    (the moment field) loses the files its `manifest.json` lists, that
+    manifest, and itself once empty.  Only plain names in those manifests are
+    touched, so nothing uclt did not write is; an unreadable one removes
+    nothing."""
+    def listed(path, key):
+        try:
+            with open(path) as fh:
+                names = json.load(fh)[key].values()
+            return [n for n in names if n not in ("", ".", "..") and os.path.basename(n) == n]
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            return []
+
+    for name in listed(os.path.join(out, "run.json"), "files"):
+        path = os.path.join(out, name)
+        inner = listed(os.path.join(path, "manifest.json"), "index_files") + ["manifest.json"]
+        for target in [os.path.join(path, fname) for fname in inner] + [path]:
+            with contextlib.suppress(OSError):  # absent, or a directory holding other files
+                (os.rmdir if os.path.isdir(target) else os.remove)(target)
+
+
 # ---------------------------------------------------------------------------
 # check-theorem
 # ---------------------------------------------------------------------------
@@ -297,6 +322,9 @@ def run_check_theorem(cfg: dict, args) -> int:
     threads = resolve_threads(_flag_or_key(s, args.threads, "threads", int))
     out = _flag_or_key(s, args.out or None, "out", str, default="uclt-check-theorem")
     model = _validate_model(s.sub("model", required=True), seed)
+    if model.npoints < 2:
+        raise ConfigError("config.model: check-theorem needs at least two points in "
+                          "config.model.x_points, for a pair; got one")
     psi_spec = _validate_psi(s.sub("psi"))
     p_grid = s.get("p_grid", float, many=True, minimum=1,
                    default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0])

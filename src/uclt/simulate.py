@@ -16,6 +16,10 @@ full-width variates for ``weibull_field`` and shared-sign ``bounded_sign``,
 and is a different stream for the Gaussian-driven kinds and for
 independent-sign ``bounded_sign``, which draw only the columns asked for.
 
+`tail_domination_check` reads eta_n at every n from one pass; there
+``iid_gaussian_field`` and unmodulated ``bounded_sign`` without growth draw
+it from its closed law (`_closed_sums`), the other reducers read paths.
+
 Shipped model kinds, with their parameters and defaults in `KINDS`:
 
 * ``iid_gaussian_field``  — i.i.d. Gaussian fields with a covariance kernel,
@@ -357,36 +361,32 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
         signs = rng.integers(0, 2, (count, n)) * 2.0 - 1.0
         paths = (signs * radial)[:, :, None] * model._amplitude[list(cols)][None, None, :]
     elif model.kind == "garch_like":
+        # one draw for all steps gives the variates of one draw per step
         amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
-        chol = model._chol(cols)
-        paths = np.empty((count, n, k))
+        steps = rng.standard_normal((n, count, k)) @ model._chol(cols).T
         state = np.zeros((count, k))
         for i in range(n):
             sigma = np.clip(1.0 + amp * np.tanh(state), lo, hi)
-            eps = rng.standard_normal((count, k)) @ chol.T
-            paths[:, i, :] = sigma * eps
-            state = mem * state + (1.0 - mem) * eps
+            state = mem * state + (1.0 - mem) * steps[i]
+            steps[i] *= sigma
+        paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
     else:  # bounded_sign
         mod = p["modulation"]
         a0 = p["base"] * model._amplitude[list(cols)]
-        if p["cross"] == "shared":
-            signs = (rng.integers(0, 2, (count, n, 1)) * 2.0 - 1.0)
-            signs = np.broadcast_to(signs, (count, n, k))
-        else:
-            signs = rng.integers(0, 2, (count, n, k)) * 2.0 - 1.0
+        signs = rng.integers(0, 2, (count, n, 1 if p["cross"] == "shared" else k)) * 2.0 - 1.0
         if mod == 0.0:
             paths = signs * a0[None, None, :]
         else:
-            paths = np.empty((count, n, k))
+            steps = np.empty((n, count, k))
             running = np.zeros((count, k))
             for i in range(n):
-                ampl = a0[None, :] * (1.0 + mod * np.tanh(running / math.sqrt(max(i, 1))))
-                paths[:, i, :] = signs[:, i, :] * ampl
-                running += paths[:, i, :]
+                ampl = a0 * (1.0 + mod * np.tanh(running / math.sqrt(max(i, 1))))
+                running += np.multiply(signs[:, i, :], ampl, out=steps[i])
+            paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
     if model.growth != 0.0:
-        paths = paths * (np.arange(1, n + 1) ** model.growth)[None, :, None]
+        paths *= (np.arange(1, n + 1) ** model.growth)[None, :, None]
     if model.bias != 0.0:
-        paths = paths + model.bias
+        paths += model.bias
     return paths
 
 
@@ -397,12 +397,14 @@ def _columns(model: MartingaleFieldModel, indices) -> tuple[int, ...]:
 
 
 def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
-                threads: int | None = None, cols: tuple[int, ...] | None = None) -> list:
+                threads: int | None = None, cols: tuple[int, ...] | None = None,
+                draw=None) -> list:
     """Generate chunks (optionally in parallel) and collect worker results
     in chunk order.  `worker(chunk_index, start, paths)` must only touch
     chunk-local state or disjoint output slices.  Chunks hold the grid
     columns `cols` only (all when None); their spans depend on the full
-    grid, so batch-means groups are the same at any width."""
+    grid, so batch-means groups are the same at any width.  `draw(rng,
+    count)`, when given, makes each chunk's data in place of the paths."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
     spans = _chunk_spans(R, n, model.npoints)
@@ -410,8 +412,9 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
 
     def task(span):
         ci, start, count = span
-        paths = _generate(model, n, _chunk_rng(model.seed, ci), count, cols)
-        results[ci] = worker(ci, start, paths)
+        rng = _chunk_rng(model.seed, ci)
+        data = _generate(model, n, rng, count, cols) if draw is None else draw(rng, count)
+        results[ci] = worker(ci, start, data)
 
     nt = resolve_threads(threads)
     if nt == 1 or len(spans) == 1:
@@ -423,28 +426,67 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
     return results
 
 
+def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ...]):
+    """`draw(rng, count)` of S_n = sum_{i<=n} xi_i for the ascending `ns`, shape
+    (len(ns), count, len(cols)), from the exact law, or None.  The increments
+    between consecutive n are independent: N(0, sum i**(2 growth) K[cols,
+    cols]) for `iid_gaussian_field`, a0 (2 Binomial(n - n_prev, 1/2) - n +
+    n_prev) for unmodulated `bounded_sign` without growth, with one count per
+    row for shared signs and per column otherwise."""
+    p, ns = model.p, np.array(ns)
+    drift = (model.bias * ns)[:, None, None]
+    if model.kind == "iid_gaussian_field":
+        power = np.cumsum(np.arange(1.0, ns[-1] + 1) ** (2 * model.growth))
+        sd = np.sqrt(np.diff(power[ns - 1], prepend=0.0))[:, None, None]
+        chol = model._chol(cols)
+
+        def draw(rng, count):
+            z = rng.standard_normal((len(ns), count, len(cols))) @ chol.T
+            return np.cumsum(z * sd, axis=0) + drift
+        return draw
+    if model.kind == "bounded_sign" and p["modulation"] == 0.0 and model.growth == 0.0:
+        a0 = p["base"] * model._amplitude[list(cols)]
+        steps = np.diff(ns, prepend=0)[:, None, None]
+        width = 1 if p["cross"] == "shared" else len(cols)
+
+        def draw(rng, count):
+            heads = np.cumsum(rng.binomial(steps, 0.5, (len(ns), count, width)), axis=0)
+            return (2 * heads - ns[:, None, None]) * a0 + drift
+        return draw
+    return None
+
+
+def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | None = None,
+                  cols: tuple[int, ...] | None = None, closed_law: bool = True) -> np.ndarray:
+    """eta_n = n**-0.5 S_n on the grid columns `cols` (all when None) for each
+    n of the ascending `n_values`, shape (len(n_values), R, len(cols)), from
+    one engine pass: the closed law of the sums (`_closed_sums`) when asked
+    for and known, else paths to the largest n, summed in blocks between
+    consecutive n and accumulated.  Rows at different n share draws."""
+    ns = [int(n) for n in n_values]
+    cols = tuple(range(model.npoints)) if cols is None else cols
+    out = np.empty((len(ns), R, len(cols)))
+    draw = _closed_sums(model, ns, cols) if closed_law else None
+
+    def worker(ci, start, data):
+        if draw is None:
+            data = np.cumsum([data[:, lo:n].sum(axis=1) for lo, n in zip([0] + ns, ns)], axis=0)
+        for j, n in enumerate(ns):
+            out[j, start:start + data.shape[1]] = data[j] * (1.0 / math.sqrt(n))
+
+    _run_chunks(model, ns[-1], R, worker, threads, cols, draw)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # simulation operations
 # ---------------------------------------------------------------------------
 
 def simulate_eta(model: MartingaleFieldModel, n: int, R: int,
                  threads: int | None = None) -> np.ndarray:
-    """R replications of the normalized sums eta_n(x) = n**-0.5 sum_i xi_i(x);
-    returns an array of shape (R, npoints)."""
-    return _eta(model, n, R, threads)
-
-
-def _eta(model: MartingaleFieldModel, n: int, R: int, threads: int | None,
-         cols: tuple[int, ...] | None = None) -> np.ndarray:
-    out = np.empty((R, model.npoints if cols is None else len(cols)))
-    scale = 1.0 / math.sqrt(n)
-
-    def worker(ci, start, paths):
-        out[start:start + paths.shape[0]] = paths.sum(axis=1) * scale
-        return None
-
-    _run_chunks(model, n, R, worker, threads, cols)
-    return out
+    """R replications of the normalized sums eta_n(x) = n**-0.5 sum_i xi_i(x),
+    each from its simulated path; returns an array of shape (R, npoints)."""
+    return _partial_sums(model, [n], R, threads, closed_law=False)[0]
 
 
 def covariance_estimate(model: MartingaleFieldModel, n: int, R: int,
@@ -455,21 +497,9 @@ def covariance_estimate(model: MartingaleFieldModel, n: int, R: int,
     approximation sqrt((c_ii c_jj + c_ij**2) / R) and analytic is the model's
     closed-form covariance when available (else None).
     """
-    npts = model.npoints
-    scale = 1.0 / math.sqrt(n)
-
-    def worker(ci, start, paths):
-        eta = paths.sum(axis=1) * scale
-        return eta.sum(axis=0), eta.T @ eta
-
-    parts = _run_chunks(model, n, R, worker, threads)
-    s1 = np.zeros(npts)
-    s2 = np.zeros((npts, npts))
-    for a, b in parts:
-        s1 += a
-        s2 += b
-    mean = s1 / R
-    cov = (s2 - R * np.outer(mean, mean)) / (R - 1)
+    eta = simulate_eta(model, n, R, threads)
+    dev = eta - eta.mean(axis=0)
+    cov = dev.T @ dev / (R - 1)
     se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / R)
     return cov, se, model.analytic_covariance()
 
@@ -602,7 +632,6 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
     if any(p < 2 for p in p_grid):
         raise ValueError("the inequality is checked for p >= 2 only")
     n_grid = sorted(int(n) for n in n_grid)
-    n_max = n_grid[-1]
     idx = {lb: k for k, lb in enumerate(model.labels)}
     cols = _columns(model, [x_index] if mode == "points" else [idx[x] for x in pair])
 
@@ -614,17 +643,11 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
 
     def worker(ci, start, paths):
         z = series_of(paths)
-        csum = np.cumsum(z, axis=1)
-        az = np.abs(z)
-        num = np.empty((len(p_grid), len(n_grid)))
-        den = np.empty((len(p_grid), n_max))
-        for pi, p in enumerate(p_grid):
-            den[pi] = (az ** p).sum(axis=0)
-            for ni, n in enumerate(n_grid):
-                num[pi, ni] = (np.abs(csum[:, n - 1] / math.sqrt(n)) ** p).sum()
-        return num, den, z.shape[0]
+        # (count, len(n_grid)) in column order, so that each n sums as one column
+        sums = (np.cumsum(z, axis=1).T[[n - 1 for n in n_grid]] / np.sqrt(n_grid)[:, None]).T
+        return _abs_power_sums(sums, p_grid), _abs_power_sums(z, p_grid), z.shape[0]
 
-    parts = _run_chunks(model, n_max, R, worker, threads, cols)
+    parts = _run_chunks(model, n_grid[-1], R, worker, threads, cols)
 
     def ratio_from(num, den, cnt):
         out = np.empty((len(p_grid), len(n_grid)))
@@ -663,25 +686,14 @@ def eta_increment_curves(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: 
         return {}
     p_grid = tuple(float(p) for p in p_grid)
     n_grid = sorted(int(n) for n in n_grid)
-    n_max = n_grid[-1]
-    samples = {pr: np.empty((R, len(n_grid))) for pr in pairs}
     cols = _columns(model, [idx[x] for pr in pairs for x in pr])
-
-    def worker(ci, start, paths):
-        for pr in pairs:
-            a, b = (cols.index(idx[x]) for x in pr)
-            z = paths[:, :, a] - paths[:, :, b]
-            csum = np.cumsum(z, axis=1)
-            for ni, n in enumerate(n_grid):
-                samples[pr][start:start + z.shape[0], ni] = csum[:, n - 1] / math.sqrt(n)
-        return None
-
-    _run_chunks(model, n_max, R, worker, threads, cols)
+    etas = _partial_sums(model, n_grid, R, threads, cols, closed_law=False)
     prov = {"kind": "monte_carlo", "seed": model.seed, "replications": R}
     out = {}
     for pr in pairs:
-        out[pr] = {n: MomentCurve.from_samples(samples[pr][:, ni], p_grid, provenance=dict(prov))
-                   for ni, n in enumerate(n_grid)}
+        a, b = (cols.index(idx[x]) for x in pr)
+        out[pr] = {n: MomentCurve.from_samples(eta[:, a] - eta[:, b], p_grid, provenance=dict(prov))
+                   for n, eta in zip(n_grid, etas)}
     return out
 
 
@@ -736,17 +748,23 @@ def tail_domination_check(model: MartingaleFieldModel, tail: TailFunction | None
     """
     if tail is None:
         tail = model.dominating_tail()
+    ns = sorted(int(n) for n in n_values)
+    etas = _partial_sums(model, ns, R, threads, _columns(model, [x_index]))[:, :, 0]
+    return [row for n, eta in zip(ns, etas) for row in _tail_rows(tail, x_values, n, eta)]
+
+
+def _tail_rows(tail: TailFunction, x_values, n: int, sums: np.ndarray) -> list[dict]:
+    """The one-sided empirical tail max(P(s > x), P(s < -x)) of the samples
+    `sums` against the transform bound at x plus three binomial standard
+    errors, one row per x."""
+    R = sums.size
     rows = []
-    for n in sorted(int(n) for n in n_values):
-        eta = _eta(model, n, R, threads, _columns(model, [x_index]))[:, 0]
-        for x in x_values:
-            up = float((eta > x).mean())
-            dn = float((eta < -x).mean())
-            emp = max(up, dn)
-            se = math.sqrt(max(emp * (1.0 - emp), 1.0 / R) / R)
-            bound = w_operator(tail, float(x))
-            rows.append({"n": n, "x": float(x), "empirical": emp, "se": se,
-                         "bound": bound, "ok": emp <= bound + 3.0 * se})
+    for x in x_values:
+        emp = max(float((sums > x).mean()), float((sums < -x).mean()))
+        se = math.sqrt(max(emp * (1.0 - emp), 1.0 / R) / R)
+        bound = w_operator(tail, float(x))
+        rows.append({"n": n, "x": float(x), "empirical": emp, "se": se,
+                     "bound": bound, "ok": emp <= bound + 3.0 * se})
     return rows
 
 
@@ -766,14 +784,7 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
         return None
 
     _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
-    rows = []
-    for x in x_values:
-        emp = max(float((out > x).mean()), float((out < -x).mean()))
-        se = math.sqrt(max(emp * (1.0 - emp), 1.0 / R) / R)
-        bound = w_operator(tail, float(x))
-        rows.append({"n": n, "x": float(x), "empirical": emp, "se": se,
-                     "bound": bound, "ok": emp <= bound + 3.0 * se})
-    return rows
+    return _tail_rows(tail, x_values, n, out)
 
 
 def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,

@@ -162,6 +162,18 @@ class TestCheckTheorem:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_one_point_model_rejected_before_simulating(self, tmp_path, capsys, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("estimate_moment_curves reached for a one-point model")
+
+        monkeypatch.setattr("uclt.cli.estimate_moment_curves", simulate)
+        doc = theorem_cfg()
+        doc["model"]["x_points"] = [[0.5]]
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert "config.model.x_points" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", theorem_cfg())
         assert main(["check-theorem", "--config", cfg, "--seed", "-1",
@@ -646,6 +658,43 @@ class TestReproducibility:
                          "--threads", str(threads)]) == 0
             outs.append(read_tree(out))
         assert outs[0] == outs[1]
+
+    def test_rerun_into_a_used_out_equals_a_fresh_run(self, tmp_path):
+        def tree(root):
+            return read_tree(root), sorted(os.path.relpath(d, root) for d, _, _ in os.walk(root))
+
+        first = theorem_cfg(clt={"n_pair": [4, 16], "replications": 300})
+        second = theorem_cfg(n_grid=[1, 2])
+        ineq = {"seed": 3, "replications": 500,
+                "models": [{"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2}},
+                            "horizon": 16}],
+                "tail_domination": {"n_values": [4, 16]}}
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        for i, (command, doc) in enumerate([("check-theorem", first), ("check-theorem", second),
+                                            ("inequalities", ineq)]):
+            cfg = write_cfg(tmp_path / f"c{i}.json", doc)
+            assert main([command, "--config", cfg, "--out", str(used)]) == 0
+            if i == 0:
+                assert (used / "ks.csv").exists() and (used / "field_csv" / "index_0016.csv").exists()
+                continue
+            assert main([command, "--config", cfg, "--out", str(fresh / str(i))]) == 0
+            assert tree(used) == tree(fresh / str(i))
+
+    def test_rerun_keeps_files_it_did_not_write(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", theorem_cfg())
+        out = tmp_path / "run"
+        assert main(["check-theorem", "--config", cfg, "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("mine")
+        (out / "field_csv" / "notes.txt").write_text("mine too")
+        run = json.loads((out / "run.json").read_text())
+        run["files"]["stray"] = "../outside.txt"
+        (out / "run.json").write_text(json.dumps(run))
+        (tmp_path / "outside.txt").write_text("not uclt's")
+        assert main(["check-theorem", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "notes.txt").read_text() == "mine"
+        assert (out / "field_csv" / "notes.txt").read_text() == "mine too"
+        assert (tmp_path / "outside.txt").exists()
+        assert (out / "field_csv" / "index_0016.csv").exists()
 
     def test_seed_override_changes_hashed_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.json", theorem_cfg())

@@ -21,6 +21,7 @@ from uclt.simulate import (
     _cholesky,
     _chunk_rng,
     _generate,
+    _partial_sums,
     _run_chunks,
     equicontinuity_check,
     estimate_moment_curves,
@@ -649,3 +650,167 @@ class TestColumnProjection:
         eta = simulate_eta(model, 16, 500)
         digest = hashlib.sha256(np.round(eta, 10).tobytes()).hexdigest()[:16]
         assert digest == self.FULL_WIDTH_DIGESTS[model.kind]
+
+
+def sign_reference(model, n, rng, count, cols):
+    """Modulated bounded_sign paths from signs drawn as (count, n, 1) when
+    shared or (count, n, len(cols)) when independent, the amplitude
+    recursion written out step by step."""
+    p = model.p
+    a0 = p["base"] * (1.0 + p["amplitude_slope"] * model._coord_array[list(cols), 0])
+    width = 1 if p["cross"] == "shared" else len(cols)
+    signs = np.broadcast_to(rng.integers(0, 2, (count, n, width)) * 2.0 - 1.0,
+                            (count, n, len(cols)))
+    paths = np.empty((count, n, len(cols)))
+    running = np.zeros((count, len(cols)))
+    for i in range(n):
+        ampl = a0[None, :] * (1.0 + p["modulation"] * np.tanh(running / math.sqrt(max(i, 1))))
+        paths[:, i, :] = signs[:, i, :] * ampl
+        running += paths[:, i, :]
+    return paths
+
+
+STEP_LOOP_KINDS = [
+    MartingaleFieldModel("gg", "garch_like", grid_coords(4),
+                         {"kernel": {"name": "rbf", "length_scale": 0.5}},
+                         horizon=64, seed=21, bias=0.3, growth=0.25),
+    MartingaleFieldModel("sg", "bounded_sign", grid_coords(4),
+                         {"modulation": 0.4, "amplitude_slope": 0.5, "base": 1.5},
+                         horizon=64, seed=22, bias=-0.2, growth=0.25),
+    MartingaleFieldModel("ig", "bounded_sign", grid_coords(4),
+                         {"modulation": -0.3, "cross": "independent"},
+                         horizon=64, seed=23, bias=0.1, growth=0.5),
+]
+
+
+class TestStepLoops:
+    """garch_like and modulated bounded_sign draw a chunk's variates in one
+    call and loop over steps for their recurrence only; the paths must be
+    those of the step-by-step references, bit for bit."""
+
+    N, COUNT = 24, 37
+
+    @pytest.mark.parametrize("model", STEP_LOOP_KINDS, ids=lambda m: m.name)
+    @pytest.mark.parametrize("cols", [(0,), (1, 3), (0, 1, 2, 3)], ids=str)
+    def test_chunk_matches_step_reference(self, model, cols):
+        reference = garch_reference if model.kind == "garch_like" else sign_reference
+        want = reference(model, self.N, _chunk_rng(model.seed, 5), self.COUNT, cols)
+        want = want * (np.arange(1, self.N + 1) ** model.growth)[None, :, None] + model.bias
+        got = _generate(model, self.N, _chunk_rng(model.seed, 5), self.COUNT, cols)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_full_width_is_the_default(self):
+        model = STEP_LOOP_KINDS[1]
+        got = _generate(model, self.N, _chunk_rng(model.seed, 2), self.COUNT)
+        want = _generate(model, self.N, _chunk_rng(model.seed, 2), self.COUNT, (0, 1, 2, 3))
+        assert np.array_equal(got, want)
+
+
+# amplitudes 1, 1.25 and 1.5 times base 2
+SHARED_SIGNS = MartingaleFieldModel("ss", "bounded_sign", grid_coords(3),
+                                    {"base": 2.0, "amplitude_slope": 0.5},
+                                    horizon=64, seed=31)
+INDEPENDENT_SIGNS = MartingaleFieldModel("is", "bounded_sign", grid_coords(3),
+                                         {"base": 2.0, "amplitude_slope": 0.5,
+                                          "cross": "independent"}, horizon=64, seed=32)
+
+
+class TestPartialSums:
+    """`_partial_sums` reads eta_n at several n from one engine pass; the
+    Gaussian and unmodulated-sign kinds draw it from its exact law."""
+
+    NS, R = [5, 12, 40], 20000
+
+    def test_gaussian_increments_follow_their_law(self):
+        # fractional Brownian kernel, growth 0.5 and bias 0.2: S_n has mean
+        # 0.2 n and covariance sum_{i<=n} i K = n (n + 1) / 2 K, and the
+        # increment to the next n is independent of S_n
+        model = PROJECTION_KINDS[5]
+        cols = (1, 2)
+        kmat = model._kernel[np.ix_(cols, cols)]
+        etas = _partial_sums(model, self.NS, self.R, cols=cols)
+        assert etas.shape == (len(self.NS), self.R, 2)
+        total = lambda n: n * (n + 1) / 2.0  # noqa: E731
+        for n, eta in zip(self.NS, etas):
+            mean = 0.2 * math.sqrt(n)
+            cov = kmat * total(n) / n
+            sd = np.sqrt(np.diag(cov))
+            assert np.all(np.abs(eta.mean(axis=0) - mean) <= 4.0 * sd / math.sqrt(self.R))
+            got = np.cov(eta.T)
+            se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / self.R)
+            assert np.all(np.abs(got - cov) <= 4.0 * se)
+            for j in range(2):
+                z = (eta[:, j] - mean) / sd[j]
+                assert stats.kstest(z, "norm").pvalue > 1e-3
+        # cov(S_5, S_40) = var(S_5): a fresh sum at each n would give 0
+        s5, s40 = etas[0, :, 1] * math.sqrt(5), etas[2, :, 1] * math.sqrt(40)
+        want = kmat[1, 1] * total(5)
+        got = np.cov(s5, s40)[0, 1]
+        assert abs(got - want) <= 4.0 * math.sqrt(want * kmat[1, 1] * total(40) / self.R)
+
+    @pytest.mark.parametrize("model", [SHARED_SIGNS, INDEPENDENT_SIGNS], ids=lambda m: m.name)
+    def test_unmodulated_signs_lie_on_the_binomial_lattice(self, model):
+        cols = (0, 2)
+        a0 = 2.0 * np.array([1.0, 1.5])
+        etas = _partial_sums(model, self.NS, self.R, cols=cols)
+        heads_prev, n_prev = 0, 0
+        for n, eta in zip(self.NS, etas):
+            heads = (eta * math.sqrt(n) / a0 + n) / 2.0
+            assert np.all(np.abs(heads - np.round(heads)) < 1e-9)
+            heads = np.round(heads).astype(int)
+            assert heads.min() >= 0 and heads.max() <= n
+            step = heads - heads_prev      # the heads among steps n_prev + 1 .. n
+            assert step.min() >= 0 and step.max() <= n - n_prev
+            if model.p["cross"] == "shared":
+                assert np.array_equal(heads[:, 0], heads[:, 1])
+            else:
+                assert not np.array_equal(heads[:, 0], heads[:, 1])
+                assert abs(np.corrcoef(heads.T)[0, 1]) <= 4.0 / math.sqrt(self.R)
+            pmf = stats.binom.pmf(np.arange(n + 1), n, 0.5)
+            for j in range(2):
+                counts = np.bincount(heads[:, j], minlength=n + 1)
+                assert np.all(np.abs(counts - self.R * pmf)
+                              <= 5.0 * np.sqrt(self.R * pmf * (1.0 - pmf)) + 1.0)
+            heads_prev, n_prev = heads, n
+
+    @pytest.mark.parametrize("model", [ALL_KINDS[1], ALL_KINDS[2], ALL_KINDS[3],
+                                       PROJECTION_KINDS[6]], ids=lambda m: m.name)
+    def test_path_kinds_read_every_n_from_one_pass(self, model):
+        chunks = []
+        _run_chunks(model, 40, 900, lambda ci, start, paths: chunks.append(paths[:, :, 0]),
+                    cols=(1,))
+        paths = np.concatenate(chunks)
+        etas = _partial_sums(model, self.NS, 900, cols=(1,))[:, :, 0]
+        blocks = [paths[:, lo:n].sum(axis=1) for lo, n in zip([0] + self.NS, self.NS)]
+        for n, eta, total in zip(self.NS, etas, np.cumsum(blocks, axis=0)):
+            assert np.array_equal(eta, total * (1.0 / math.sqrt(n)))
+            assert np.allclose(eta, paths[:, :n].sum(axis=1) / math.sqrt(n), rtol=1e-12, atol=1e-12)
+
+    def test_closed_law_only_where_the_law_is_closed(self):
+        # growth breaks the sign walk's binomial law: paths are drawn
+        model = MartingaleFieldModel("sgr", "bounded_sign", grid_coords(2), {},
+                                     horizon=64, seed=33, growth=0.5)
+        chunks = []
+        _run_chunks(model, 40, 300, lambda ci, start, paths: chunks.append(paths[:, :, 0]),
+                    cols=(0,))
+        got = _partial_sums(model, [40], 300, cols=(0,))[0, :, 0]
+        assert np.array_equal(got, np.concatenate(chunks).sum(axis=1) * (1.0 / math.sqrt(40)))
+
+    def test_horizon_guard(self):
+        with pytest.raises(HorizonExceeded):
+            _partial_sums(SHARED_SIGNS, [16, 65], 10)
+
+
+TAIL_KINDS = PROJECTION_KINDS + [SHARED_SIGNS, INDEPENDENT_SIGNS,
+                                 MartingaleFieldModel("sb", "bounded_sign", grid_coords(2), {},
+                                                      horizon=64, seed=34, bias=0.05)]
+
+
+@pytest.mark.parametrize("model", TAIL_KINDS, ids=lambda m: m.name)
+def test_tail_domination_thread_invariant(model):
+    def run(threads):
+        return repr(tail_domination_check(model, None, [1.5, 2.5], [4, 16, 64], 3000,
+                                          x_index=1, threads=threads))
+
+    assert run(1) == run(4)
