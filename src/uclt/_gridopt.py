@@ -3,6 +3,7 @@
 All sup/inf computations in the toolkit are extremizations of smooth scalar
 functions over an interval, so a dense grid scan followed by one stage of
 golden-section refinement around the best node is accurate and predictable.
+The refinement stops at the fixed relative width `TOL`.
 """
 from __future__ import annotations
 
@@ -12,6 +13,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Relative bracket width at which golden-section refinement stops.
+TOL = 1e-9
 
 
 def log_grid(lo: float, hi: float, nodes: int) -> np.ndarray:
@@ -23,13 +27,13 @@ def log_grid(lo: float, hi: float, nodes: int) -> np.ndarray:
     return np.geomspace(lo, hi, nodes)
 
 
-def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
-                    tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    a, b) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima on the brackets [a[k], b[k]], advanced together.
 
     `f(points, rows)` returns the objective of bracket ``rows[j]`` at
     ``points[j]``.  Each bracket follows the one-bracket iteration exactly
-    (same updates, ties go left, stop once b - a <= tol * max(|a|, |b|, 1)),
+    (same updates, ties go left, stop once b - a <= TOL * max(|a|, |b|, 1)),
     so its result does not depend on the other brackets.  Returns the
     arrays (argmin, min).
     """
@@ -40,7 +44,7 @@ def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
     c, d = b - step, a + step
     rows = np.arange(a.size)
     fc, fd = f(c, rows), f(d, rows)
-    width = tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    width = TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     best_x, best_v = np.empty(a.size), np.empty(a.size)
     while True:
         run = (b - a) > width
@@ -64,7 +68,7 @@ def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray], a, b,
 
 
 def minimize_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: Sequence[float],
-                  nrows: int, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+                  nrows: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each of `nrows` objectives over one grid, each refined
     between the neighbours of its best node.
 
@@ -85,28 +89,8 @@ def minimize_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: Seque
     b = grid[np.minimum(i + 1, grid.size - 1)]
     todo = rows[np.isfinite(best_v) & (b > a)]
     if todo.size:
-        x, v = golden_minimize(lambda p, k: f(p, todo[k]), a[todo], b[todo], tol=tol)
+        x, v = golden_minimize(lambda p, k: f(p, todo[k]), a[todo], b[todo])
         better = v < best_v[todo]
         best_x[todo[better]] = x[better]
         best_v[todo[better]] = v[better]
     return best_x, best_v
-
-
-def minimize_on_grid(f: Callable[[float], float], grid: Sequence[float],
-                     fvec: Callable[[np.ndarray], np.ndarray] | None = None,
-                     tol: float = 1e-9) -> tuple[float, float]:
-    """Minimum of a scalar f over a grid: the one-row case of :func:`minimize_rows`.
-
-    Infinite or nan grid values are ignored; returns (+inf at grid[0]) when
-    nothing is finite.  `fvec` is an optional vectorized evaluator used for
-    the scan; `f` is always used inside the refinement.
-    """
-    def row(points, rows):
-        if points.ndim == 2:        # the scan over the grid
-            scan = fvec(points[0]) if fvec is not None else [f(p) for p in points[0]]
-            return np.asarray(scan, dtype=float)[None, :]
-        return np.array([f(float(p)) for p in points], dtype=float)
-
-    x, v = minimize_rows(row, grid, 1, tol=tol)
-    return float(x[0]), float(v[0])
-

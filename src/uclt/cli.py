@@ -36,7 +36,7 @@ from . import covering as cov
 from . import integrals as integ
 from .distances import PairwiseMomentField, distance_matrix, natural_function, sigma_squared
 from .errors import ConfigError, MissingRun, UcltError
-from .psi import PsiFunction, rosenthal_transform
+from .psi import DEFAULT_P_CAP, PsiFunction
 from .simulate import (
     KERNELS,
     KINDS,
@@ -223,6 +223,24 @@ def _validate_psi(block: _Schema | None) -> PsiFunction | str:
         raise ConfigError(f"{block.path}: {exc}") from None
 
 
+def _check_psi_orders(psi: PsiFunction | str, p_grid: list[float]) -> None:
+    """ConfigError unless the generating function has orders to work on: the
+    natural one is tabulated on `p_grid`, so it needs two orders above 1; any
+    other must be finite at an order of `p_grid`, and at one order or on an
+    interval of orders above 1 (where its lower transform is taken)."""
+    if psi == "natural":
+        if len(p_grid) < 2 or p_grid[0] <= 1.0:
+            raise ConfigError(f"config.p_grid: the natural generating function needs at "
+                              f"least two orders, all above 1; got {p_grid}")
+        return
+    if not np.isfinite(psi.value_array(np.array(p_grid))).any():
+        raise ConfigError(f"config.psi: infinite at every order of config.p_grid {p_grid}")
+    kind, *ends = psi.finite_region()
+    if kind == "interval" and not ends[1] > max(ends[0], 1.0):
+        raise ConfigError(f"config.psi: finite on no interval of orders above 1 and "
+                          f"up to {DEFAULT_P_CAP:g}")
+
+
 # ---------------------------------------------------------------------------
 # deterministic writers
 # ---------------------------------------------------------------------------
@@ -330,6 +348,7 @@ def run_check_theorem(cfg: dict, args) -> int:
                    default=[2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
     if any(a >= b for a, b in zip(p_grid, p_grid[1:])):
         raise ConfigError("config.p_grid: need strictly ascending orders p >= 1")
+    _check_psi_orders(psi_spec, p_grid)
     n_grid = s.get("n_grid", int, many=True, positive=True, maximum=model.horizon,
                    default=[n for n in (1, 2, 4, 8, 16, 32, 64) if n <= model.horizon])
 
@@ -379,10 +398,8 @@ def run_check_theorem(cfg: dict, args) -> int:
     verdict21 = integ.moment_level_check(sigma2, profile, psi,
                                       nodes=quad_nodes, eps_lo_frac=quad_frac)
     verdicts = {"moment_level": verdict21.to_dict()}
-    trace = integ.integrand_trace(profile, psi=rosenthal_transform(psi),
-                                  nodes=quad_nodes, eps_lo_frac=quad_frac)
     outputs = {"field_csv": ("field_csv", field),
-               "entropy_trace": _table("entropy_trace", trace),
+               "entropy_trace": _table("entropy_trace", verdict21.integral.trace()),
                "dbar_matrix": ("dbar_matrix.csv", (["label"] + list(labels), [
                    [lb] + [float(v) for v in row] for lb, row in zip(labels, space.dist)]))}
 

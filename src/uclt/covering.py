@@ -329,20 +329,19 @@ def covering_number_greedy(space: FiniteMetricSpace, eps: float) -> int:
     return int(covering_numbers_greedy(space, [eps])[0])
 
 
-def covering_number_exact(space: FiniteMetricSpace, eps: float,
-                          cap: int = EXACT_SEARCH_CAP) -> int:
+def covering_number_exact(space: FiniteMetricSpace, eps: float) -> int:
     """Minimum cover size by exhaustive subset search in increasing cardinality.
 
     Ball coverages are memoized as bitsets.  Intended as a test oracle;
-    raises TooLarge above `cap` points.
+    raises TooLarge above `EXACT_SEARCH_CAP` points.
     """
     n = len(space)
     if n == 0:
         raise EmptySpace("covering an empty space")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if n > cap:
-        raise TooLarge(f"{n} points exceeds the exhaustive-search cap of {cap}")
+    if n > EXACT_SEARCH_CAP:
+        raise TooLarge(f"{n} points exceeds the exhaustive-search cap of {EXACT_SEARCH_CAP}")
     balls = space.dist <= eps
     masks = []
     for i in range(n):

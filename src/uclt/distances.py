@@ -32,8 +32,8 @@ import numpy as np
 
 from .covering import FiniteMetricSpace
 from .errors import MissingData
-from .psi import (MomentCurve, PsiFunction, _check_curves, _p_index, gaussian_lp_norm,
-                  gls_norms, subq_norms)
+from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _check_curves, _p_index,
+                  gaussian_lp_norm, gls_norms, subq_norms)
 
 #: Dyadic default for index-grid truncation of sup over n.
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -75,8 +75,8 @@ class PairwiseMomentField:
     `pair_norms` and `pair_se` shape (P, m, len(pairs)) with `pairs` sorted
     and each pair sorted, `point_var` shape (m, len(x_labels)); NaN marks
     an entry without data.  All curves are validated in one vectorized pass
-    by the rule of :class:`MomentCurve` (nondecreasing in p within 3
-    standard errors).
+    by the rule of :class:`MomentCurve` (nondecreasing in p within
+    `SE_MARGIN` standard errors).
 
     The constructor takes mappings `point_curves[(i, x)]`,
     `pair_curves[(i, (xa, xb))]` (pair sorted) and `variances[(i, x)]` with
@@ -187,8 +187,9 @@ class PairwiseMomentField:
 
     # -- whole-field operations -------------------------------------------------
 
-    def variance_consistency(self, n_se: float = 3.0) -> list[dict]:
-        """Violations of variance == (p=2 norm)**2 beyond the Monte Carlo slack.
+    def variance_consistency(self) -> list[dict]:
+        """Violations of variance == (p=2 norm)**2 beyond `SE_MARGIN` standard
+        errors of Monte Carlo slack.
 
         Returns one row per offending (index, point); empty means consistent.
         Analytic fields must match exactly (their stderr is zero).
@@ -197,7 +198,7 @@ class PairwiseMomentField:
             return []
         k = self.p_grid.index(2.0)
         l2, se, var = self.point_norms[k], self.point_se[k], self.point_var
-        slack = n_se * se * np.maximum(2.0 * l2, 1.0) + 1e-9
+        slack = SE_MARGIN * se * np.maximum(2.0 * l2, 1.0) + 1e-9
         bad = np.abs(var - l2 * l2) > slack
         return [{"index": int(i) + 1, "point": self.x_labels[j], "variance": float(var[i, j]),
                  "l2_squared": float(l2[i, j] * l2[i, j]), "slack": float(slack[i, j])}

@@ -118,11 +118,11 @@ def measure_profile(space: FiniteMetricSpace, eps_grid=None, mode: str = "greedy
     return EntropyProfile(eps_grid, tuple(hs), d, mode)
 
 
-def holder_profile(dim: int, alpha: float, scale: float, diam: float,
-                   num: int = 32, eps_min_frac: float = 1e-3) -> EntropyProfile:
-    """Model profile for the power-law covering bound scale-over-eps**(dim/alpha)."""
+def holder_profile(dim: int, alpha: float, scale: float, diam: float) -> EntropyProfile:
+    """Model profile for the power-law covering bound scale-over-eps**(dim/alpha),
+    tabulated on 32 log-spaced radii from diam down to 1e-3 * diam."""
     model = HolderEntropyModel(dim, alpha, scale)
-    eps_grid = tuple(np.geomspace(diam, eps_min_frac * diam, num))
+    eps_grid = tuple(np.geomspace(diam, 1e-3 * diam, 32))
     hs = tuple(model.entropy_at(e) for e in eps_grid)
     return EntropyProfile(eps_grid, hs, diam, "model", model=model)
 
@@ -133,18 +133,36 @@ def holder_profile(dim: int, alpha: float, scale: float, diam: float,
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Truncated integral value plus a finiteness verdict and its resolution."""
+    """Truncated integral value plus a finiteness verdict and its resolution.
+
+    `eps`, `entropy` and `log_integrand` hold the quadrature radii, the
+    entropy there and the log of the integrand there.
+    """
 
     value: float
     verdict: str
     eps_lo: float
     nodes: int
-    notes: str = ""
+    notes: str
+    eps: np.ndarray = field(compare=False, repr=False)
+    entropy: np.ndarray = field(compare=False, repr=False)
+    log_integrand: np.ndarray = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {"value": self.value, "verdict": self.verdict,
                 "resolution": {"eps_lo": self.eps_lo, "nodes": self.nodes},
                 "notes": self.notes}
+
+    def trace(self, power: float | None = None) -> list[tuple[float, float, float]]:
+        """(eps, H, integrand) rows at the quadrature radii: the integrand is
+        H**power for the integral of H to that power, else exp of the
+        log-integrand, capped at exp(700)."""
+        hs = [float(h) for h in self.entropy]
+        if power is not None:
+            vals = [h ** power for h in hs]
+        else:
+            vals = [math.exp(min(float(v), 700.0)) for v in self.log_integrand]
+        return list(zip((float(e) for e in self.eps), hs, vals))
 
 
 def _quad_grid(profile: EntropyProfile, nodes: int, eps_lo_frac: float) -> np.ndarray:
@@ -181,7 +199,7 @@ def _classify_model_tail(profile: EntropyProfile, **integrand) -> tuple[str, str
 def _integral(profile: EntropyProfile, nodes: int, eps_lo_frac: float,
               **integrand) -> IntegralResult:
     grid = _quad_grid(profile, nodes, eps_lo_frac)
-    _, logs = _log_integrand(profile, grid, **integrand)
+    hs, logs = _log_integrand(profile, grid, **integrand)
     vals = np.where(np.isfinite(logs) | (logs == -math.inf), np.exp(logs), math.inf)
     value = _trapezoid(grid, vals)
     if profile.mode == "model":
@@ -190,7 +208,7 @@ def _integral(profile: EntropyProfile, nodes: int, eps_lo_frac: float,
     else:
         verdict = VERDICT_AT_RESOLUTION
         notes = f"measured {profile.mode} profile truncated at eps = {grid[0]:.6g}"
-    return IntegralResult(value, verdict, float(grid[0]), nodes, notes)
+    return IntegralResult(value, verdict, float(grid[0]), nodes, notes, grid, hs, logs)
 
 
 def entropy_integral(profile: EntropyProfile, psi: PsiFunction, *,
@@ -336,15 +354,9 @@ def integrand_trace(profile: EntropyProfile, *, psi: PsiFunction | None = None,
                     power: float | None = None, r: float | None = None,
                     nodes: int = DEFAULT_QUAD_NODES,
                     eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> list[tuple[float, float, float]]:
-    """(eps, H, integrand) rows for exactly one of the three integrals."""
+    """(eps, H, integrand) rows for exactly one of the three integrals: the
+    :meth:`IntegralResult.trace` of that integral."""
     chosen = [x is not None for x in (psi, power, r)]
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of psi, power, r")
-    grid = _quad_grid(profile, nodes, eps_lo_frac)
-    hs, logs = _log_integrand(profile, grid, psi=psi, power=power, r=r)
-    hs = [float(h) for h in hs]
-    if power is not None:
-        vals = [h ** power for h in hs]
-    else:
-        vals = [math.exp(min(float(v), 700.0)) for v in logs]
-    return list(zip((float(e) for e in grid), hs, vals))
+    return _integral(profile, nodes, eps_lo_frac, psi=psi, power=power, r=r).trace(power)

@@ -14,7 +14,9 @@ The module also provides the transforms built on top of psi:
 * the exponential tail bound and the matching Orlicz-type N-function.
 
 Conventions: ``c/inf == 0`` when a weight is infinite, and every sup/inf over
-a continuum is a log-spaced grid scan with golden-section refinement.
+a continuum is a log-spaced grid scan of `DEFAULT_NODES` nodes with
+golden-section refinement to `_gridopt.TOL`, on orders up to `DEFAULT_P_CAP`.
+These resolutions are fixed.
 """
 from __future__ import annotations
 
@@ -35,8 +37,14 @@ INF = math.inf
 #: obtained under this truncation are labelled as such by callers.
 DEFAULT_P_CAP = 1024.0
 
-#: Default node count for 1-D extremization scans.
+#: Node count of every 1-D extremization scan.
 DEFAULT_NODES = 512
+
+#: Monte Carlo margin, in standard errors, of every statistical assertion.
+SE_MARGIN = 3.0
+
+#: Groups of the delete-a-group jackknife of `MomentCurve.from_samples`.
+JACKKNIFE_GROUPS = 32
 
 _FORMS = ("closed_power", "tabulated", "degenerate", "scaled", "rosenthal")
 
@@ -170,23 +178,24 @@ class PsiFunction:
         out[fin] = ps[fin] * np.log(v[fin])
         return out
 
-    def finite_region(self, p_cap: float = DEFAULT_P_CAP):
+    def finite_region(self):
         """Where psi is finite: ("point", r) or ("interval", lo, hi).
 
         Interval endpoints are open in principle; callers scan just inside.
-        An unbounded upper endpoint is truncated at `p_cap`.
+        An unbounded upper endpoint is truncated at `DEFAULT_P_CAP`.
         """
         if self.form == "degenerate":
             return ("point", self.r)
         if self.form in ("scaled", "rosenthal"):
-            kind, *rest = self.base.finite_region(p_cap)
+            kind, *rest = self.base.finite_region()
             if kind == "point":
                 return (kind, *rest)
             lo, hi = rest
-            return ("interval", max(lo, self.support_low), min(hi, self.support_high, p_cap))
+            return ("interval", max(lo, self.support_low),
+                    min(hi, self.support_high, DEFAULT_P_CAP))
         if self.form == "tabulated":
             return ("interval", self.grid[0], self.grid[-1])
-        hi = min(self.support_high, p_cap)
+        hi = min(self.support_high, DEFAULT_P_CAP)
         return ("interval", self.support_low, hi)
 
     # -- serialization ------------------------------------------------------
@@ -251,14 +260,15 @@ class MomentCurve:
     `provenance` is either {"kind": "analytic"} or
     {"kind": "monte_carlo", "seed": ..., "replications": ...}; Monte Carlo
     curves carry per-point standard errors and are allowed to violate
-    monotonicity in p by up to `slack_se` standard errors.
+    monotonicity in p by up to `slack_se` standard errors (`SE_MARGIN`
+    unless given).
     """
 
     p_grid: tuple[float, ...]
     norms: tuple[float, ...]
     provenance: dict = field(default_factory=lambda: {"kind": "analytic"})
     stderr: tuple[float, ...] | None = None
-    slack_se: float = 3.0
+    slack_se: float = SE_MARGIN
 
     def __post_init__(self):
         ps = np.asarray(self.p_grid, dtype=float)
@@ -282,14 +292,14 @@ class MomentCurve:
         return cls.analytic(p_grid, [gaussian_lp_norm(p, scale) for p in p_grid])
 
     @classmethod
-    def from_samples(cls, samples, p_grid, provenance: dict | None = None,
-                     groups: int = 32) -> "MomentCurve":
-        """Debias sample L_p norms by delete-a-group jackknife over `groups` blocks."""
+    def from_samples(cls, samples, p_grid, provenance: dict | None = None) -> "MomentCurve":
+        """Debias sample L_p norms by delete-a-group jackknife over
+        `JACKKNIFE_GROUPS` blocks (one per sample when there are fewer)."""
         x = np.abs(np.asarray(samples, dtype=float)).ravel()
         n = x.size
         if n < 2:
             raise ValueError("need at least two samples")
-        groups = max(2, min(groups, n))
+        groups = min(JACKKNIFE_GROUPS, n)
         bounds = np.linspace(0, n, groups + 1).astype(int)
         p_grid = tuple(float(p) for p in p_grid)
         sums = _abs_power_sums(x, p_grid, starts=bounds[:-1])
@@ -349,7 +359,7 @@ def _along_p(v: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None,
-                  slack_se: float = 3.0) -> None:
+                  slack_se: float = SE_MARGIN) -> None:
     """Validate moment curves held with p along axis 0 of `norms`.
 
     The grid must be strictly ascending with p >= 1, the norms finite and
@@ -500,10 +510,12 @@ def rosenthal_transform(psi: PsiFunction) -> PsiFunction:
                        support_high=psi.support_high, base=psi)
 
 
-def _closed_power_lower_star(psi: PsiFunction, x: np.ndarray, lo: float,
-                             hi: float) -> np.ndarray:
+def _closed_power_lower_star(psi: PsiFunction, x: np.ndarray) -> np.ndarray:
     """Exact lower transform of p**(1/q): interior stationary point p = q*x,
-    clamped to the scan interval [lo, hi]."""
+    clamped to the finite region [lo, hi]."""
+    _, lo, hi = psi.finite_region()
+    if not hi > lo:
+        raise EmptyDomain(f"psi is finite at no order in [{lo:g}, {hi:g}]")
     q = psi.q
     p_star = q * x
     clamped = np.clip(p_star, lo, hi)
@@ -512,9 +524,7 @@ def _closed_power_lower_star(psi: PsiFunction, x: np.ndarray, lo: float,
                         x / clamped + np.log(clamped) / q)
 
 
-def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto",
-                   nodes: int = DEFAULT_NODES, p_cap: float = DEFAULT_P_CAP,
-                   tol: float = 1e-9):
+def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto"):
     """inf over y in (0, 1) with 1/y in the support of [x*y + log psi(1/y)].
 
     In the substitution p = 1/y this is inf over admissible p of
@@ -534,47 +544,43 @@ def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto",
     if np.any(xs < 0):
         raise ValueError("x must be nonnegative")
     uniq, where = np.unique(xs, return_inverse=True)
-    vals = _lower_star(psi, uniq, method, nodes, p_cap, tol)[where.reshape(xs.shape)]
+    vals = _lower_star(psi, uniq, method)[where.reshape(xs.shape)]
     return float(vals) if xs.ndim == 0 else vals
 
 
-def _lower_star(psi: PsiFunction, xs: np.ndarray, method: str, nodes: int,
-                p_cap: float, tol: float) -> np.ndarray:
+def _lower_star(psi: PsiFunction, xs: np.ndarray, method: str) -> np.ndarray:
     """The lower transform at each entry of the 1-D array `xs`."""
-    region = psi.finite_region(p_cap)
-    if region[0] == "point":
-        r = region[1]
-        if r <= 1.0:
-            raise EmptyDomain("no y in (0,1) maps into the support")
-        return xs / r + math.log(psi.value(r))
-    lo, hi = max(region[1], 1.0), region[2]
-    if not (hi > lo):
-        raise EmptyDomain("no y in (0,1) maps into the support")
-
     if method == "closed" and psi.form != "closed_power":
         raise ValueError("closed form only available for the pure power shape")
     if method in ("auto", "closed") and psi.form == "closed_power":
-        return _closed_power_lower_star(psi, xs, lo, hi)
-
-    grid = _scan_grid(psi, lo, hi, nodes)
-    _, vals = minimize_rows(lambda p, k: xs[k] / p + np.log(psi.value_array(p)),
-                            grid, xs.size, tol=tol)
-    return vals
+        return _closed_power_lower_star(psi, xs)
+    return _minimize_over_region(psi, lambda p, log_psi, k: xs[k] / p + log_psi,
+                                 xs.size, 1.0, INF)
 
 
-def _scan_grid(psi: PsiFunction, lo: float, hi: float, nodes: int) -> np.ndarray:
-    """Log grid on [lo, hi] nudged just inside the open support of psi; for
-    tabulated shapes the grid endpoints themselves are admissible."""
+def _minimize_over_region(psi: PsiFunction, f, nrows: int, low: float,
+                          high: float) -> np.ndarray:
+    """Minimum of each of `nrows` objectives f(p, log psi(p), rows) over the
+    orders p in [low, high] where psi is finite: at the one order of a point
+    region (with `math.log`), else on a log grid nudged just inside the open
+    support (tabulated grid endpoints are admissible) with golden-section
+    refinement.  Raises EmptyDomain when there is no such order."""
+    kind, *ends = psi.finite_region()
+    lo, hi = (ends[0], ends[0]) if kind == "point" else (max(ends[0], low), min(ends[1], high))
+    if not (low <= lo <= hi <= high and (kind == "point" or hi > lo)):
+        raise EmptyDomain(f"psi is finite at no order in [{low:g}, {high:g}]")
+    if kind == "point":
+        return f(np.full(nrows, lo), math.log(psi.value(lo)), np.arange(nrows))
     if psi.form != "tabulated":
         lo = lo * (1.0 + 1e-9)
         if math.isfinite(psi.support_high) and hi >= psi.support_high:
             hi = hi * (1.0 - 1e-12)
-    return log_grid(lo, hi, nodes)
+    return minimize_rows(lambda p, k: f(p, np.log(psi.value_array(p)), k),
+                         log_grid(lo, hi, DEFAULT_NODES), nrows)[1]
 
 
-def young_fenchel(g, y: float, *, x_min: float = 2.0, x_max: float = DEFAULT_P_CAP,
-                  nodes: int = DEFAULT_NODES, tol: float = 1e-9) -> float:
-    """Restricted convex conjugate sup over x in [x_min, x_max] of x*y - g(x).
+def young_fenchel(g, y: float) -> float:
+    """Restricted convex conjugate sup over x in [2, DEFAULT_P_CAP] of x*y - g(x).
 
     This is the conjugate with domain clipped to x >= 2, evaluated on a
     log-spaced grid with golden-section refinement; points where g is
@@ -585,85 +591,59 @@ def young_fenchel(g, y: float, *, x_min: float = 2.0, x_max: float = DEFAULT_P_C
         gv = np.array([g(float(x)) for x in np.ravel(points)]).reshape(np.shape(points))
         return np.where(np.isinf(gv), INF, gv - points * y)
 
-    _, val = minimize_rows(negated, log_grid(x_min, x_max, nodes), 1, tol=tol)
+    _, val = minimize_rows(negated, log_grid(2.0, DEFAULT_P_CAP, DEFAULT_NODES), 1)
     return -float(val[0])
 
 
-def psi_bar_conjugate(psi: PsiFunction, y: float, *, x_min: float = 2.0,
-                      x_max: float = DEFAULT_P_CAP, nodes: int = DEFAULT_NODES,
-                      tol: float = 1e-9) -> float:
-    """Conjugate of p * log psi(p), restricted to the finite region of psi.
+def psi_bar_conjugate(psi: PsiFunction, y: float) -> float:
+    """Conjugate of p * log psi(p), restricted to the orders p in
+    [2, DEFAULT_P_CAP] where psi is finite.
 
     Degenerate shapes contribute a single point; interval shapes are scanned
     like :func:`young_fenchel`.  Returns -inf when the finite region misses
-    [x_min, x_max] entirely.
+    [2, DEFAULT_P_CAP] entirely.
     """
-    region = psi.finite_region(x_max)
-    if region[0] == "point":
-        r = region[1]
-        if r < x_min or r > x_max:
-            return -INF
-        return r * y - psi.bar(r)
-    lo, hi = max(region[1], x_min), min(region[2], x_max)
-    if not (hi > lo):
+    try:
+        val = _minimize_over_region(psi, lambda p, log_psi, k: p * log_psi - p * y,
+                                    1, 2.0, DEFAULT_P_CAP)
+    except EmptyDomain:
         return -INF
-
-    def negated(points, rows):
-        bv = psi.bar_array(points)
-        return np.where(np.isfinite(bv), bv - points * y, INF)
-
-    _, val = minimize_rows(negated, _scan_grid(psi, lo, hi, nodes), 1, tol=tol)
     return -float(val[0])
 
 
-def gls_tail_bound(psi: PsiFunction, gls_norm_value: float, u: float, *,
-                   x_max: float = DEFAULT_P_CAP, nodes: int = DEFAULT_NODES) -> float:
+def gls_tail_bound(psi: PsiFunction, gls_norm_value: float, u: float) -> float:
     """Exponential tail bound min(1, 2 exp(-conj(log(u / norm)))).
 
     `conj` is the restricted conjugate of p * log psi(p).  The bound is a
     probability: it clamps to 1 whenever u <= norm, and the truncation of an
-    unbounded support at `x_max` only weakens (never invalidates) it.
+    unbounded support at `DEFAULT_P_CAP` only weakens (never invalidates) it.
     """
     if u <= 0:
         raise ValueError("u must be positive")
     if gls_norm_value <= 0:
         raise ValueError("norm value must be positive")
-    yv = math.log(u / gls_norm_value)
-    star = psi_bar_conjugate(psi, yv, x_max=x_max, nodes=nodes)
+    star = psi_bar_conjugate(psi, math.log(u / gls_norm_value))
     if star == -INF:
         return 1.0
     return min(1.0, 2.0 * math.exp(-star))
 
 
-def orlicz_n_function(psi: PsiFunction, u: float, *, x_max: float = DEFAULT_P_CAP,
-                      nodes: int = DEFAULT_NODES) -> float:
-    """Exponential Orlicz-type N-function generated by psi.
-
-    N(u) = exp(conj(log |u|)) for |u| > e**2 and C * u**2 below, with C fixed
-    by continuity at |u| = e**2 (the stitching constant is otherwise free).
-    Values beyond float range come back as +inf; see
-    :func:`log_orlicz_n_function` for an overflow-safe log evaluation.
-    """
-    au = abs(u)
-    e2 = math.exp(2.0)
-    if au <= e2:
-        c = math.exp(psi_bar_conjugate(psi, 2.0, x_max=x_max, nodes=nodes)) / math.exp(4.0)
-        return c * au * au
-    star = psi_bar_conjugate(psi, math.log(au), x_max=x_max, nodes=nodes)
+def orlicz_n_function(psi: PsiFunction, u: float) -> float:
+    """Exponential Orlicz-type N-function generated by psi: the exp of
+    :func:`log_orlicz_n_function`, +inf beyond float range."""
     try:
-        return math.exp(star)
+        return math.exp(log_orlicz_n_function(psi, u))
     except OverflowError:
         return INF
 
 
-def log_orlicz_n_function(psi: PsiFunction, u: float, *, x_max: float = DEFAULT_P_CAP,
-                          nodes: int = DEFAULT_NODES) -> float:
-    """log N(u) for the same stitched N-function; -inf at u = 0."""
+def log_orlicz_n_function(psi: PsiFunction, u: float) -> float:
+    """log N(u) of the N-function N(u) = exp(conj(log |u|)) for |u| > e**2
+    and C * u**2 below, with C fixed by continuity at |u| = e**2 (the
+    stitching constant is otherwise free); -inf at u = 0."""
     au = abs(u)
     if au == 0.0:
         return -INF
-    e2 = math.exp(2.0)
-    if au <= e2:
-        star2 = psi_bar_conjugate(psi, 2.0, x_max=x_max, nodes=nodes)
-        return star2 - 4.0 + 2.0 * math.log(au)
-    return psi_bar_conjugate(psi, math.log(au), x_max=x_max, nodes=nodes)
+    if au <= math.exp(2.0):
+        return psi_bar_conjugate(psi, 2.0) - 4.0 + 2.0 * math.log(au)
+    return psi_bar_conjugate(psi, math.log(au))

@@ -52,8 +52,8 @@ from scipy.special import erf, gamma as gamma_fn
 
 from .distances import PairwiseMomentField, _pair_key
 from .errors import HorizonExceeded
-from .psi import (MomentCurve, PsiFunction, _abs_power_sums, _jackknife, gls_norm,
-                  rosenthal_transform)
+from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _jackknife,
+                  gls_norm, rosenthal_transform)
 from .tails import TailFunction, w_operator
 
 #: Universal constant in the martingale moment inequality
@@ -78,8 +78,8 @@ KINDS = {
 KERNELS = ("white", "rbf", "brownian", "fractional_brownian")
 
 #: Family-wise false-alarm level of `martingale_difference_check`: that of
-#: one two-sided 3-standard-error test, 2 * (1 - Phi(3)).
-MD_FAMILY_LEVEL = math.erfc(3.0 / math.sqrt(2.0))
+#: one two-sided `SE_MARGIN`-standard-error test, 2 * (1 - Phi(3)).
+MD_FAMILY_LEVEL = math.erfc(SE_MARGIN / math.sqrt(2.0))
 
 #: Float budget per generated chunk (count * n * npoints).
 _CHUNK_BUDGET = 1 << 21
@@ -109,9 +109,9 @@ def ks_gaussian(samples, sigma: float) -> float:
     return float(max(up.max(), dn.max()))
 
 
-def ks_two_sample_critical(n1: int, n2: int, alpha: float = 0.05) -> float:
-    """Asymptotic two-sample rejection threshold at level alpha."""
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+def ks_two_sample_critical(n1: int, n2: int) -> float:
+    """Asymptotic two-sample rejection threshold at level 0.05."""
+    c = math.sqrt(-0.5 * math.log(0.05 / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
@@ -614,7 +614,6 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
 def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
                     mode: str = "points", x_index: int = 0,
                     pair: tuple[str, str] | None = None,
-                    rosenthal_allowance: float = 1.0,
                     threads: int | None = None) -> list[dict]:
     """Empirical check of the martingale moment inequality.
 
@@ -625,8 +624,8 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
 
     with numerator and denominator estimated from the same replications.
     Rows carry a batch-means standard error and flags against the universal
-    constant 15.5879 and the independent-case constant 0.6535 scaled by
-    `rosenthal_allowance`.
+    constant 15.5879, with a margin of `SE_MARGIN` standard errors, and the
+    independent-case constant 0.6535.
     """
     p_grid = [float(p) for p in p_grid]
     if any(p < 2 for p in p_grid):
@@ -672,8 +671,8 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
             s = float(se[pi, ni])
             rows.append({"p": p, "n": n, "ratio": r, "se": s,
                          "bound": OSEKOWSKI_CONSTANT,
-                         "within_bound": r <= OSEKOWSKI_CONSTANT - 3.0 * s,
-                         "rosenthal_ok": r <= ROSENTHAL_CONSTANT * rosenthal_allowance})
+                         "within_bound": r <= OSEKOWSKI_CONSTANT - SE_MARGIN * s,
+                         "rosenthal_ok": r <= ROSENTHAL_CONSTANT})
     return rows
 
 
@@ -706,8 +705,8 @@ def equicontinuity_check(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: 
     The rescaled-psi norm of eta_n(x1) - eta_n(x2), maximized over the n
     grid, must stay below 15.5879 times the averaged increment distance of
     the pair.  psi defaults to the natural generating function estimated
-    from the same model; domination is asserted with a 3-standard-error
-    Monte Carlo margin on both sides.
+    from the same model; domination is asserted with a Monte Carlo margin of
+    `SE_MARGIN` standard errors on both sides.
     """
     from .distances import distance_bar, natural_function
 
@@ -732,7 +731,7 @@ def equicontinuity_check(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: 
         lhs, lhs_se = float(lhs), float(lhs_se)
         rows.append({"pair": list(pr), "lhs": lhs, "lhs_se": lhs_se,
                      "dbar": dbar, "rhs": rhs,
-                     "ok": bool(lhs <= rhs + 3.0 * lhs_se + 1e-12),
+                     "ok": bool(lhs <= rhs + SE_MARGIN * lhs_se + 1e-12),
                      "ratio": lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)})
     return rows
 
@@ -744,27 +743,33 @@ def tail_domination_check(model: MartingaleFieldModel, tail: TailFunction | None
 
     `tail` defaults to the model's own dominating tail.  For each n the
     one-sided empirical tail max(P(eta > x), P(eta < -x)) is compared with
-    the transform bound at x plus three binomial standard errors.
+    the transform bound at x, which holds for every n and is computed once
+    per x, plus `SE_MARGIN` binomial standard errors.
     """
     if tail is None:
         tail = model.dominating_tail()
     ns = sorted(int(n) for n in n_values)
     etas = _partial_sums(model, ns, R, threads, _columns(model, [x_index]))[:, :, 0]
-    return [row for n, eta in zip(ns, etas) for row in _tail_rows(tail, x_values, n, eta)]
+    bounds = _tail_bounds(tail, x_values)
+    return [row for n, eta in zip(ns, etas) for row in _tail_rows(bounds, n, eta)]
 
 
-def _tail_rows(tail: TailFunction, x_values, n: int, sums: np.ndarray) -> list[dict]:
+def _tail_bounds(tail: TailFunction, x_values) -> list[tuple[float, float]]:
+    """(x, transform bound at x) for each x of `x_values`, in order."""
+    return [(float(x), w_operator(tail, float(x))) for x in x_values]
+
+
+def _tail_rows(bounds: list[tuple[float, float]], n: int, sums: np.ndarray) -> list[dict]:
     """The one-sided empirical tail max(P(s > x), P(s < -x)) of the samples
-    `sums` against the transform bound at x plus three binomial standard
-    errors, one row per x."""
+    `sums` against the bound at x (`_tail_bounds`) plus `SE_MARGIN` binomial
+    standard errors, one row per x."""
     R = sums.size
     rows = []
-    for x in x_values:
+    for x, bound in bounds:
         emp = max(float((sums > x).mean()), float((sums < -x).mean()))
         se = math.sqrt(max(emp * (1.0 - emp), 1.0 / R) / R)
-        bound = w_operator(tail, float(x))
-        rows.append({"n": n, "x": float(x), "empirical": emp, "se": se,
-                     "bound": bound, "ok": emp <= bound + 3.0 * se})
+        rows.append({"n": n, "x": x, "empirical": emp, "se": se,
+                     "bound": bound, "ok": emp <= bound + SE_MARGIN * se})
     return rows
 
 
@@ -784,7 +789,7 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
         return None
 
     _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
-    return _tail_rows(tail, x_values, n, out)
+    return _tail_rows(_tail_bounds(tail, x_values), n, out)
 
 
 def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,
@@ -841,7 +846,3 @@ class SimulationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @property
-    def all_ok(self) -> bool:
-        return all(row.get("ok", row.get("within_bound", True)) for row in self.rows)

@@ -25,6 +25,9 @@ from ._gridopt import log_grid, minimize_rows
 
 _FORMS = ("closed_weibull", "tabulated", "degenerate_zero")
 
+#: The split points v that `w_operator` scans span [V_SPAN[0] * x, V_SPAN[1] * x].
+V_SPAN = (1e-4, 1e4)
+
 
 @dataclass(frozen=True)
 class TailFunction:
@@ -157,14 +160,12 @@ def tail_second_moment(T: TailFunction, v):
     return float(m2) if m2.ndim == 0 else m2
 
 
-def w_operator(T: TailFunction, x: float, *, nodes: int = 512,
-               v_lo_frac: float = 1e-4, v_hi_frac: float = 1e4,
-               tol: float = 1e-9) -> float:
+def w_operator(T: TailFunction, x: float, *, nodes: int = 512) -> float:
     """The uniform-sum tail transform min(1, inf_v [Gaussian term + tail term]).
 
-    The infimum over the split point v is taken on a log-spaced grid spanning
-    [v_lo_frac * x, v_hi_frac * x] with golden-section refinement; the scan
-    evaluates the whole grid in one call.
+    The infimum over the split point v is taken on a log-spaced grid of
+    `nodes` nodes spanning `V_SPAN` times x with golden-section refinement;
+    the scan evaluates the whole grid in one call.
     """
     if x <= 0:
         raise ValueError("x must be positive")
@@ -172,12 +173,12 @@ def w_operator(T: TailFunction, x: float, *, nodes: int = 512,
     def objective(v: np.ndarray, rows) -> np.ndarray:
         return np.exp(-x * x / (8.0 * v * v)) + tail_second_moment(T, v)
 
-    grid = log_grid(v_lo_frac * x, v_hi_frac * x, nodes)
-    _, best = minimize_rows(objective, grid, 1, tol=tol)
+    grid = log_grid(V_SPAN[0] * x, V_SPAN[1] * x, nodes)
+    _, best = minimize_rows(objective, grid, 1)
     return min(1.0, float(best[0]))
 
 
-def uniform_sum_tail_bound(T: TailFunction, x: float, **kwargs) -> float:
+def uniform_sum_tail_bound(T: TailFunction, x: float) -> float:
     """Uniform-in-n tail bound for normalized martingale-difference sums.
 
     For any adapted difference sequence whose one-sided tails are dominated
@@ -187,7 +188,7 @@ def uniform_sum_tail_bound(T: TailFunction, x: float, **kwargs) -> float:
     """
     if x <= 1.0:
         raise ValueError("the uniform bound is asserted for x > 1 only")
-    return w_operator(T, x, **kwargs)
+    return w_operator(T, x)
 
 
 def weibull_sum_bound(K: float, q: float, x: float, c_fit: float) -> float:

@@ -162,6 +162,25 @@ class TestCheckTheorem:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("change,path", [
+        ({"p_grid": [1.0, 2.0, 3.0]}, "config.p_grid: "),
+        ({"p_grid": [2.0]}, "config.p_grid: "),
+        ({"psi": {"form": "degenerate", "r": 5.0}}, "config.psi: "),
+        ({"psi": {"form": "tabulated", "grid": [10, 12], "values": [1, 2]}}, "config.psi: "),
+        ({"psi": {"form": "tabulated", "grid": [3], "values": [1]}}, "config.psi: "),
+    ], ids=["natural-at-order-one", "natural-one-order", "degenerate-off-grid",
+            "tabulated-above-grid", "tabulated-one-order"])
+    def test_psi_without_orders_rejected_before_simulating(self, tmp_path, capsys, monkeypatch,
+                                                           change, path):
+        def simulate(*args, **kwargs):
+            raise AssertionError("estimate_moment_curves reached for a psi without orders")
+
+        monkeypatch.setattr("uclt.cli.estimate_moment_curves", simulate)
+        cfg = write_cfg(tmp_path / "c.json", theorem_cfg(**change))
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_one_point_model_rejected_before_simulating(self, tmp_path, capsys, monkeypatch):
         def simulate(*args, **kwargs):
             raise AssertionError("estimate_moment_curves reached for a one-point model")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uclt._gridopt import golden_minimize, log_grid, minimize_on_grid, minimize_rows
+from uclt._gridopt import golden_minimize, log_grid, minimize_rows
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -48,7 +48,7 @@ def batched_objective(x, rows):
 
 
 def test_batched_golden_equals_scalar_iteration():
-    xs, vs = golden_minimize(batched_objective, A, B, tol=1e-9)
+    xs, vs = golden_minimize(batched_objective, A, B)
     for k in range(A.size):
         x, v = scalar_golden(lambda t, k=k: objective(t, k), float(A[k]), float(B[k]))
         assert xs[k] == x and vs[k] == v
@@ -71,13 +71,15 @@ def test_rows_match_one_row_scan():
 
     xs, vs = minimize_rows(f, grid, centres.size)
     for k, c in enumerate(centres):
-        x, v = minimize_on_grid(lambda t, c=c: math.log1p((t - c) ** 2), grid)
-        assert (xs[k], vs[k]) == (x, v)
+        def one_row(p, rows, c=c):
+            return np.array([math.log1p((t - c) ** 2) for t in np.ravel(p)]).reshape(np.shape(p))
+        x, v = minimize_rows(one_row, grid, 1)
+        assert (xs[k], vs[k]) == (x[0], v[0])
 
 
 def test_nothing_finite():
-    x, v = minimize_on_grid(lambda t: math.inf, [1.0, 2.0, 3.0])
-    assert (x, v) == (1.0, math.inf)
+    x, v = minimize_rows(lambda p, r: np.full(np.shape(p), math.inf), [1.0, 2.0, 3.0], 1)
+    assert (x[0], v[0]) == (1.0, math.inf)
     xs, vs = minimize_rows(lambda p, r: np.full(np.broadcast(p, r).shape, np.nan),
                            [1.0, 2.0], 2)
     assert np.all(vs == np.inf)

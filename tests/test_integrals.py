@@ -181,3 +181,14 @@ class TestTrace:
         assert h == 0.0 and val == pytest.approx(1.0)  # exp(0)
         with pytest.raises(ValueError):
             integrand_trace(prof, r=2.0, power=1.0)
+
+    @pytest.mark.parametrize("measured", [False, True], ids=["model", "measured"])
+    def test_integral_keeps_its_trace(self, measured):
+        prof = holder_profile(1, 0.5, 1.0, 1.0)
+        if measured:
+            prof = measure_profile(FiniteMetricSpace.grid_1d(12), num=8)
+        psi = rosenthal_transform(PsiFunction.closed_power(2.0))
+        rows = integrand_trace(prof, psi=psi, nodes=60)
+        assert entropy_integral(prof, psi, nodes=60).trace() == rows
+        assert order_r_integral(prof, 3.0, nodes=60).trace() == integrand_trace(prof, r=3.0,
+                                                                               nodes=60)

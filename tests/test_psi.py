@@ -26,7 +26,7 @@ from uclt.psi import (
 
 def dense_lower_star(psi, x, nodes=200001):
     """Independent oracle: brute-force scan of x/p + log psi(p)."""
-    kind, *rest = psi.finite_region(DEFAULT_P_CAP)
+    kind, *rest = psi.finite_region()
     if kind == "point":
         return x / rest[0] + math.log(psi.value(rest[0]))
     lo, hi = rest

@@ -36,6 +36,7 @@ from uclt.simulate import (
     tail_domination_check,
     weighted_tail_domination_check,
 )
+from uclt.tails import w_operator
 
 
 def white_gaussian(npts=3, horizon=64, seed=42):
@@ -450,6 +451,22 @@ class TestTailDomination:
     def test_all_kinds_dominated(self, model):
         rows = tail_domination_check(model, None, [1.5, 2.0, 3.0], [16, 64], 20000)
         assert all(r["ok"] for r in rows)
+
+    def test_bound_once_per_x(self, monkeypatch):
+        # the transform bound is uniform in n: one call per x, the same in every n's row
+        calls = []
+
+        def counted(tail, x):
+            calls.append(x)
+            return w_operator(tail, x)
+
+        monkeypatch.setattr("uclt.simulate.w_operator", counted)
+        rows = tail_domination_check(white_gaussian(), None, [1.5, 3.0, 1.5], [4, 16, 64], 500)
+        assert calls == [1.5, 3.0, 1.5]
+        assert [(r["n"], r["x"]) for r in rows] == [(n, x) for n in (4, 16, 64)
+                                                    for x in (1.5, 3.0, 1.5)]
+        tail = white_gaussian().dominating_tail()
+        assert [r["bound"] for r in rows] == [w_operator(tail, x) for x in (1.5, 3.0, 1.5) * 3]
 
     def test_weighted_form(self):
         rng = np.random.default_rng(0)

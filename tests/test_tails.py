@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaincc, gammaln
 
-from uclt._gridopt import log_grid, minimize_on_grid
+from uclt._gridopt import log_grid, minimize_rows
 
 from uclt.tails import (
     TailFunction,
@@ -50,7 +50,9 @@ def scalar_w(T, x, nodes=512):
     """The transform with one scalar objective call per scan node and golden step."""
     def objective(v):
         return math.exp(-x * x / (8.0 * v * v)) + scalar_second_moment(T, v)
-    return min(1.0, minimize_on_grid(objective, log_grid(1e-4 * x, 1e4 * x, nodes))[1])
+    def one_row(vs, rows):
+        return np.array([objective(float(v)) for v in np.ravel(vs)]).reshape(np.shape(vs))
+    return min(1.0, float(minimize_rows(one_row, log_grid(1e-4 * x, 1e4 * x, nodes), 1)[1][0]))
 
 
 TAILS = [TailFunction.closed_weibull(1.0, 2.0), TailFunction.closed_weibull(2.0, 0.5),
