@@ -35,7 +35,7 @@ import numpy as np
 from . import covering as cov
 from . import integrals as integ
 from .distances import PairwiseMomentField, distance_matrix, natural_function, sigma_squared
-from .errors import ConfigError, MissingRun, UcltError
+from .errors import ConfigError, MissingRun, OrderOverflow, UcltError
 from .psi import DEFAULT_P_CAP, PsiFunction
 from .simulate import (
     KERNELS,
@@ -385,8 +385,11 @@ def run_check_theorem(cfg: dict, args) -> int:
 
     labels = model.labels
     pairs = [(labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))]
-    field = estimate_moment_curves(model, pairs, p_grid, reps,
-                                   i_max=max(n_grid), threads=threads)
+    try:
+        field = estimate_moment_curves(model, pairs, p_grid, reps,
+                                       i_max=max(n_grid), threads=threads)
+    except OrderOverflow as exc:
+        raise ConfigError(f"config.p_grid: {exc}") from None
     psi = natural_function(field) if psi_spec == "natural" else psi_spec
     sigma2 = sigma_squared(field, n_grid, growth_factor=growth_factor)
 

@@ -314,7 +314,10 @@ def covering_numbers_greedy(space: FiniteMetricSpace, eps_values) -> np.ndarray:
     if eps.size == 0:
         return np.zeros(0, dtype=np.int64)
     dist = np.asarray(space.dist, dtype=float)
-    levels = np.concatenate(([0.0], np.unique(dist[(dist > 0) & (dist <= eps.max())])))
+    # the distinct distances up to the largest radius, ascending (np.unique
+    # would import numpy.ma, which nothing else loads)
+    d = np.sort(dist[(dist > 0) & (dist <= eps.max())])
+    levels = np.concatenate(([0.0], d[:1], d[1:][d[1:] > d[:-1]]))
     curve = _replay_sweep(dist, levels, running_min=True)
     return curve[np.searchsorted(levels, eps, side="right") - 1]
 

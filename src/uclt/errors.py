@@ -29,6 +29,10 @@ class MissingData(UcltError):
     """A moment field lacks an entry needed by the computation."""
 
 
+class OrderOverflow(UcltError):
+    """A moment order raises simulated values beyond the range of a double."""
+
+
 class HorizonExceeded(UcltError):
     """A simulation asked for more steps than the model's horizon."""
 

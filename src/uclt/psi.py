@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._gridopt import log_grid, minimize_rows
 from .errors import EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData
@@ -249,7 +248,8 @@ def gaussian_lp_norm(p, scale: float = 1.0):
     sqrt(2) * (Gamma((p+1)/2)/sqrt(pi))**(1/p).  Accepts scalars or arrays.
     """
     p = np.asarray(p, dtype=float)
-    val = scale * math.sqrt(2.0) * np.exp((gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
+    log_gamma = np.array([math.lgamma(h) for h in ((p + 1.0) / 2.0).ravel().tolist()])
+    val = scale * math.sqrt(2.0) * np.exp((log_gamma.reshape(p.shape) - 0.5 * math.log(math.pi)) / p)
     return float(val) if val.ndim == 0 else val
 
 

@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erf, gamma as gamma_fn
+import numpy.random  # the engine's generators, loaded with the package, not at the first draw
 
 from .distances import PairwiseMomentField, _pair_key
-from .errors import HorizonExceeded
+from .errors import HorizonExceeded, OrderOverflow
 from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _jackknife,
                   gls_norm, rosenthal_transform)
 from .tails import TailFunction, w_operator
@@ -103,7 +103,7 @@ def ks_gaussian(samples, sigma: float) -> float:
     """One-sample KS distance of `samples` to a centered Gaussian with sd sigma."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
-    cdf = 0.5 * (1.0 + erf(x / (sigma * math.sqrt(2.0))))
+    cdf = 0.5 * (1.0 + np.array([math.erf(z) for z in (x / (sigma * math.sqrt(2.0))).tolist()]))
     up = np.arange(1, n + 1) / n - cdf
     dn = cdf - np.arange(0, n) / n
     return float(max(up.max(), dn.max()))
@@ -248,7 +248,10 @@ class MartingaleFieldModel:
             return self._kernel.copy()
         p = self.p
         if self.kind == "weibull_field" and p["cap"] is None:
-            second = p["K"] * p["K"] * gamma_fn(1.0 + 2.0 / p["q"])
+            try:
+                second = p["K"] * p["K"] * math.gamma(1.0 + 2.0 / p["q"])
+            except OverflowError:  # Gamma(1 + 2/q) beyond float range
+                second = math.inf
             return second * np.outer(self._amplitude, self._amplitude)
         if self.kind == "bounded_sign" and p["modulation"] == 0.0:
             amp = p["base"] * self._amplitude
@@ -578,7 +581,8 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     Norm estimates are debiased by a delete-a-group jackknife with the engine
     chunks as groups, which also supplies the standard errors.  `pairs` is a
     list of (label, label) tuples.  Integer and half-integer orders p >= 2
-    are raised by multiplication (`psi._abs_power_sums`).
+    are raised by multiplication (`psi._abs_power_sums`).  Raises
+    `OrderOverflow` if an order takes a simulated value beyond float range.
     """
     labels = model.labels
     idx = {lb: k for k, lb in enumerate(labels)}
@@ -593,13 +597,20 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
         rows = paths.reshape(-1, paths.shape[2])     # indexing a 2-D view is the fast path
         diffs = (rows[:, first] - rows[:, second]).reshape(paths.shape[:2] + (len(pairs),))
         pt_sum, pt_sq = paths.sum(axis=0), (paths ** 2).sum(axis=0)
-        return (_abs_power_sums(paths, p_grid), pt_sum, pt_sq,
-                _abs_power_sums(diffs, p_grid), paths.shape[0])
+        with np.errstate(over="ignore"):  # an overflowing order is reported below
+            return (_abs_power_sums(paths, p_grid), pt_sum, pt_sq,
+                    _abs_power_sums(diffs, p_grid), paths.shape[0])
 
     parts = _run_chunks(model, m, R, worker, threads)
     counts = np.array([p[4] for p in parts], dtype=float)
-    point_norms, point_se = _jackknife(np.stack([p[0] for p in parts]), counts, p_grid)
-    pair_norms, pair_se = _jackknife(np.stack([p[3] for p in parts]), counts, p_grid)
+    with np.errstate(invalid="ignore"):
+        point_norms, point_se = _jackknife(np.stack([p[0] for p in parts]), counts, p_grid)
+        pair_norms, pair_se = _jackknife(np.stack([p[3] for p in parts]), counts, p_grid)
+    for norms in (point_norms, pair_norms):
+        bad = ~np.isfinite(norms).reshape(len(p_grid), -1).all(axis=1)
+        if bad.any():
+            raise OrderOverflow(f"order p = {p_grid[int(np.argmax(bad))]:g}: |value|**p of the "
+                                f"simulated values is beyond the range of a double")
     mean = np.stack([p[1] for p in parts]).sum(axis=0) / R
     ssq = np.stack([p[2] for p in parts]).sum(axis=0)
     var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)

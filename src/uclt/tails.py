@@ -19,14 +19,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from ._gridopt import log_grid, minimize_rows
+from .errors import UcltError
 
 _FORMS = ("closed_weibull", "tabulated", "degenerate_zero")
 
 #: The split points v that `w_operator` scans span [V_SPAN[0] * x, V_SPAN[1] * x].
 V_SPAN = (1e-4, 1e4)
+
+#: Most terms `_upper_gamma_q` takes of its series or continued fraction.
+Q_MAX_TERMS = 10_000
+# the unit roundoff of a double, 2**-53
+_UNIT = 2.0 ** -53
+# Gamma(s) is a finite double below s = 171.62
+_GAMMA_FINITE = 171.0
+# Q(s, x) is a finite sum for whole s; `_upper_gamma_q` takes it up to this s
+_WHOLE_S_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -135,15 +144,110 @@ class TailFunction:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _log1pmx(t: float) -> float:
+    """log(1 + t) - t, without the cancellation of the direct formula near 0."""
+    if t <= -1.0:  # 1 + t rounded to 0
+        return -math.inf
+    if abs(t) > 0.5:
+        return math.log1p(t) - t
+    # log(1 + t) = 2 atanh(u) = 2 (u + u**3/3 + ...) with u = t / (2 + t), and t - 2u = t u
+    u = t / (2.0 + t)
+    u2, power, tail, k = u * u, u, 0.0, 3
+    while True:
+        power *= u2
+        term = power / k
+        tail += term
+        if abs(term) <= _UNIT * abs(tail):
+            return 2.0 * tail - t * u
+        k += 2
+
+
+def _gamma_prefix(s: float, x: float) -> float:
+    """x**s * exp(-x) / Gamma(s) for s >= 1 and x > 0.
+
+    While Gamma(s) is finite this is pow, exp and gamma, each to about an
+    ulp: with m the least power of two that keeps x**(s/m) and exp(-x/m) in
+    range, the m-th root is formed and squared log2(m) times.  Above that,
+    Stirling's series for log Gamma(s) leaves s * (log1p(t) - t), with
+    t = (x - s)/s, as the one large term.
+    """
+    if s < _GAMMA_FINITE:
+        m = 1
+        while abs(s * math.log(x)) > 700.0 * m or x > 700.0 * m:
+            m *= 2
+        y = math.pow(x, s / m) * math.exp(-x / m) / math.pow(math.gamma(s), 1.0 / m)
+        while m > 1:
+            y *= y
+            m //= 2
+        return y
+    # log Gamma(s) = (s - 1/2) log s - s + log(2 pi)/2 + 1/(12 s) - 1/(360 s**3) + ...
+    r = 1.0 / (s * s)
+    stirling = (1.0 / 12.0 - r * (1.0 / 360.0 - r / 1260.0)) / s
+    return math.exp(s * _log1pmx((x - s) / s)
+                    + 0.5 * math.log(s / (2.0 * math.pi)) - stirling)
+
+
+def _upper_gamma_q(s: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(s, x) for s >= 1, x >= 0.
+
+    For whole s up to `_WHOLE_S_MAX` and x < 700, Q is the finite sum
+    e**-x (1 + x + ... + x**(s-1)/(s-1)!).  Otherwise, below x = s,
+    Q = 1 - P with P = x**s e**-x / Gamma(s + 1) times the power series sum
+    over n of x**n / ((s + 1) ... (s + n)); from x = s on, Q is
+    x**s e**-x / Gamma(s) times Legendre's continued fraction
+    1/(x + 1 - s - 1 (1 - s)/(x + 3 - s - 2 (2 - s)/(x + 5 - s - ...))).
+    The series stops at the first term below 2**-53 of its sum; the fraction
+    doubles its depth from 4 until two depths agree to 2**-53.  Both are
+    evaluated from their last term back, so rounding errors do not compound
+    along the recurrence.  Raises `UcltError` past `Q_MAX_TERMS` terms.
+    """
+    if x <= 0.0:
+        return 1.0
+    if s.is_integer() and s <= _WHOLE_S_MAX and x < 700.0:
+        term = total = 1.0  # e**-x (1 + x + ... + x**(s-1)/(s-1)!)
+        for k in range(1, int(s)):
+            term *= x / k
+            total += term
+        return math.exp(-x) * total
+    if x < s:
+        prefix = _gamma_prefix(s, x)
+        n, term, total = 0, 1.0, 1.0
+        while term > _UNIT * total:
+            n += 1
+            if n > Q_MAX_TERMS:
+                raise UcltError(f"incomplete gamma series at s = {s!r}, x = {x!r} "
+                                f"did not converge in {Q_MAX_TERMS} terms")
+            term *= x / (s + n)
+            total += term
+        total = 1.0
+        for k in range(n, 0, -1):
+            total = 1.0 + x / (s + k) * total
+        return 1.0 - prefix / s * total
+    if x == math.inf or s * math.log(x) - x - math.lgamma(s) < -800.0:
+        return 0.0  # Q < x**s e**-x / Gamma(s) is below the least subnormal
+    prefix = _gamma_prefix(s, x)
+    n, previous = 4, None
+    while n <= Q_MAX_TERMS:
+        t = x - s + 2.0 * n + 1.0
+        for i in range(n, 0, -1):
+            t = x - s + 2.0 * i - 1.0 - i * (i - s) / t
+        if previous is not None and abs(t - previous) <= _UNIT * abs(t):
+            return prefix / t
+        n, previous = 2 * n, t
+    raise UcltError(f"incomplete gamma continued fraction at s = {s!r}, x = {x!r} "
+                    f"did not converge in {Q_MAX_TERMS} terms")
+
+
 def tail_second_moment(T: TailFunction, v):
     """Second moment carried above v: -integral over (v, inf) of y**2 dT(y).
 
     For closed_weibull(K, q) the substitution t = (y/K)**q gives
-    K**2 * Gamma(1 + 2/q) * Q(1 + 2/q, (v/K)**q), with Q the regularized upper
-    incomplete gamma function; it is evaluated in log space and comes back as
-    +inf only beyond float range.  Pure-jump shapes sum y**2 over jumps
-    strictly above v.  A scalar v gives a float, an array of split points
-    the array of their moments.
+    K**2 * Gamma(s) * Q(s, (v/K)**q) with s = 1 + 2/q, with Q the regularized
+    upper incomplete gamma function (`_upper_gamma_q`).  The product is
+    formed directly while Gamma(s) is finite and in log space above, and
+    comes back as +inf only beyond float range.  Pure-jump shapes sum y**2
+    over jumps strictly above v.  A scalar v gives a float, an array of
+    split points the array of their moments, each computed as the scalar.
     """
     v = np.maximum(np.asarray(v, dtype=float), 0.0)
     if T.form == "degenerate_zero":
@@ -152,12 +256,27 @@ def tail_second_moment(T: TailFunction, v):
         x, mass = np.array(T.jumps()).T
         m2 = np.where(x > v[..., None], x * x * mass, 0.0).sum(axis=-1)
     else:
-        K, q = T.scale, T.shape
-        s = 1.0 + 2.0 / q
-        with np.errstate(divide="ignore", over="ignore"):  # Q = 0 gives 0, overflow +inf
-            m2 = np.exp(2.0 * math.log(K) + float(gammaln(s))
-                        + np.log(gammaincc(s, (v / K) ** q)))
+        m2 = np.array([_weibull_moment(T.scale, T.shape, y)
+                       for y in v.ravel().tolist()]).reshape(v.shape)
     return float(m2) if m2.ndim == 0 else m2
+
+
+def _weibull_moment(K: float, q: float, v: float) -> float:
+    """K**2 Gamma(s) Q(s, (v/K)**q) with s = 1 + 2/q, at one split point v >= 0."""
+    s = 1.0 + 2.0 / q
+    try:
+        x = (v / K) ** q
+    except OverflowError:  # beyond float range, where Q is 0
+        return 0.0
+    upper = _upper_gamma_q(s, x)
+    if upper == 0.0:
+        return 0.0
+    if s < _GAMMA_FINITE:
+        return K * (K * (math.gamma(s) * upper))
+    try:
+        return math.exp(2.0 * math.log(K) + math.lgamma(s) + math.log(upper))
+    except OverflowError:
+        return math.inf
 
 
 def w_operator(T: TailFunction, x: float, *, nodes: int = 512) -> float:

@@ -144,13 +144,15 @@ FENCHEL = {
     ],
 }
 
-# TAILS of test_tails at x = 1.5, 3 and 10
+# TAILS of test_tails at x = 1.5, 3 and 10.  Rows 0 and 4 follow tails'
+# own incomplete gamma: +2 ulp at (K=1, q=2, x=10), +4 and +2 ulp at
+# (K=0.7, q=6, x=1.5 and 10) from the scipy-based values before it.
 W = [
-    ["0x1.ef849d9110afbp-1", "0x1.ad73e33697fccp-1", "0x1.f273393fa2034p-4"],
+    ["0x1.ef849d9110afbp-1", "0x1.ad73e33697fccp-1", "0x1.f273393fa2036p-4"],
     ["0x1.fffffe8ea9278p-1", "0x1.fffff8d6ea60ep-1", "0x1.ffff872a5da63p-1"],
     ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"],
     ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0"],
-    ["0x1.c00f95f46b54bp-2", "0x1.efa9c046a9642p-3", "0x1.6294d5be0a449p-16"],
+    ["0x1.c00f95f46b54fp-2", "0x1.efa9c046a9642p-3", "0x1.6294d5be0a44bp-16"],
     ["0x1.827a5618c8981p-1", "0x1.4c71b247df069p-2", "0x1.f42ed43156226p-19"],
     ["0x1.f71421c2231e9p-1", "0x1.dd3c89b2affc0p-1", "0x1.d4d244d1a10ccp-2"],
     ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],

@@ -6,9 +6,13 @@ import pytest
 from scipy.special import gamma, gammaincc, gammaln
 
 from uclt._gridopt import log_grid, minimize_rows
+from uclt.errors import UcltError
 
 from uclt.tails import (
+    Q_MAX_TERMS,
     TailFunction,
+    _log1pmx,
+    _upper_gamma_q,
     fit_tail_constant,
     uniform_sum_tail_bound,
     subq_tail_equivalence,
@@ -16,6 +20,33 @@ from uclt.tails import (
     w_operator,
     weibull_sum_bound,
 )
+
+
+def ulp_error(got, exact):
+    """|got - exact| in ulps of `exact` rounded to a double (the ulp of 0 is
+    the least subnormal); beyond float range only +inf has error 0."""
+    import mpmath
+    bound = float(exact)
+    if math.isinf(bound):
+        return 0.0 if got == math.inf else math.inf
+    return float(abs(mpmath.mpf(got) - exact) / math.ulp(bound))
+
+
+def exact_q(s, x):
+    """Q(s, x) to 40 digits at the double x."""
+    import mpmath
+    with mpmath.workdps(40):
+        return mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+
+
+def exact_second_moment(T, v):
+    """K**2 Gamma(s) Q(s, x) to 40 digits at the double x the program forms."""
+    import mpmath
+    K, q = T.scale, T.shape
+    s = 1.0 + 2.0 / q
+    x = (max(v, 0.0) / K) ** q
+    with mpmath.workdps(40):
+        return mpmath.mpf(K) ** 2 * mpmath.gamma(s) * exact_q(s, x)
 
 
 def weibull_second_moment_oracle(K, q, v):
@@ -139,11 +170,24 @@ class TestVectorizedTransform:
         vs = np.concatenate(([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(1e-4, 1e4, 97)))
         got = tail_second_moment(T, vs)
         assert isinstance(got, np.ndarray) and got.shape == vs.shape
+        if T.form == "closed_weibull":
+            pytest.importorskip("mpmath")
         for v, m in zip(vs, got):
             one = tail_second_moment(T, float(v))
             assert isinstance(one, float)
-            for ref in (one, scalar_second_moment(T, float(v))):
+            assert m == one or abs(m - one) <= 1e-15 * abs(one)
+            ref = scalar_second_moment(T, float(v))
+            if T.form == "closed_weibull":
+                # no further from the exact moment than scipy's formula, or 4 ulp
+                exact = exact_second_moment(T, float(v))
+                assert ulp_error(m, exact) <= max(ulp_error(ref, exact), 4.0)
+            else:
                 assert m == ref or abs(m - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
+    def test_array_moments_are_their_scalar_calls(self, T):
+        vs = np.concatenate(([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(1e-4, 1e4, 97)))
+        assert tail_second_moment(T, vs).tolist() == [tail_second_moment(T, float(v)) for v in vs]
 
     @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
     def test_transform_matches_scalar_objective(self, T):
@@ -151,6 +195,68 @@ class TestVectorizedTransform:
             ref = scalar_w(T, x)
             got = w_operator(T, x)
             assert got == ref or abs(got - ref) <= 1e-14 * abs(ref)
+
+
+# the Weibull shapes q of the accuracy checks, s = 1 + 2/q
+GAMMA_QS = [0.005, 0.05, 0.5, 1.0, 1.5, 2.0, 6.0, 20.0]
+
+
+def x_where_q_falls_to(s, level):
+    """Least x (to bisection accuracy) above s + 1 with exact Q(s, x) <= level."""
+    lo, hi = s + 1.0, 4.0 * (s + 1.0) + 800.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if exact_q(s, mid) > level else (lo, mid)
+    return hi
+
+
+class TestUpperGammaQ:
+    @pytest.mark.parametrize("q", GAMMA_QS)
+    def test_no_less_accurate_than_scipy(self, q):
+        # both branches (the series below x = s, the continued fraction from
+        # s on; the finite sum for whole s <= 8), either side of s and of
+        # s + 1, Q subnormal and Q below the least subnormal
+        pytest.importorskip("mpmath")
+        s = 1.0 + 2.0 / q
+        xs = [0.0, s / 2.0, math.nextafter(s, 0.0), s, s + 1.0,
+              math.nextafter(s + 1.0, math.inf), 2.0 * (s + 1.0),
+              x_where_q_falls_to(s, 1e-315), x_where_q_falls_to(s, 1e-330)]
+        for x in xs:
+            exact = exact_q(s, x)
+            mine, theirs = ulp_error(_upper_gamma_q(s, x), exact), ulp_error(gammaincc(s, x), exact)
+            assert mine <= max(theirs, 4.0), (x, mine, theirs)
+        assert _upper_gamma_q(s, 0.0) == 1.0
+        assert _upper_gamma_q(s, xs[-1]) == 0.0
+
+    @pytest.mark.parametrize("q", GAMMA_QS)
+    def test_accuracy_over_the_normal_range(self, q):
+        # wherever Q is a normal double: at most 8 ulp while Gamma(s) is finite
+        # (5.6 ulp measured over 704 points per q); above s = 171 the prefix
+        # exp(s (log1p(t) - t) + ...) carries about |ln Q| ulp more
+        pytest.importorskip("mpmath")
+        s = 1.0 + 2.0 / q
+        top = x_where_q_falls_to(s, 1e-300)
+        xs = np.concatenate((np.geomspace(1e-3 * (s + 1.0), top, 60),
+                             np.linspace(0.5 * (s + 1.0), 1.5 * (s + 1.0), 41)))
+        for x in xs.tolist():
+            exact = exact_q(s, x)
+            allowed = 8.0 if s < 171.0 else 8.0 + 4.0 * abs(math.log(float(exact)))
+            assert ulp_error(_upper_gamma_q(s, x), exact) <= allowed, x
+
+    def test_log1pmx_without_cancellation(self):
+        # log1p(t) - t taken directly loses 234 ulp at t = -1e-3 and 8e7 at 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        for t in (-0.999, -0.5, -0.3, -1e-3, -1e-8, 1e-8, 1e-3, 0.3, 0.4999, 0.5, 3.0, 1e6):
+            with mpmath.workdps(40):
+                exact = mpmath.log1p(t) - t
+            assert ulp_error(_log1pmx(t), exact) <= 2.0, t
+        assert _log1pmx(-1.0) == -math.inf
+
+    def test_beyond_the_term_cap_raises(self):
+        # near x = s the series and the fraction need about 9 sqrt(s) terms
+        for x in (0.999e12, 1e12):
+            with pytest.raises(UcltError, match=f"{Q_MAX_TERMS} terms"):
+                _upper_gamma_q(1e12, x)
 
 
 class TestWOperator:
