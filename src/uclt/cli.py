@@ -53,7 +53,7 @@ from .simulate import (
     resolve_threads,
     tail_domination_check,
 )
-from .tails import TailFunction, w_operator
+from .tails import MIN_SHAPE, TailFunction, w_operator
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -498,7 +498,8 @@ def run_inequalities(cfg: dict, args) -> int:
     slope = s.sub("weibull_slope", default=run_all)
     slope_spec = None
     if slope is not None:
-        qs = slope.get("q_values", float, many=True, positive=True, default=[1.0, 2.0])
+        qs = slope.get("q_values", float, many=True, positive=True, minimum=MIN_SHAPE,
+                       default=[1.0, 2.0])
         kk = slope.get("K", float, default=1.0, positive=True)
         xlo = slope.get("x_lo", float, default=10.0, positive=True)
         xhi = slope.get("x_hi", float, default=100.0, positive=True)

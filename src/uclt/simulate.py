@@ -48,13 +48,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import numpy.random  # the engine's generators, loaded with the package, not at the first draw
 
 from .distances import PairwiseMomentField, _pair_key
 from .errors import HorizonExceeded, OrderOverflow
 from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _jackknife,
                   gls_norm, rosenthal_transform)
-from .tails import TailFunction, w_operator
+from .tails import MIN_SHAPE, TailFunction, w_operator
 
 #: Universal constant in the martingale moment inequality
 #: |n**-0.5 sum zeta_k|_p <= C * (p/ln p) * sqrt(mean of |zeta_k|_p**2).
@@ -203,6 +202,8 @@ class MartingaleFieldModel:
                 raise ValueError(f"{key} must be a finite number, got {val!r}")
             if key in ("K", "q", "cap", "base") and not val > 0:
                 raise ValueError(f"{key} must be > 0, got {val!r}")
+            if key == "q" and val < MIN_SHAPE:  # the least shape of a closed_weibull tail
+                raise ValueError(f"q must be >= {MIN_SHAPE:g}, got {val!r}")
             if key in p:
                 p[key] = float(val)
         return p

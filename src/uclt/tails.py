@@ -34,8 +34,13 @@ Q_MAX_TERMS = 10_000
 _UNIT = 2.0 ** -53
 # Gamma(s) is a finite double below s = 171.62
 _GAMMA_FINITE = 171.0
-# Q(s, x) is a finite sum for whole s; `_upper_gamma_q` takes it up to this s
-_WHOLE_S_MAX = 8.0
+# Q(s, x) is a finite sum for whole s; `_upper_gamma_q` takes it for s = 2 and
+# 3, the shapes q = 2 (Gaussian-type tails) and q = 1 that the commands use
+_WHOLE_S_MAX = 3.0
+#: Least shape q of a closed_weibull tail.  Q(s, x) with s = 1 + 2/q needs
+#: the most terms near x = s, where it stays within `Q_MAX_TERMS` up to
+#: s = 1.7e6 (measured over x = s +- 3 sqrt(s)); this q keeps s near 1e6.
+MIN_SHAPE = 2e-6
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ class TailFunction:
         if self.form not in _FORMS:
             raise ValueError(f"unknown tail form {self.form!r}")
         if self.form == "closed_weibull":
-            if not (self.scale and self.scale > 0 and self.shape and self.shape > 0):
-                raise ValueError("closed_weibull needs K > 0 and q > 0")
+            if not (self.scale and self.scale > 0 and self.shape and self.shape >= MIN_SHAPE):
+                raise ValueError(f"closed_weibull needs K > 0 and q >= {MIN_SHAPE:g}")
         elif self.form == "tabulated":
             xs = np.asarray(self.x_grid, dtype=float)
             vs = np.asarray(self.values, dtype=float)

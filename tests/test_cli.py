@@ -319,6 +319,26 @@ class TestInequalities:
         assert "config.osekowski.p_grid: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("change,message", [
+        ({"models": [{"kind": "weibull_field", "name": "w", "x_points": {"grid_1d": {"n": 2}},
+                      "horizon": 16, "K": 1, "q": 1e-6}],
+          "osekowski": {"p_grid": [2.0], "n_grid": [8]}},
+         "config.models[0]: q must be >= 2e-06"),
+        ({"tail_domination": {"tail": {"form": "closed_weibull", "K": 1, "q": 1e-6},
+                              "n_values": [16]}},
+         "config.tail_domination.tail: closed_weibull needs K > 0 and q >= 2e-06"),
+        ({"weibull_slope": {"q_values": [1.0, 1e-6]}},
+         "config.weibull_slope.q_values: must be >= 2e-06"),
+    ], ids=["weibull_field", "tail", "weibull_slope"])
+    def test_weibull_shape_below_supported_range(self, tmp_path, capsys, change, message):
+        # below q = 2e-6 the incomplete gamma function of the tail's second
+        # moment would not converge near x = 1 + 2/q, late in the run
+        doc = {"seed": 3, "replications": 500, **change}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("blocks,path", [
         ({"osekowski": {"n_grid": [0.5]}}, "config.osekowski.n_grid: "),
         ({"md_check": {"indices": [0.5]}}, "config.md_check.indices: "),

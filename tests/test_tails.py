@@ -9,6 +9,7 @@ from uclt._gridopt import log_grid, minimize_rows
 from uclt.errors import UcltError
 
 from uclt.tails import (
+    MIN_SHAPE,
     Q_MAX_TERMS,
     TailFunction,
     _log1pmx,
@@ -214,7 +215,7 @@ class TestUpperGammaQ:
     @pytest.mark.parametrize("q", GAMMA_QS)
     def test_no_less_accurate_than_scipy(self, q):
         # both branches (the series below x = s, the continued fraction from
-        # s on; the finite sum for whole s <= 8), either side of s and of
+        # s on; the finite sum for whole s <= 3), either side of s and of
         # s + 1, Q subnormal and Q below the least subnormal
         pytest.importorskip("mpmath")
         s = 1.0 + 2.0 / q
@@ -251,6 +252,16 @@ class TestUpperGammaQ:
                 exact = mpmath.log1p(t) - t
             assert ulp_error(_log1pmx(t), exact) <= 2.0, t
         assert _log1pmx(-1.0) == -math.inf
+
+    def test_converges_at_the_least_shape(self):
+        # s = 1 + 2/MIN_SHAPE is near 1e6; the term cap is first reached near
+        # x = s at s = 1.7e6
+        s = 1.0 + 2.0 / MIN_SHAPE
+        xs = [s + k * 0.05 * math.sqrt(s) for k in range(-60, 61)]
+        for x in xs + [math.nextafter(s, 0.0), s]:
+            assert 0.0 <= _upper_gamma_q(s, x) <= 1.0
+        with pytest.raises(ValueError, match="q >= 2e-06"):
+            TailFunction.closed_weibull(1.0, 0.5 * MIN_SHAPE)
 
     def test_beyond_the_term_cap_raises(self):
         # near x = s the series and the fraction need about 9 sqrt(s) terms
