@@ -527,7 +527,10 @@ def run_inequalities(cfg: dict, args) -> int:
             pair = None
             if mode == "pairs":
                 pair = (model.labels[0], model.labels[-1])
-            rows = osekowski_check(model, ps, ns, reps, mode=mode, pair=pair, threads=threads)
+            try:
+                rows = osekowski_check(model, ps, ns, reps, mode=mode, pair=pair, threads=threads)
+            except OrderOverflow as exc:
+                raise ConfigError(f"config.osekowski.p_grid: {exc}") from None
             reports.append(SimulationReport(model.name, model.seed, reps, "osekowski", rows))
             ose_rows += [[model.name, r["p"], r["n"], r["ratio"], r["se"], r["bound"]] for r in rows]
             all_ok &= all(r["within_bound"] for r in rows)

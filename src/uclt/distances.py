@@ -4,10 +4,10 @@ A `PairwiseMomentField` holds, for each difference index i = 1..m, the L_p
 norms of the field value at each point and of the increment over each
 unordered point pair, as columns: norms and standard errors of shape
 (P, m, k), with P moment orders and k points (in label order) or pairs (in
-sorted-key order), plus point variances of shape (m, npoints).  NaN marks an
-entry without data.  `point_curve`, `pair_curve` and the `point_curves`,
-`pair_curves` and `variances` mappings are views built on demand.  From the
-arrays the module derives, each in one pass over all points or pairs:
+sorted-key order), plus point variances of shape (m, npoints); every
+index, point and pair has an entry.  `point_curve`, `pair_curve` and
+`variance` read one entry.  From the arrays the module derives, each in one
+pass over all points or pairs:
 
 * the natural generating function (pointwise max of all point curves),
 * per-index increment norms d_i against a generating function,
@@ -25,8 +25,6 @@ import csv
 import json
 import math
 import os
-from collections.abc import Mapping
-from types import MappingProxyType
 
 import numpy as np
 
@@ -49,99 +47,50 @@ def _pair_key(x1: str, x2: str) -> tuple[str, str]:
     return (x1, x2) if x1 <= x2 else (x2, x1)
 
 
-def _require(present: np.ndarray, names, what: str) -> None:
-    """MissingData naming the first (index, name) of an (m, k) mask without data."""
-    if not present.all():
-        i, k = np.argwhere(~present)[0]
-        raise MissingData(f"no {what} for index {i + 1} at {names[k]!r}")
-
-
-def _table(m: int, names, entries, depth: tuple = ()) -> np.ndarray:
-    """Array of shape depth + (m, len(names)) from ((i, name), value) entries,
-    NaN where there is none."""
-    col = {name: k for k, name in enumerate(names)}
-    out = np.full(depth + (m, len(names)), np.nan)
-    for (i, name), value in entries:
-        if not 1 <= i <= m or name not in col:
-            raise ValueError(f"key {(i, name)!r} is outside the indices 1..{m} or the labels")
-        out[..., i - 1, col[name]] = value
-    return out
-
-
 class PairwiseMomentField:
     """Moment data per index and per point / unordered pair, held as arrays.
 
     `point_norms` and `point_se` have shape (P, m, len(x_labels)),
     `pair_norms` and `pair_se` shape (P, m, len(pairs)) with `pairs` sorted
-    and each pair sorted, `point_var` shape (m, len(x_labels)); NaN marks
-    an entry without data.  All curves are validated in one vectorized pass
-    by the rule of :class:`MomentCurve` (nondecreasing in p within
-    `SE_MARGIN` standard errors).
-
-    The constructor takes mappings `point_curves[(i, x)]`,
-    `pair_curves[(i, (xa, xb))]` (pair sorted) and `variances[(i, x)]` with
-    indices 1..m; :meth:`from_arrays` takes the arrays.
+    and each pair sorted, `point_var` shape (m, len(x_labels)).  The arrays
+    are not copied.  All curves are validated in one vectorized pass by the
+    rule of :class:`MomentCurve` (nondecreasing in p within `SE_MARGIN`
+    standard errors); `provenance` is the provenance of every curve view,
+    analytic by default.
     """
 
-    def __init__(self, x_labels, m: int, point_curves: dict, pair_curves: dict,
-                 variances: dict, meta: dict | None = None):
-        curves = [*point_curves.values(), *pair_curves.values()]
-        p_grid = curves[0].p_grid if curves else ()
-        if any(c.p_grid != p_grid for c in curves):
-            raise ValueError("all curves must share one p grid")
-        labels, pairs = tuple(x_labels), sorted({pr for _, pr in pair_curves})
-        zeros, depth = (0.0,) * len(p_grid), (len(p_grid),)
-
-        def tables(names, mapping):
-            return (_table(m, names, ((k, c.norms) for k, c in mapping.items()), depth),
-                    _table(m, names, ((k, c.stderr or zeros) for k, c in mapping.items()), depth))
-
-        field = PairwiseMomentField.from_arrays(
-            labels, m, p_grid, pairs, *tables(labels, point_curves), *tables(pairs, pair_curves),
-            _table(m, labels, variances.items()), meta,
-            dict(curves[0].provenance) if curves else None)
-        self.__dict__.update(vars(field))
-
-    @classmethod
-    def from_arrays(cls, x_labels, m: int, p_grid, pairs, point_norms, point_se,
-                    pair_norms, pair_se, point_var, meta: dict | None = None,
-                    provenance: dict | None = None) -> "PairwiseMomentField":
-        """Field over the given arrays (not copied); `provenance` is the
-        provenance of every curve view, analytic by default."""
-        field = cls.__new__(cls)
-        field.x_labels, field.m = tuple(x_labels), int(m)
-        field.p_grid, field.pairs = tuple(float(p) for p in p_grid), tuple(pairs)
-        if field.m < 1:
+    def __init__(self, x_labels, m: int, p_grid, pairs, point_norms, point_se,
+                 pair_norms, pair_se, point_var, meta: dict | None = None,
+                 provenance: dict | None = None):
+        self.x_labels, self.m = tuple(x_labels), int(m)
+        self.p_grid, self.pairs = tuple(float(p) for p in p_grid), tuple(pairs)
+        if self.m < 1:
             raise ValueError("need at least one difference index")
-        if list(field.pairs) != sorted(set(field.pairs)) or \
-                any(pr != _pair_key(*pr) for pr in field.pairs):
+        if list(self.pairs) != sorted(set(self.pairs)) or \
+                any(pr != _pair_key(*pr) for pr in self.pairs):
             raise ValueError("pairs must be distinct, sorted, and each sorted")
-        field.point_norms, field.point_se = point_norms, point_se
-        field.pair_norms, field.pair_se, field.point_var = pair_norms, pair_se, point_var
-        field.meta = {} if meta is None else meta
-        field.provenance = {"kind": "analytic"} if provenance is None else provenance
-        field._point_col = {x: k for k, x in enumerate(field.x_labels)}
-        field._pair_col = {pr: k for k, pr in enumerate(field.pairs)}
-        for norms, se in ((point_norms, point_se), (pair_norms, pair_se)):
-            present = ~np.isnan(norms).all(axis=0)
-            if field.p_grid:
-                _check_curves(field.p_grid, norms[:, present], se[:, present])
-        return field
+        self.point_norms, self.point_se = point_norms, point_se
+        self.pair_norms, self.pair_se, self.point_var = pair_norms, pair_se, point_var
+        self.meta = {} if meta is None else meta
+        self.provenance = {"kind": "analytic"} if provenance is None else provenance
+        self._point_col = {x: k for k, x in enumerate(self.x_labels)}
+        self._pair_col = {pr: k for k, pr in enumerate(self.pairs)}
+        _check_curves(self.p_grid, point_norms, point_se)
+        _check_curves(self.p_grid, pair_norms, pair_se)
 
     def __eq__(self, other):
         if not isinstance(other, PairwiseMomentField):
             return NotImplemented
         return ((self.x_labels, self.m, self.p_grid, self.pairs, self.meta)
                 == (other.x_labels, other.m, other.p_grid, other.pairs, other.meta)
-                and all(np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True)
-                        for a in _ARRAYS))
+                and all(np.array_equal(getattr(self, a), getattr(other, a)) for a in _ARRAYS))
 
-    # -- on-demand views ------------------------------------------------------
+    # -- one-entry accessors ----------------------------------------------------
 
-    def _column(self, what: str, i: int, key, columns: dict, data: np.ndarray) -> int:
-        """The column of `key` when `data` holds an entry for index i, else MissingData."""
+    def _column(self, what: str, i: int, key, columns: dict) -> int:
+        """The column of `key` when the field has index i, else MissingData."""
         k = columns.get(key)
-        if k is None or not 1 <= i <= self.m or np.isnan(data[..., i - 1, k]).all():
+        if k is None or not 1 <= i <= self.m:
             raise MissingData(f"no {what} for index {i} at {key!r}")
         return k
 
@@ -152,38 +101,17 @@ class PairwiseMomentField:
                            provenance=dict(self.provenance), stderr=stderr)
 
     def point_curve(self, i: int, x: str) -> MomentCurve:
-        k = self._column("point curve", i, x, self._point_col, self.point_norms)
+        k = self._column("point curve", i, x, self._point_col)
         return self._curve(self.point_norms, self.point_se, i, k)
 
     def pair_curve(self, i: int, x1: str, x2: str) -> MomentCurve:
         if x1 == x2:
             return MomentCurve.zero(self.p_grid)
-        k = self._column("pair curve", i, _pair_key(x1, x2), self._pair_col, self.pair_norms)
+        k = self._column("pair curve", i, _pair_key(x1, x2), self._pair_col)
         return self._curve(self.pair_norms, self.pair_se, i, k)
 
     def variance(self, i: int, x: str) -> float:
-        k = self._column("variance", i, x, self._point_col, self.point_var)
-        return float(self.point_var[i - 1, k])
-
-    def _keys(self, data: np.ndarray, names=None) -> list:
-        """(i, name) of every entry `data` holds, name by name."""
-        names = self.x_labels if names is None else names
-        present = ~np.isnan(data).all(axis=0) if data.ndim == 3 else ~np.isnan(data)
-        return [(i + 1, names[k]) for k, i in np.argwhere(present.T)]
-
-    @property
-    def point_curves(self) -> Mapping:
-        return MappingProxyType({key: self.point_curve(*key)
-                                 for key in self._keys(self.point_norms)})
-
-    @property
-    def pair_curves(self) -> Mapping:
-        return MappingProxyType({(i, pr): self.pair_curve(i, *pr)
-                                 for i, pr in self._keys(self.pair_norms, self.pairs)})
-
-    @property
-    def variances(self) -> Mapping:
-        return MappingProxyType({key: self.variance(*key) for key in self._keys(self.point_var)})
+        return float(self.point_var[i - 1, self._column("variance", i, x, self._point_col)])
 
     # -- whole-field operations -------------------------------------------------
 
@@ -206,11 +134,10 @@ class PairwiseMomentField:
 
     def scale(self, c: float) -> "PairwiseMomentField":
         """Field of c * xi: norms scale by |c|, variances by c**2."""
-        c = float(c)
-        a = abs(c)
-        return PairwiseMomentField.from_arrays(
+        a = abs(float(c))
+        return PairwiseMomentField(
             self.x_labels, self.m, self.p_grid, self.pairs, a * self.point_norms,
-            a * self.point_se, a * self.pair_norms, a * self.pair_se, c * c * self.point_var,
+            a * self.point_se, a * self.pair_norms, a * self.pair_se, a * a * self.point_var,
             meta=dict(self.meta), provenance=self.provenance)
 
     @classmethod
@@ -222,9 +149,7 @@ class PairwiseMomentField:
         sqrt(k(x,x)) * |Z|_p and increment norms use the increment variance
         k(x1,x1) + k(x2,x2) - 2 k(x1,x2).
         """
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords.reshape(-1, 1)
+        coords = np.asarray(coords, dtype=float).reshape(len(coords), -1)
         if labels is None:
             labels = tuple(f"x{i}" for i in range(coords.shape[0]))
         p_grid = tuple(float(p) for p in p_grid)
@@ -239,10 +164,9 @@ class PairwiseMomentField:
         base = np.array([gaussian_lp_norm(p) for p in p_grid])[:, None, None]
         point_norms = np.repeat(base * point_sd, m, axis=1)
         pair_norms = np.repeat(base * pair_sd, m, axis=1)
-        return cls.from_arrays(labels, m, p_grid, pairs, point_norms,
-                               np.zeros_like(point_norms), pair_norms, np.zeros_like(pair_norms),
-                               np.tile(point_sd ** 2, (m, 1)),
-                               meta={"provenance": "analytic-gaussian"})
+        return cls(labels, m, p_grid, pairs, point_norms, np.zeros_like(point_norms),
+                   pair_norms, np.zeros_like(pair_norms), np.tile(point_sd ** 2, (m, 1)),
+                   meta={"provenance": "analytic-gaussian"})
 
     # -- CSV directory serialization ----------------------------------------
 
@@ -262,12 +186,9 @@ class PairwiseMomentField:
             fname = f"index_{i + 1:04d}.csv"
             files[str(i + 1)] = fname
             rows = [header]
-            for x, cells, var in zip(self.x_labels, points[i], variances[i]):
-                if not math.isnan(cells[0]):
-                    var = cells[0] ** 2 if math.isnan(var) else var
-                    rows.append(["point", x, "", var, *cells])
-            rows.extend(["pair", pair[0], pair[1], "", *cells]
-                        for pair, cells in zip(self.pairs, pairs[i]) if not math.isnan(cells[0]))
+            rows.extend(["point", x, "", var, *cells]
+                        for x, cells, var in zip(self.x_labels, points[i], variances[i]))
+            rows.extend(["pair", *pair, "", *cells] for pair, cells in zip(self.pairs, pairs[i]))
             with open(os.path.join(path, fname), "w", newline="") as fh:
                 csv.writer(fh, lineterminator="\n").writerows(rows)
         manifest = {"x_points": list(self.x_labels), "m": self.m,
@@ -278,26 +199,43 @@ class PairwiseMomentField:
 
     @classmethod
     def from_csv_dir(cls, path: str) -> "PairwiseMomentField":
-        with open(os.path.join(path, "manifest.json")) as fh:
+        """The field `to_csv_dir` wrote.  Each index file must hold a row for
+        every point of the manifest and for every pair any index file names:
+        a missing row raises MissingData, a row for another kind or label
+        ValueError, each naming the file."""
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as fh:
             manifest = json.load(fh)
         labels, m, npg = tuple(manifest["x_points"]), int(manifest["m"]), len(manifest["p_grid"])
-        points, pairs, variances = [], [], []
-        for i_str, fname in manifest["index_files"].items():
-            i = int(i_str)
-            with open(os.path.join(path, fname), newline="") as fh:
-                for kind, x1, x2, var, *cells in list(csv.reader(fh))[1:]:
-                    cells = [float(v) for v in cells]     # the norms, then the standard errors
-                    if kind == "point":
-                        points.append(((i, x1), cells))
-                        variances.append(((i, x1), float(var)))
-                    else:
-                        pairs.append(((i, _pair_key(x1, x2)), cells))
-        keys = sorted({pair for (_, pair), _ in pairs})
-        pt, pr = _table(m, labels, points, (2 * npg,)), _table(m, keys, pairs, (2 * npg,))
-        return cls.from_arrays(labels, m, manifest["p_grid"], keys, pt[:npg], pt[npg:],
-                               pr[:npg], pr[npg:], _table(m, labels, variances),
-                               meta=manifest.get("meta", {}), provenance={
-                                   "kind": "monte_carlo", "seed": None, "replications": None})
+        files = manifest["index_files"]
+        if set(files) != {str(i) for i in range(1, m + 1)}:
+            raise MissingData(f"{manifest_path}: index_files must name one file per index 1..{m}")
+        tables = []         # per index: the file and its rows by (kind, x1, x2)
+        for i in range(1, m + 1):
+            fname = os.path.join(path, files[str(i)])
+            with open(fname, newline="") as fh:
+                rows = {(kind, *(_pair_key(x1, x2) if kind == "pair" else (x1, x2))): cells
+                        for kind, x1, x2, *cells in list(csv.reader(fh))[1:]}
+            tables.append((fname, rows))
+        pairs = sorted({key[1:] for _, rows in tables for key in rows
+                        if key[0] == "pair" and set(key[1:]) <= set(labels)})
+        wanted = [("point", x, "") for x in labels] + [("pair", *pr) for pr in pairs]
+        for fname, rows in tables:
+            foreign = sorted(set(rows) - set(wanted))
+            if foreign:
+                raise ValueError(f"{fname}: row {list(foreign[0])} is foreign to x_points")
+            missing = [key for key in wanted if key not in rows]
+            if missing:
+                raise MissingData(f"{fname}: no row for {list(missing[0])}")
+        # a row's cells: the variance (empty for a pair), the norms, the standard errors
+        k = len(labels)
+        var = np.array([[float(rows[key][0]) for key in wanted[:k]] for _, rows in tables])
+        cells = np.array([[[float(v) for v in rows[key][1:]] for key in wanted]
+                          for _, rows in tables]).reshape(m, -1, 2 * npg).transpose(2, 0, 1)
+        return cls(labels, m, manifest["p_grid"], pairs, cells[:npg, :, :k], cells[npg:, :, :k],
+                   cells[:npg, :, k:], cells[npg:, :, k:], var.reshape(m, k),
+                   meta=manifest.get("meta", {}),
+                   provenance={"kind": "monte_carlo", "seed": None, "replications": None})
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +245,6 @@ class PairwiseMomentField:
 def natural_function(field: PairwiseMomentField, p_grid=None) -> PsiFunction:
     """Tabulated generating function: max over indices and points of the
     point curves, evaluated on `p_grid` (default: the field's own grid)."""
-    present = ~np.isnan(field.point_norms).all(axis=0)
-    if not present.any():
-        raise MissingData("field carries no point curves")
-    _require(present, field.x_labels, "point curve")
     p_grid = tuple(float(p) for p in (field.p_grid if p_grid is None else p_grid))
     rows = [_p_index(field.p_grid, p) for p in p_grid]
     values = field.point_norms[rows].max(axis=(1, 2))
@@ -338,7 +272,6 @@ def _increment_distances(field: PairwiseMomentField, kind: str, cols: list[int],
     elif kind == "dbar":
         n_grid = _resolve_n_grid(field, n_grid)
         norms = norms[:, :n_grid[-1]]
-    _require(~np.isnan(norms).any(axis=0), [field.pairs[k] for k in cols], "pair curve")
     if kind == "pisier":
         return norms[_p_index(field.p_grid, r)].max(axis=0)
     if kind == "rho_q":
@@ -401,7 +334,6 @@ def sigma_squared(field: PairwiseMomentField, n_grid=None,
     """
     n_grid = _resolve_n_grid(field, n_grid)
     var = field.point_var[:n_grid[-1]]
-    _require(~np.isnan(var), field.x_labels, "variance")
     n = np.array(n_grid)
     avgs = np.cumsum(var, axis=0)[n - 1] / n[:, None]      # (n grid, points)
     values = avgs.max(axis=0)

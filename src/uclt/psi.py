@@ -165,18 +165,6 @@ class PsiFunction:
             out[safe] = (ps[safe] / np.log(ps[safe])) * base[safe]
         return out
 
-    def bar(self, p: float) -> float:
-        """The log-weighted accessor p * log(psi(p)); +inf off support."""
-        v = self.value(p)
-        return INF if math.isinf(v) else p * math.log(v)
-
-    def bar_array(self, ps: np.ndarray) -> np.ndarray:
-        v = self.value_array(ps)
-        out = np.full(v.shape, INF)
-        fin = np.isfinite(v)
-        out[fin] = ps[fin] * np.log(v[fin])
-        return out
-
     def finite_region(self):
         """Where psi is finite: ("point", r) or ("interval", lo, hi).
 
@@ -260,15 +248,13 @@ class MomentCurve:
     `provenance` is either {"kind": "analytic"} or
     {"kind": "monte_carlo", "seed": ..., "replications": ...}; Monte Carlo
     curves carry per-point standard errors and are allowed to violate
-    monotonicity in p by up to `slack_se` standard errors (`SE_MARGIN`
-    unless given).
+    monotonicity in p by up to `SE_MARGIN` standard errors.
     """
 
     p_grid: tuple[float, ...]
     norms: tuple[float, ...]
     provenance: dict = field(default_factory=lambda: {"kind": "analytic"})
     stderr: tuple[float, ...] | None = None
-    slack_se: float = SE_MARGIN
 
     def __post_init__(self):
         ps = np.asarray(self.p_grid, dtype=float)
@@ -276,7 +262,7 @@ class MomentCurve:
         if ps.ndim != 1 or ps.size == 0 or ps.shape != ns.shape:
             raise ValueError("p_grid and norms must be matching nonempty 1-D sequences")
         se = None if self.stderr is None else np.asarray(self.stderr, dtype=float)
-        _check_curves(ps, ns, se, self.slack_se)
+        _check_curves(ps, ns, se)
 
     @classmethod
     def analytic(cls, p_grid, norms) -> "MomentCurve":
@@ -318,7 +304,7 @@ class MomentCurve:
         c = abs(float(c))
         se = None if self.stderr is None else tuple(c * s for s in self.stderr)
         return MomentCurve(self.p_grid, tuple(c * v for v in self.norms),
-                           provenance=self.provenance, stderr=se, slack_se=self.slack_se)
+                           provenance=self.provenance, stderr=se)
 
     def to_dict(self) -> dict:
         d = {"p_grid": list(self.p_grid), "norms": list(self.norms),
@@ -358,12 +344,11 @@ def _along_p(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None,
-                  slack_se: float = SE_MARGIN) -> None:
+def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None) -> None:
     """Validate moment curves held with p along axis 0 of `norms`.
 
     The grid must be strictly ascending with p >= 1, the norms finite and
-    nonnegative, and each curve nondecreasing in p up to `slack_se`
+    nonnegative, and each curve nondecreasing in p up to `SE_MARGIN`
     standard errors (Lyapunov's inequality within Monte Carlo noise).
     """
     ps = np.asarray(p_grid, dtype=float)
@@ -372,7 +357,7 @@ def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None,
     if np.any(~np.isfinite(norms)) or np.any(norms < 0):
         raise ValueError("norms must be finite and nonnegative")
     se = np.zeros_like(norms) if stderr is None else stderr
-    slack = slack_se * (se[:-1] + se[1:])
+    slack = SE_MARGIN * (se[:-1] + se[1:])
     drops = norms[:-1] - norms[1:]
     if np.any(drops > slack + 1e-12 * np.maximum(norms[:-1], 1.0)):
         raise ValueError("norms must be nondecreasing in p (within Monte Carlo slack)")

@@ -574,6 +574,15 @@ def holm_rejections(pvalues, level: float) -> list[bool]:
 
 # -- moment estimation -------------------------------------------------------
 
+def _check_orders_finite(p_grid, *arrays) -> None:
+    """OrderOverflow naming the first order of `p_grid` at which one of the
+    arrays (p along axis 0) holds a value beyond the range of a double."""
+    bad = np.any([~np.isfinite(a).reshape(len(p_grid), -1).all(axis=1) for a in arrays], axis=0)
+    if bad.any():
+        raise OrderOverflow(f"order p = {p_grid[int(np.argmax(bad))]:g}: |value|**p of the "
+                            f"simulated values is beyond the range of a double")
+
+
 def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *,
                            i_max: int | None = None,
                            threads: int | None = None) -> PairwiseMomentField:
@@ -607,15 +616,11 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     with np.errstate(invalid="ignore"):
         point_norms, point_se = _jackknife(np.stack([p[0] for p in parts]), counts, p_grid)
         pair_norms, pair_se = _jackknife(np.stack([p[3] for p in parts]), counts, p_grid)
-    for norms in (point_norms, pair_norms):
-        bad = ~np.isfinite(norms).reshape(len(p_grid), -1).all(axis=1)
-        if bad.any():
-            raise OrderOverflow(f"order p = {p_grid[int(np.argmax(bad))]:g}: |value|**p of the "
-                                f"simulated values is beyond the range of a double")
+    _check_orders_finite(p_grid, point_norms, pair_norms)
     mean = np.stack([p[1] for p in parts]).sum(axis=0) / R
     ssq = np.stack([p[2] for p in parts]).sum(axis=0)
     var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)
-    return PairwiseMomentField.from_arrays(
+    return PairwiseMomentField(
         labels, m, p_grid, pairs, point_norms, point_se, pair_norms, pair_se, var,
         meta={"model": model.name, "seed": model.seed, "replications": R},
         provenance={"kind": "monte_carlo", "seed": model.seed, "replications": R})
@@ -637,7 +642,8 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
     with numerator and denominator estimated from the same replications.
     Rows carry a batch-means standard error and flags against the universal
     constant 15.5879, with a margin of `SE_MARGIN` standard errors, and the
-    independent-case constant 0.6535.
+    independent-case constant 0.6535.  Raises `OrderOverflow` if an order
+    takes a simulated value beyond float range.
     """
     p_grid = [float(p) for p in p_grid]
     if any(p < 2 for p in p_grid):
@@ -656,7 +662,8 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         z = series_of(paths)
         # (count, len(n_grid)) in column order, so that each n sums as one column
         sums = (np.cumsum(z, axis=1).T[[n - 1 for n in n_grid]] / np.sqrt(n_grid)[:, None]).T
-        return _abs_power_sums(sums, p_grid), _abs_power_sums(z, p_grid), z.shape[0]
+        with np.errstate(over="ignore"):  # an overflowing order is reported below
+            return _abs_power_sums(sums, p_grid), _abs_power_sums(z, p_grid), z.shape[0]
 
     parts = _run_chunks(model, n_grid[-1], R, worker, threads, cols)
 
@@ -670,8 +677,9 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
                 out[pi, ni] = 0.0 if lhs == 0 else lhs / rhs  # a zero series is 0 / 0
         return out
 
-    tot_num = sum(p[0] for p in parts)
-    tot_den = sum(p[1] for p in parts)
+    with np.errstate(over="ignore"):   # an overflowing order is reported below
+        tot_num, tot_den = (sum(p[j] for p in parts) for j in (0, 1))
+    _check_orders_finite(p_grid, tot_num, tot_den)
     ratios = ratio_from(tot_num, tot_den, R)
     batch = np.stack([ratio_from(p[0], p[1], p[2]) for p in parts])
     se = batch.std(axis=0, ddof=1) / math.sqrt(len(parts)) if len(parts) > 1 \

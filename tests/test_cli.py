@@ -311,7 +311,9 @@ class TestInequalities:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("p_grid", [[1.5, 2], [2, float("inf")]], ids=["below-two", "infinite"])
+    # |z|**2000 overflows a double for |z| > 1.43, as in check-theorem's p_grid
+    @pytest.mark.parametrize("p_grid", [[1.5, 2], [2, float("inf")], [2, 2000]],
+                             ids=["below-two", "infinite", "overflowing"])
     def test_bad_osekowski_p_grid_key_path(self, tmp_path, capsys, p_grid):
         doc = {"seed": 3, "replications": 500, "osekowski": {"p_grid": p_grid, "n_grid": [8]}}
         cfg = write_cfg(tmp_path / "c.json", doc)

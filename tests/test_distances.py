@@ -1,5 +1,6 @@
 """Natural semi-distances from pairwise moment data."""
 import hashlib
+import json
 import math
 import os
 
@@ -18,7 +19,7 @@ from uclt.distances import (
     sigma_squared,
 )
 from uclt.errors import MissingData
-from uclt.psi import MomentCurve, PsiFunction, gaussian_lp_norm, gls_norm
+from uclt.psi import PsiFunction, gaussian_lp_norm
 from uclt.simulate import MartingaleFieldModel, estimate_moment_curves, grid_coords
 
 P_GRID = (2.0, 3.0, 4.0, 6.0)
@@ -30,17 +31,21 @@ def brownian_field(m=8, npts=5):
         coords, lambda a, b: min(a[0], b[0]), P_GRID, m=m), coords
 
 
+def analytic_field(labels, point_norms, point_var, pairs=(), pair_norms=None):
+    """Field on P_GRID over (P, m, k) norm arrays, with zero standard errors."""
+    if pair_norms is None:
+        pair_norms = np.zeros(point_norms.shape[:2] + (0,))
+    return PairwiseMomentField(labels, point_var.shape[0], P_GRID, pairs, point_norms,
+                               np.zeros_like(point_norms), pair_norms,
+                               np.zeros_like(pair_norms), point_var)
+
+
 def field_with_decaying_increments(c=1.0, m=8):
     """Two points whose index-i increment curve is (c/i) * |Z|_p."""
-    base = np.array([gaussian_lp_norm(p) for p in P_GRID])
-    point = MomentCurve.analytic(P_GRID, base)
-    points, pairs, variances = {}, {}, {}
-    for i in range(1, m + 1):
-        for x in ("a", "b"):
-            points[(i, x)] = point
-            variances[(i, x)] = 1.0
-        pairs[(i, ("a", "b"))] = MomentCurve.analytic(P_GRID, (c / i) * base)
-    return PairwiseMomentField(("a", "b"), m, points, pairs, variances)
+    base = gaussian_lp_norm(np.array(P_GRID))[:, None, None]
+    steps = (c / np.arange(1, m + 1))[None, :, None]
+    return analytic_field(("a", "b"), np.repeat(np.repeat(base, m, axis=1), 2, axis=2),
+                          np.ones((m, 2)), [("a", "b")], base * steps)
 
 
 class TestNaturalFunction:
@@ -60,9 +65,10 @@ class TestNaturalFunction:
     def test_dominates_every_point_curve(self):
         field, _ = brownian_field()
         psi = natural_function(field)
-        for (i, x), curve in field.point_curves.items():
-            for p in P_GRID:
-                assert curve.value_at(p) <= psi.value(p) + 1e-12
+        for i in range(1, field.m + 1):
+            for x in field.x_labels:
+                for p in P_GRID:
+                    assert field.point_curve(i, x).value_at(p) <= psi.value(p) + 1e-12
 
     def test_missing_data(self):
         field, _ = brownian_field()
@@ -142,10 +148,9 @@ class TestPisierDistance:
 class TestRhoQ:
     def test_sqrt_p_curve_gives_constant(self):
         c = 0.7
-        curves = {(1, ("a", "b")): MomentCurve.analytic(P_GRID, [c * math.sqrt(p) for p in P_GRID])}
-        pts = {(1, "a"): MomentCurve.analytic(P_GRID, [math.sqrt(p) for p in P_GRID]),
-               (1, "b"): MomentCurve.analytic(P_GRID, [math.sqrt(p) for p in P_GRID])}
-        field = PairwiseMomentField(("a", "b"), 1, pts, curves, {(1, "a"): 1.0, (1, "b"): 1.0})
+        root = np.sqrt(P_GRID)[:, None, None]
+        field = analytic_field(("a", "b"), np.repeat(root, 2, axis=2), np.ones((1, 2)),
+                               [("a", "b")], c * root)
         assert rho_q_distance(field, "a", "b", 2.0) == pytest.approx(c, rel=1e-12)
 
     def test_homogeneous(self):
@@ -179,24 +184,16 @@ class TestSigmaSquared:
         assert sigma_squared(unit, [1, 2, 4, 8]) == pytest.approx(1.0)
 
     def test_inf_over_points(self):
-        pts = {}
-        variances = {}
-        curves = {}
-        for i in range(1, 5):
-            for x, v in (("a", 0.5), ("b", 1.0)):
-                pts[(i, x)] = MomentCurve.standard_gaussian(P_GRID, math.sqrt(v))
-                variances[(i, x)] = v
-        field = PairwiseMomentField(("a", "b"), 4, pts, curves, variances)
+        variances = np.tile([0.5, 1.0], (4, 1))
+        base = gaussian_lp_norm(np.array(P_GRID))[:, None, None]
+        field = analytic_field(("a", "b"), base * np.sqrt(variances), variances)
         assert sigma_squared(field, [1, 2, 4]) == pytest.approx(0.5)
 
     def test_divergence_flagged(self):
-        pts, variances = {}, {}
         m = 64
-        for i in range(1, m + 1):
-            for x in ("a", "b"):
-                pts[(i, x)] = MomentCurve.standard_gaussian(P_GRID, math.sqrt(i))
-                variances[(i, x)] = float(i)  # running averages grow linearly
-        field = PairwiseMomentField(("a", "b"), m, pts, {}, variances)
+        variances = np.repeat(np.arange(1.0, m + 1)[:, None], 2, axis=1)  # averages grow linearly
+        base = gaussian_lp_norm(np.array(P_GRID))[:, None, None]
+        field = analytic_field(("a", "b"), base * np.sqrt(variances), variances)
         assert math.isinf(sigma_squared(field, [1, 2, 4, 8, 16, 32, 64]))
 
     def test_missing_variance(self):
@@ -242,12 +239,9 @@ class TestCsvDir:
         field, _ = brownian_field(m=3, npts=3)
         field.to_csv_dir(tmp_path / "field")
         back = PairwiseMomentField.from_csv_dir(tmp_path / "field")
-        assert back.x_labels == field.x_labels and back.m == field.m
-        for key, curve in field.pair_curves.items():
-            got = back.pair_curves[key]
-            assert got.norms == pytest.approx(curve.norms, rel=1e-15)
-        for key, v in field.variances.items():
-            assert back.variances[key] == pytest.approx(v, rel=1e-15)
+        assert (back.x_labels, back.m, back.pairs) == (field.x_labels, field.m, field.pairs)
+        assert back.pair_norms == pytest.approx(field.pair_norms, rel=1e-15)
+        assert back.point_var == pytest.approx(field.point_var, rel=1e-15)
 
     def test_roundtrip_monte_carlo_field(self, tmp_path):
         model = MartingaleFieldModel("wg", "iid_gaussian_field", grid_coords(3),
@@ -256,14 +250,43 @@ class TestCsvDir:
                                        400, i_max=4)
         field.to_csv_dir(tmp_path / "field")
         back = PairwiseMomentField.from_csv_dir(tmp_path / "field")
-        assert (back.x_labels, back.m, back.meta) == (field.x_labels, field.m, field.meta)
-        for mine, theirs in ((field.point_curves, back.point_curves),
-                             (field.pair_curves, back.pair_curves)):
-            assert mine.keys() == theirs.keys()
-            for key, curve in mine.items():
-                assert theirs[key].norms == curve.norms
-                assert theirs[key].stderr == curve.stderr
-        assert back.variances == field.variances
+        assert (back.x_labels, back.m, back.meta, back.pairs) == \
+            (field.x_labels, field.m, field.meta, field.pairs)
+        for name in ("point_norms", "point_se", "pair_norms", "pair_se", "point_var"):
+            assert np.array_equal(getattr(back, name), getattr(field, name)), name
+        assert back.pair_curve(2, "x2", "x1").stderr == field.pair_curve(2, "x1", "x2").stderr
+
+    @pytest.mark.parametrize("edit,error,message", [
+        (lambda rows: rows[:2] + rows[3:], MissingData, "no row for ['point', 'x1', '']"),
+        (lambda rows: rows[:-1], MissingData, "no row for ['pair', 'x1', 'x2']"),
+        (lambda rows: rows + [rows[2].replace("point,x1,", "point,zz,")], ValueError,
+         "row ['point', 'zz', ''] is foreign to x_points"),
+        (lambda rows: rows + [rows[-1].replace("pair,x1,x2,", "pair,x1,zz,")], ValueError,
+         "row ['pair', 'x1', 'zz'] is foreign to x_points"),
+    ], ids=["missing-point", "missing-pair", "foreign-point", "foreign-pair"])
+    def test_incomplete_or_foreign_rows_name_the_file(self, tmp_path, edit, error, message):
+        field, _ = brownian_field(m=3, npts=3)
+        field.to_csv_dir(tmp_path / "field")
+        index2 = tmp_path / "field" / "index_0002.csv"
+        rows = index2.read_text().splitlines()
+        index2.write_text("\n".join(edit(rows)) + "\n")
+        with pytest.raises(error, match="index_0002.csv: ") as info:
+            PairwiseMomentField.from_csv_dir(tmp_path / "field")
+        assert message in str(info.value)
+
+    def test_manifest_must_name_every_index(self, tmp_path):
+        field, _ = brownian_field(m=3, npts=3)
+        field.to_csv_dir(tmp_path / "field")
+        manifest = tmp_path / "field" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["index_files"]["2"]
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(MissingData, match="manifest.json: index_files must name one file"):
+            PairwiseMomentField.from_csv_dir(tmp_path / "field")
+        doc["index_files"].update({"2": "index_0002.csv", "4": "index_0003.csv"})
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(MissingData, match="per index 1..3"):
+            PairwiseMomentField.from_csv_dir(tmp_path / "field")
 
 
 # -- the columnar field ---------------------------------------------------------
@@ -351,35 +374,20 @@ class TestColumnarField:
         assert sigma_squared(field, n_grid, growth_factor=100.0) == want
 
     def test_non_monotone_monte_carlo_curve_rejected(self):
-        prov = {"kind": "monte_carlo", "seed": 0, "replications": 100}
-        # 0.9 after 1.0 is a drop of 5 se (se = 0.01): allowed by a curve built
-        # with slack_se = 10, but not by the field's 3-se rule
-        wide = MomentCurve((2.0, 3.0), (1.0, 0.9), provenance=prov, stderr=(0.01, 0.01),
-                           slack_se=10.0)
-        ok = MomentCurve((2.0, 3.0), (1.0, 1.1), provenance=prov, stderr=(0.01, 0.01))
-        points = {(1, "a"): ok, (1, "b"): ok}
-        with pytest.raises(ValueError, match="nondecreasing"):
-            PairwiseMomentField(("a", "b"), 1, points, {(1, ("a", "b")): wide}, {})
-        with pytest.raises(ValueError, match="nondecreasing"):
-            PairwiseMomentField(("a", "b"), 1, {(1, "a"): wide, (1, "b"): ok},
-                                {(1, ("a", "b")): ok}, {})
+        # 0.9 after 1.0 is a drop of 10 se (se = 0.01), beyond the field's 3-se rule
         norms = np.array([1.0, 1.1]).reshape(2, 1, 1) * np.ones((2, 1, 2))
         se = np.full((2, 1, 2), 0.01)
         bad = norms.copy()
         bad[:, 0, 1] = (1.0, 0.9)
         args = (("a", "b"), 1, (2.0, 3.0), [("a", "b")])
-        PairwiseMomentField.from_arrays(*args, norms, se, norms[:, :, :1], se[:, :, :1],
-                                        np.ones((1, 2)))
+        PairwiseMomentField(*args, norms, se, norms[:, :, :1], se[:, :, :1], np.ones((1, 2)))
         with pytest.raises(ValueError, match="nondecreasing"):
-            PairwiseMomentField.from_arrays(*args, bad, se, norms[:, :, :1], se[:, :, :1],
-                                            np.ones((1, 2)))
+            PairwiseMomentField(*args, bad, se, norms[:, :, :1], se[:, :, :1], np.ones((1, 2)))
         with pytest.raises(ValueError, match="nondecreasing"):
-            PairwiseMomentField.from_arrays(*args, norms, se, bad[:, :, 1:], se[:, :, :1],
-                                            np.ones((1, 2)))
-        bad[1, 0, 1] = np.nan        # a curve with data at some orders only
+            PairwiseMomentField(*args, norms, se, bad[:, :, 1:], se[:, :, :1], np.ones((1, 2)))
+        bad[1, 0, 1] = np.nan        # every entry holds data: NaN is no missing mark
         with pytest.raises(ValueError, match="finite"):
-            PairwiseMomentField.from_arrays(*args, bad, se, norms[:, :, :1], se[:, :, :1],
-                                            np.ones((1, 2)))
+            PairwiseMomentField(*args, bad, se, norms[:, :, :1], se[:, :, :1], np.ones((1, 2)))
 
     def test_analytic_csv_bytes_frozen(self, tmp_path):
         # sha256 of the tree written at the commit before the columnar field
@@ -391,42 +399,21 @@ class TestColumnarField:
 
     @pytest.mark.parametrize("make", [lambda: brownian_field()[0], monte_carlo_field,
                                       field_with_decaying_increments],
-                             ids=["analytic", "monte-carlo", "dict"])
-    def test_dict_constructor_and_csv_round_trip_give_equal_fields(self, make, tmp_path):
+                             ids=["analytic", "monte-carlo", "decaying"])
+    def test_csv_round_trip_gives_equal_field(self, make, tmp_path):
         field = make()
-        again = PairwiseMomentField(field.x_labels, field.m, dict(field.point_curves),
-                                    dict(field.pair_curves), dict(field.variances),
-                                    meta=field.meta)
-        assert again == field
         field.to_csv_dir(tmp_path / "f")
         assert PairwiseMomentField.from_csv_dir(tmp_path / "f") == field
         assert field.scale(2.0) != field
 
-    def test_views(self, tmp_path):
+    def test_one_entry_accessors(self):
         field = monte_carlo_field(npts=3, m=2)
-        assert list(field.point_curves) == [(1, "x0"), (2, "x0"), (1, "x1"), (2, "x1"),
-                                            (1, "x2"), (2, "x2")]
-        assert len(field.pair_curves) == 6 and (2, ("x0", "x2")) in field.pair_curves
-        curve = field.pair_curves[(2, ("x0", "x2"))]
+        curve = field.pair_curve(2, "x2", "x0")
         assert curve.norms == tuple(field.pair_norms[:, 1, 1].tolist())
         assert curve.stderr == tuple(field.pair_se[:, 1, 1].tolist())
-        assert field.variances[(2, "x1")] == field.point_var[1, 1]
-        for view in (field.point_curves, field.pair_curves, field.variances):
-            with pytest.raises(TypeError):
-                view[(1, "x0")] = 1.0
-        with pytest.raises(MissingData):
-            field.pair_curve(3, "x0", "x1")
-        sparse = PairwiseMomentField(("a", "b"), 2,
-                                     {(1, "a"): MomentCurve.standard_gaussian(P_GRID, 3.0)},
-                                     {}, {(2, "b"): 1.0})
-        assert list(sparse.point_curves) == [(1, "a")] and list(sparse.variances) == [(2, "b")]
-        sparse.to_csv_dir(tmp_path / "f")           # a point without a variance writes norm**2
-        assert (tmp_path / "f" / "index_0001.csv").read_text().splitlines()[1].startswith(
-            f"point,a,,{gaussian_lp_norm(2.0, 3.0) ** 2!r},")
-        assert (tmp_path / "f" / "index_0002.csv").read_text().splitlines()[1:] == []
-        with pytest.raises(MissingData):
-            sparse.point_curve(2, "a")
-        with pytest.raises(MissingData):
-            natural_function(sparse)
-        with pytest.raises(ValueError):
-            PairwiseMomentField(("a",), 2, {(3, "a"): MomentCurve.zero(P_GRID)}, {}, {})
+        assert field.point_curve(1, "x2").norms == tuple(field.point_norms[:, 0, 2].tolist())
+        assert field.variance(2, "x1") == field.point_var[1, 1]
+        for missing in (lambda: field.pair_curve(3, "x0", "x1"),
+                        lambda: field.point_curve(0, "x0"), lambda: field.variance(1, "zz")):
+            with pytest.raises(MissingData):
+                missing()
