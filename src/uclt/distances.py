@@ -201,8 +201,9 @@ class PairwiseMomentField:
     def from_csv_dir(cls, path: str) -> "PairwiseMomentField":
         """The field `to_csv_dir` wrote.  Each index file must hold a row for
         every point of the manifest and for every pair any index file names:
-        a missing row raises MissingData, a row for another kind or label
-        ValueError, each naming the file."""
+        a missing row raises MissingData, a row for another kind or label,
+        with the wrong cell count or a cell that is not a number ValueError,
+        each naming the file."""
         manifest_path = os.path.join(path, "manifest.json")
         with open(manifest_path) as fh:
             manifest = json.load(fh)
@@ -227,11 +228,18 @@ class PairwiseMomentField:
             missing = [key for key in wanted if key not in rows]
             if missing:
                 raise MissingData(f"{fname}: no row for {list(missing[0])}")
-        # a row's cells: the variance (empty for a pair), the norms, the standard errors
+
+        def numbers(fname, key, cells):     # variance (empty for a pair), norms, errors
+            try:
+                if len(cells) != 1 + 2 * npg:
+                    raise ValueError(f"{len(cells)} cells after the key, expected {1 + 2 * npg}")
+                return [float(v) for v in cells[key[0] == "pair":]]
+            except ValueError as exc:
+                raise ValueError(f"{fname}: row {list(key)}: {exc}") from None
         k = len(labels)
-        var = np.array([[float(rows[key][0]) for key in wanted[:k]] for _, rows in tables])
-        cells = np.array([[[float(v) for v in rows[key][1:]] for key in wanted]
-                          for _, rows in tables]).reshape(m, -1, 2 * npg).transpose(2, 0, 1)
+        table = [[numbers(fname, key, rows[key]) for key in wanted] for fname, rows in tables]
+        var = np.array([[row[0] for row in t[:k]] for t in table])
+        cells = np.array([[row[-2 * npg:] for row in t] for t in table]).transpose(2, 0, 1)
         return cls(labels, m, manifest["p_grid"], pairs, cells[:npg, :, :k], cells[npg:, :, :k],
                    cells[:npg, :, k:], cells[npg:, :, k:], var.reshape(m, k),
                    meta=manifest.get("meta", {}),

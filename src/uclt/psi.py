@@ -45,6 +45,9 @@ SE_MARGIN = 3.0
 #: Groups of the delete-a-group jackknife of `MomentCurve.from_samples`.
 JACKKNIFE_GROUPS = 32
 
+#: Values per slab of `_abs_power_sums`, to stay in L2: 16 rows of 64 by 45.
+_SLAB_BUDGET = 16 * 64 * 45
+
 _FORMS = ("closed_power", "tabulated", "degenerate", "scaled", "rosenthal")
 
 
@@ -281,7 +284,7 @@ class MomentCurve:
     def from_samples(cls, samples, p_grid, provenance: dict | None = None) -> "MomentCurve":
         """Debias sample L_p norms by delete-a-group jackknife over
         `JACKKNIFE_GROUPS` blocks (one per sample when there are fewer)."""
-        x = np.abs(np.asarray(samples, dtype=float)).ravel()
+        x = np.asarray(samples, dtype=float).ravel()
         n = x.size
         if n < 2:
             raise ValueError("need at least two samples")
@@ -363,41 +366,60 @@ def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None) -
         raise ValueError("norms must be nondecreasing in p (within Monte Carlo slack)")
 
 
-def _abs_power_sums(z: np.ndarray, p_grid, starts=None) -> np.ndarray:
+def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarray:
     """Sums over axis 0 of |z|**p for each p in `p_grid`, stacked along a new
     first axis; with `starts`, sums over the groups of rows beginning there.
+    With `pairs` = (first, second), index arrays into z's last axis, the
+    values raised are z[..., first] - z[..., second] instead of z.
 
     For p >= 2 with 2p an integer, |z|**p is the product, left to right, of
     z², sqrt|z| when 2p is odd, |z| when floor(p) is odd, and z² once more
     for each further whole pair (z²·|z| at p = 3, z²·z² at 4, z⁴·z² at 6,
     z⁶·z² at 8, z²·sqrt|z| at 2.5).  Such products may differ from `**` in
-    the last bits; other p use `**`.  Overwrites z with |z| and reuses two
-    buffers of its size.
-    """
-    def total(v):
-        return v.sum(axis=0) if starts is None else np.add.reduceat(v, starts, axis=0)
+    the last bits; other p use `**`.
 
-    a = np.abs(z, out=z)
-    z2 = a * a
-    buf = np.empty_like(a)
-    sums, made = [], None         # made: (rest, pairs) of the product v holds
-    for p in p_grid:
-        twice = 2.0 * p
-        if p < 2.0 or not twice.is_integer():
-            sums.append(total(a ** p))
-            continue
-        pairs, rest = divmod(int(twice), 4)     # rest counts half orders: 0..3
-        if made is None or made[0] != rest or made[1] > pairs:
-            v = z2
-            if rest % 2:
-                v = np.multiply(np.sqrt(a, out=buf), v, out=buf)
-            if rest >= 2:
-                v = np.multiply(v, a, out=buf)
-            made = (rest, 1)
-        for _ in range(pairs - made[1]):    # continues the previous product
-            v = np.multiply(v, z2, out=buf)
-        made = (rest, pairs)
-        sums.append(total(v))
+    Rows are reduced in slabs of `_SLAB_BUDGET` values, pair differences
+    formed per slab.  Each order's running sum is row 0 of the next slab's
+    buffer, so rows are added in chunk order whatever the slab size, bit for
+    bit as by one ``sum(axis=0)``.  Groups, and column-major z that numpy
+    sums pairwise, take one slab; so do one-value rows (pairwise too) of any
+    chunk of the engine (at most 8,192).  z is left unchanged.
+    """
+    n = z.shape[0]
+    row = z.shape[1:] if pairs is None else z.shape[1:-1] + (len(pairs[0]),)
+    step = n if starts is not None or z.strides[0] < z.strides[-1] \
+        else min(n, max(1, _SLAB_BUDGET // max(1, math.prod(row))))
+    a, z2, buf = (np.empty_like(z, shape=(step + 1,) + row) for _ in range(3))
+    sums = [None] * len(p_grid)
+    for lo in range(0, n, step):
+        body = slice(1, min(step, n - lo) + 1)
+        zs, ab, qb, bb = z[lo:lo + step], a[body], z2[body], buf[body]
+        if pairs is not None:       # pair differences on a 2-D view, the fast path
+            flat = zs.reshape(-1, zs.shape[-1])
+            zs = np.subtract(flat[:, pairs[0]], flat[:, pairs[1]], out=ab.reshape(len(flat), -1))
+        np.abs(zs, out=ab.reshape(zs.shape))
+        np.multiply(ab, ab, out=qb)
+        made = None                 # made: (rest, whole) of the product v holds
+        for j, p in enumerate(p_grid):
+            twice = 2.0 * p
+            if p < 2.0 or not twice.is_integer():
+                v, made = np.power(ab, p, out=bb), None
+            else:
+                whole, rest = divmod(int(twice), 4)     # rest counts half orders: 0..3
+                if made is None or made[0] != rest or made[1] > whole:
+                    v = qb
+                    if rest % 2:
+                        v = np.multiply(np.sqrt(ab, out=bb), v, out=bb)
+                    if rest >= 2:
+                        v = np.multiply(v, ab, out=bb)
+                    made = (rest, 1)
+                for _ in range(whole - made[1]):    # continues the previous product
+                    v = np.multiply(v, qb, out=bb)
+                made = (rest, whole)
+            if lo:                  # the running sum is row 0 of v's buffer
+                v.base[0] = sums[j]
+            rows = v.base[:body.stop] if lo else v
+            sums[j] = rows.sum(axis=0) if starts is None else np.add.reduceat(rows, starts, axis=0)
     return np.stack(sums)
 
 

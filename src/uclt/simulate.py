@@ -591,8 +591,10 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     Norm estimates are debiased by a delete-a-group jackknife with the engine
     chunks as groups, which also supplies the standard errors.  `pairs` is a
     list of (label, label) tuples.  Integer and half-integer orders p >= 2
-    are raised by multiplication (`psi._abs_power_sums`).  Raises
-    `OrderOverflow` if an order takes a simulated value beyond float range.
+    are raised by multiplication in `psi._abs_power_sums`, which forms pair
+    differences and adds rows in chunk order whatever its slab size (a fixed
+    float budget).  Raises `OrderOverflow` if an order takes a simulated
+    value beyond float range.
     """
     labels = model.labels
     idx = {lb: k for k, lb in enumerate(labels)}
@@ -604,12 +606,10 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
         raise HorizonExceeded(f"i_max = {m} beyond horizon {model.horizon}")
 
     def worker(ci, start, paths):
-        rows = paths.reshape(-1, paths.shape[2])     # indexing a 2-D view is the fast path
-        diffs = (rows[:, first] - rows[:, second]).reshape(paths.shape[:2] + (len(pairs),))
         pt_sum, pt_sq = paths.sum(axis=0), (paths ** 2).sum(axis=0)
         with np.errstate(over="ignore"):  # an overflowing order is reported below
             return (_abs_power_sums(paths, p_grid), pt_sum, pt_sq,
-                    _abs_power_sums(diffs, p_grid), paths.shape[0])
+                    _abs_power_sums(paths, p_grid, pairs=(first, second)), paths.shape[0])
 
     parts = _run_chunks(model, m, R, worker, threads)
     counts = np.array([p[4] for p in parts], dtype=float)

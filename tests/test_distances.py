@@ -234,6 +234,12 @@ class TestMatrixAssembly:
             assert np.all(s.dist >= 0)
 
 
+def _with_cell(row, j, value):
+    """A CSV line with its j-th cell replaced."""
+    cells = row.split(",")
+    return ",".join(cells[:j] + [value] + cells[j + 1:])
+
+
 class TestCsvDir:
     def test_roundtrip(self, tmp_path):
         field, _ = brownian_field(m=3, npts=3)
@@ -263,7 +269,12 @@ class TestCsvDir:
          "row ['point', 'zz', ''] is foreign to x_points"),
         (lambda rows: rows + [rows[-1].replace("pair,x1,x2,", "pair,x1,zz,")], ValueError,
          "row ['pair', 'x1', 'zz'] is foreign to x_points"),
-    ], ids=["missing-point", "missing-pair", "foreign-point", "foreign-pair"])
+        (lambda rows: rows[:2] + [_with_cell(rows[2], 4, "abc")] + rows[3:], ValueError,
+         "row ['point', 'x1', '']: could not convert string to float: 'abc'"),
+        (lambda rows: rows[:-1] + [rows[-1].rsplit(",", 1)[0]], ValueError,
+         "row ['pair', 'x1', 'x2']: 8 cells after the key, expected 9"),
+    ], ids=["missing-point", "missing-pair", "foreign-point", "foreign-pair", "not-a-number",
+            "short-row"])
     def test_incomplete_or_foreign_rows_name_the_file(self, tmp_path, edit, error, message):
         field, _ = brownian_field(m=3, npts=3)
         field.to_csv_dir(tmp_path / "field")

@@ -9,7 +9,7 @@ from scipy.special import gamma as gamma_fn
 
 from uclt.distances import natural_function, sigma_squared
 from uclt.errors import HorizonExceeded
-from uclt.psi import _abs_power_sums, gaussian_lp_norm
+from uclt.psi import _abs_power_sums, _jackknife, gaussian_lp_norm
 from uclt.simulate import (
     KINDS,
     OSEKOWSKI_CONSTANT,
@@ -322,20 +322,104 @@ class TestFrozenMomentField:
     def test_products_follow_the_documented_formula(self):
         z = np.random.default_rng(3).standard_normal((200, 3, 4)) * 3.0
         grid = (1.5, 2.0, 2.5, 3.0, 3.5, 3.7, 4.0, 4.5, 6.0, 8.0)
-        sums = _abs_power_sums(z.copy(), grid)
-        a = np.abs(z)
-        for k, p in enumerate(grid):
-            if p in (1.5, 3.7):
-                v = a ** p
-            else:
-                v = a * a
-                if 2 * p % 2:
-                    v = v * np.sqrt(a)
-                if int(p) % 2:
-                    v = v * a
-                for _ in range(int(p) // 2 - 1):
-                    v = v * (a * a)
-            assert np.array_equal(sums[k], v.sum(axis=0)), p
+        assert np.array_equal(_abs_power_sums(z, grid), whole_chunk_power_sums(z, grid))
+
+
+def whole_chunk_power_sums(z, grid, starts=None):
+    """The documented products (`**` off the ladder) summed by one plain
+    ``sum(axis=0)`` (``reduceat`` with `starts`) over the whole array: the
+    reference for the slabs."""
+    a = np.abs(z)
+    sums = []
+    for p in grid:
+        if p < 2 or 2 * p % 1:
+            v = a ** p
+        else:
+            v = a * a
+            if 2 * p % 2:
+                v = v * np.sqrt(a)
+            if int(p) % 2:
+                v = v * a
+            for _ in range(int(p) // 2 - 1):
+                v = v * (a * a)
+        sums.append(v.sum(axis=0) if starts is None else np.add.reduceat(v, starts, axis=0))
+    return np.stack(sums)
+
+
+SLAB_GRID = (1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 8.0)
+
+
+class TestSlabReducer:
+    """`_abs_power_sums` reduces rows in slabs; its sums must equal the whole
+    array's, bit for bit, wherever the slab boundaries fall."""
+
+    @pytest.mark.parametrize("shape,order,budget", [
+        ((37, 3, 4), "C", 5 * 12),     # 37 rows in slabs of 5
+        ((37, 3, 4), "C", 1),          # one row per slab
+        ((8192, 1), "C", None),        # one-value rows of the largest chunk: one slab
+        ((37, 3), "F", 5 * 3),         # column-major, as osekowski's partial sums
+    ], ids=["ragged-slabs", "row-slabs", "one-value-row", "column-major"])
+    def test_slabs_equal_whole_chunk_sum(self, monkeypatch, shape, order, budget):
+        if budget is not None:
+            monkeypatch.setattr("uclt.psi._SLAB_BUDGET", budget)
+        z = np.asarray(np.random.default_rng(4).standard_normal(shape) * 3.0, order=order)
+        assert np.array_equal(_abs_power_sums(z, SLAB_GRID), whole_chunk_power_sums(z, SLAB_GRID))
+
+    def test_pair_differences_equal_whole_chunk_sum(self, monkeypatch):
+        monkeypatch.setattr("uclt.psi._SLAB_BUDGET", 7 * 3 * 5)
+        z = np.random.default_rng(5).standard_normal((40, 3, 12))
+        first, second = np.array([0, 1, 1, 10, 11]), np.array([10, 2, 10, 2, 0])
+        assert np.array_equal(_abs_power_sums(z, SLAB_GRID, pairs=(first, second)),
+                              whole_chunk_power_sums(z[..., first] - z[..., second], SLAB_GRID))
+
+    def test_groups_take_one_slab(self, monkeypatch):
+        monkeypatch.setattr("uclt.psi._SLAB_BUDGET", 5)
+        x = np.random.default_rng(7).standard_normal(37) * 3.0
+        starts = [0, 10, 20, 30]
+        assert np.array_equal(_abs_power_sums(x, SLAB_GRID, starts=starts),
+                              whole_chunk_power_sums(x, SLAB_GRID, starts))
+
+    def test_input_is_left_unchanged(self):
+        paths = np.random.default_rng(6).standard_normal((40, 6, 3))
+        before = paths.copy()
+        _abs_power_sums(paths[:, :, 0], SLAB_GRID)          # a strided view, as osekowski's
+        _abs_power_sums(paths, SLAB_GRID)
+        _abs_power_sums(paths, SLAB_GRID, pairs=(np.array([0]), np.array([2])))
+        assert np.array_equal(paths, before)
+
+    @staticmethod
+    def twelve_points():
+        model = MartingaleFieldModel("g12", "iid_gaussian_field", grid_coords(12),
+                                     {"kernel": {"name": "brownian"}}, horizon=4, seed=5)
+        labels = model.labels
+        return model, [(a, b) for k, a in enumerate(labels) for b in labels[k + 1:]]
+
+    def test_twelve_point_field_equals_whole_chunk_reference(self, monkeypatch):
+        # 7-row slabs of the 66 pairs and 38-row slabs of the 12 points, in
+        # chunks of 50 rows; pairs are in label order, so x10 comes before x2
+        monkeypatch.setattr("uclt.psi._SLAB_BUDGET", 7 * 4 * 66)
+        model, pairs = self.twelve_points()
+        field = estimate_moment_curves(model, pairs, SLAB_GRID, 800)
+        assert field.pairs[:3] == (("x0", "x1"), ("x0", "x10"), ("x0", "x11"))
+        col = {lb: k for k, lb in enumerate(model.labels)}
+        first, second = (np.array([col[pr[j]] for pr in field.pairs]) for j in (0, 1))
+
+        def worker(ci, start, paths):
+            return (whole_chunk_power_sums(paths, SLAB_GRID),
+                    whole_chunk_power_sums(paths[..., first] - paths[..., second], SLAB_GRID))
+
+        parts = _run_chunks(model, 4, 800, worker)
+        counts = np.full(len(parts), 50.0)
+        for j, got in ((0, (field.point_norms, field.point_se)),
+                       (1, (field.pair_norms, field.pair_se))):
+            want = _jackknife(np.stack([p[j] for p in parts]), counts, SLAB_GRID)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_twelve_point_field_thread_invariant(self):
+        model, pairs = self.twelve_points()
+        f1, f2 = (estimate_moment_curves(model, pairs, SLAB_GRID, 800, threads=t) for t in (1, 2))
+        for name in ("point_norms", "point_se", "pair_norms", "pair_se", "point_var"):
+            assert np.array_equal(getattr(f1, name), getattr(f2, name)), name
 
 
 class TestOsekowski:
