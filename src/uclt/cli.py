@@ -199,7 +199,7 @@ def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
         if name not in KERNELS:
             raise ConfigError(f"{kernel.path}.name: unknown kernel {name!r}; "
                               f"expected one of {', '.join(KERNELS)}")
-        kernel.seen.update(("variance", "length_scale", "hurst"))
+        kernel.seen.update(KERNELS[name])
         kernel.finish()
     try:
         return MartingaleFieldModel(kind=kind, coords=coords, params=params, **fields)
@@ -214,9 +214,6 @@ def _validate_psi(block: _Schema | None) -> PsiFunction | str:
     if form == "natural":
         block.finish()
         return "natural"
-    for key in ("q", "r", "support", "grid", "values", "factor", "base"):
-        block.seen.add(key)
-    block.finish()
     try:
         return PsiFunction.from_dict(block.cfg)
     except (KeyError, ValueError, TypeError) as exc:

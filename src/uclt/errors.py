@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types, and the key-table checks, shared across the toolkit."""
+import math
+import numbers
 
 
 class UcltError(Exception):
@@ -43,3 +45,27 @@ class MissingRun(UcltError):
 
 class ConfigError(UcltError):
     """A run configuration failed schema validation."""
+
+
+def check_keys(table: dict, given: dict, owner: str) -> dict:
+    """`given` over the defaults of `table` (``...``: required); ValueError naming
+    a key that `table` lacks, else a required key that `given` lacks."""
+    extra = sorted(set(given) - set(table))
+    if extra:
+        raise ValueError(f"{extra[0]} is not a parameter of {owner}; it takes {', '.join(table)}")
+    merged = {**table, **given}
+    missing = [key for key, val in merged.items() if val is ...]
+    if missing:
+        raise ValueError(f"{missing[0]} is required for {owner}")
+    return merged
+
+
+def finite(key: str, val, many: bool = False):
+    """`val` as a float, or with `many` a list as a tuple of floats; ValueError
+    naming `key` unless each value is a finite number (a bool is not)."""
+    vals = val if many and isinstance(val, list) else [val]
+    if many and vals is not val or not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                           and not isinstance(v, bool) for v in vals):
+        what = "a list of finite numbers" if many else "a finite number"
+        raise ValueError(f"{key} must be {what}, got {val!r}")
+    return tuple(map(float, vals)) if many else float(val)

@@ -4,7 +4,8 @@ A generating function ``psi`` assigns to every moment order ``p`` a positive
 weight, finite exactly on an open support interval ``(A, B)`` (``B`` may be
 infinite).  The induced norm of a random quantity with moment curve
 ``c(p) = |xi|_p`` is ``sup_p c(p)/psi(p)``; the limiting degenerate shape
-concentrated at a single order ``r`` recovers the plain ``L_r`` norm.
+concentrated at a single order ``r`` recovers the plain ``L_r`` norm.  The
+forms and their keys are the table `FORMS` (`PsiFunction.from_dict`).
 
 The module also provides the transforms built on top of psi:
 
@@ -28,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from ._gridopt import log_grid, minimize_rows
-from .errors import EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData
+from .errors import (EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData, check_keys,
+                     finite)
 
 INF = math.inf
 
@@ -48,7 +50,11 @@ JACKKNIFE_GROUPS = 32
 #: Values per slab of `_abs_power_sums`, to stay in L2: 16 rows of 64 by 45.
 _SLAB_BUDGET = 16 * 64 * 45
 
-_FORMS = ("closed_power", "tabulated", "degenerate", "scaled", "rosenthal")
+#: Each form's keys besides ``form`` and ``support``, all required, and what each
+#: holds: a finite number, a list of them or (dict) a generating function.
+FORMS = {"closed_power": {"q": float}, "degenerate": {"r": float},
+         "tabulated": {"grid": tuple, "values": tuple},
+         "scaled": {"factor": float, "base": dict}, "rosenthal": {"base": dict}}
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class PsiFunction:
     base: "PsiFunction | None" = None
 
     def __post_init__(self):
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
         a, b = self.support_low, self.support_high
         if not (a >= 1.0 and b > a):
@@ -191,38 +197,34 @@ class PsiFunction:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        sup = [self.support_low, None if math.isinf(self.support_high) else self.support_high]
-        d = {"form": self.form, "support": sup}
-        if self.form == "closed_power":
-            d["q"] = self.q
-        elif self.form == "degenerate":
-            d["r"] = self.r
-        elif self.form == "tabulated":
-            d["grid"] = list(self.grid)
-            d["values"] = list(self.values)
-        elif self.form == "scaled":
-            d["factor"] = self.factor
-            d["base"] = self.base.to_dict()
-        elif self.form == "rosenthal":
-            d["base"] = self.base.to_dict()
+        """The form, the support as [low, high or null] and the form's keys."""
+        d = {"form": self.form, "support": [
+            self.support_low, None if math.isinf(self.support_high) else self.support_high]}
+        for key, kind in FORMS[self.form].items():
+            val = getattr(self, key)
+            d[key] = val.to_dict() if kind is dict else list(val) if kind is tuple else val
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PsiFunction":
-        sup = d.get("support", [2.0, None])
-        support = (float(sup[0]), INF if sup[1] is None else float(sup[1]))
-        form = d["form"]
-        if form == "closed_power":
-            return cls.closed_power(d["q"], support)
-        if form == "degenerate":
-            return cls.degenerate(d["r"], support)
-        if form == "tabulated":
-            return cls.tabulated(d["grid"], d["values"], support)
-        if form == "scaled":
-            return cls.from_dict(d["base"]).scaled(d["factor"])
-        if form == "rosenthal":
-            return rosenthal_transform(cls.from_dict(d["base"]))
-        raise ValueError(f"unknown form {form!r}")
+        """Reads what `to_dict` writes against `FORMS`: ValueError naming the key
+        on a bad one, or on a support other than [low, high or null] (default
+        [2, null]) or, for scaled and rosenthal, other than the base's."""
+        if not (isinstance(d, dict) and isinstance(d.get("form"), str) and d["form"] in FORMS):
+            raise ValueError(f"expected an object with a form of {', '.join(FORMS)}, got {d!r}")
+        form, kinds = d["form"], FORMS[d["form"]]
+        check_keys({"form": form, "support": None, **dict.fromkeys(kinds, ...)}, d, form)
+        val = {k: finite(k, d[k], kind is tuple) for k, kind in kinds.items() if kind is not dict}
+        try:
+            base = val["base"] = cls.from_dict(d["base"]) if "base" in kinds else None
+        except ValueError as exc:
+            raise ValueError(f"base: {exc}") from None
+        own = None if base is None else base.to_dict()["support"]  # a wrapper's is its base's
+        sup = d.get("support", own or [2.0, None])
+        if not (isinstance(sup, list) and len(sup) == 2) or own is not None and sup != own:
+            raise ValueError(f"support must be {own or '[low, high or null]'}, got {sup!r}")
+        low, high = finite("support", sup[0]), INF if sup[1] is None else finite("support", sup[1])
+        return cls(form, low, high, **val)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -31,8 +31,8 @@ Shipped model kinds, with their parameters and defaults in `KINDS`:
 * ``bounded_sign``        — xi_i(x) = +-a_i(x) with an optional
                             past-dependent bounded amplitude (dependent m.d.).
 
-Building a model with another kind's parameter, or with a bad value,
-raises ValueError (`MartingaleFieldModel.p`).  All kinds accept ``bias``
+`checked_params` reads a kind's parameters (`KINDS`) and its kernel's
+(`KERNELS`): a bad one raises ValueError naming it.  All kinds accept ``bias``
 (additive, deliberately breaking the difference property for detector
 tests) and ``growth`` (deterministic index scaling i**growth, used to
 manufacture exploding-variance examples).
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .distances import PairwiseMomentField, _pair_key
-from .errors import HorizonExceeded, OrderOverflow
+from .errors import HorizonExceeded, OrderOverflow, check_keys, finite
 from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _jackknife,
                   gls_norm, rosenthal_transform)
 from .tails import MIN_SHAPE, TailFunction, w_operator
@@ -73,8 +72,9 @@ KINDS = {
                      "cross": "shared"},
 }
 
-#: Covariance kernels known to `kernel_matrix`.
-KERNELS = ("white", "rbf", "brownian", "fractional_brownian")
+#: Each covariance kernel's parameters and their defaults, all finite numbers.
+KERNELS = {"white": {"variance": 1.0}, "rbf": {"variance": 1.0, "length_scale": 0.5},
+           "brownian": {"variance": 1.0}, "fractional_brownian": {"variance": 1.0, "hurst": 0.5}}
 
 #: Family-wise false-alarm level of `martingale_difference_check`: that of
 #: one two-sided `SE_MARGIN`-standard-error test, 2 * (1 - Phi(3)).
@@ -118,27 +118,41 @@ def ks_two_sample_critical(n1: int, n2: int) -> float:
 # covariance kernels
 # ---------------------------------------------------------------------------
 
+def checked_params(table: dict, given: dict, owner: str) -> dict:
+    """`given` over the defaults of `table`, a `KINDS` or `KERNELS` entry, numbers as
+    floats; ValueError naming a bad key.  Strings, objects and null caps are the caller's."""
+    p = check_keys(table, given, owner)
+    for key, val in p.items():
+        if isinstance(table[key], (str, dict)) or val is table[key] is None:
+            continue
+        p[key] = finite(key, val)
+        if key in ("K", "q", "cap", "base", "variance", "length_scale") and not val > 0:
+            raise ValueError(f"{key} must be > 0, got {val!r}")
+        if key == "q" and val < MIN_SHAPE:  # the least shape of a closed_weibull tail
+            raise ValueError(f"q must be >= {MIN_SHAPE:g}, got {val!r}")
+    return p
+
+
 def kernel_matrix(spec: dict, coords: np.ndarray) -> np.ndarray:
-    """Covariance matrix of a named kernel on the coordinate rows."""
+    """Covariance matrix on the coordinate rows of the kernel `spec`, read by `checked_params`."""
     name = spec.get("name")
-    var = float(spec.get("variance", 1.0))
-    if var <= 0:
-        raise ValueError("kernel variance must be positive")
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r}")
+    k = checked_params(KERNELS[name], {key: v for key, v in spec.items() if key != "name"}, name)
+    var = k["variance"]
     if name == "white":
         return var * np.eye(coords.shape[0])
     if name == "rbf":
-        ell = float(spec.get("length_scale", 0.5))
+        ell = k["length_scale"]
         d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)
         return var * np.exp(-0.5 * d2 / (ell * ell))
-    if name in ("brownian", "fractional_brownian"):
-        h = 0.5 if name == "brownian" else float(spec.get("hurst", 0.5))
-        if not (0.0 < h <= 1.0):
-            raise ValueError("hurst must lie in (0, 1]")
-        norms = np.sqrt((coords ** 2).sum(axis=1))
-        dists = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
-        return var * 0.5 * (norms[:, None] ** (2 * h) + norms[None, :] ** (2 * h)
-                            - dists ** (2 * h))
-    raise ValueError(f"unknown kernel {name!r}")
+    h = k.get("hurst", 0.5)
+    if not (0.0 < h <= 1.0):
+        raise ValueError("hurst must lie in (0, 1]")
+    norms = np.sqrt((coords ** 2).sum(axis=1))
+    dists = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    return var * 0.5 * (norms[:, None] ** (2 * h) + norms[None, :] ** (2 * h)
+                        - dists ** (2 * h))
 
 
 def _cholesky(kmat: np.ndarray) -> np.ndarray:
@@ -170,6 +184,8 @@ class MartingaleFieldModel:
             raise ValueError("horizon must be at least 1")
         if len(self.coords) == 0:
             raise ValueError("need at least one coordinate")
+        finite("bias", self.bias)
+        finite("growth", self.growth)
         p = self.p
         if "cross" in p and p["cross"] not in ("shared", "independent"):
             raise ValueError(f"cross must be shared or independent, got {p['cross']!r}")
@@ -184,29 +200,8 @@ class MartingaleFieldModel:
 
     @cached_property
     def p(self) -> dict:
-        """`params` over the kind's `KINDS` defaults, numbers as floats; raises
-        ValueError on a key of another kind, a missing, non-finite or bad value."""
-        table = KINDS[self.kind]
-        extra = sorted(set(self.params) - set(table))
-        if extra:
-            raise ValueError(f"{extra[0]} is not a parameter of {self.kind}; "
-                             f"it takes {', '.join(table)}")
-        p = {**table, **self.params}
-        for key, val in {"bias": self.bias, "growth": self.growth, **p}.items():
-            if val is ...:
-                raise ValueError(f"{key} is required for {self.kind}")
-            if key in ("kernel", "cross") or key == "cap" and val is None:
-                continue
-            if isinstance(val, bool) or not isinstance(val, numbers.Real) \
-                    or not math.isfinite(val):
-                raise ValueError(f"{key} must be a finite number, got {val!r}")
-            if key in ("K", "q", "cap", "base") and not val > 0:
-                raise ValueError(f"{key} must be > 0, got {val!r}")
-            if key == "q" and val < MIN_SHAPE:  # the least shape of a closed_weibull tail
-                raise ValueError(f"q must be >= {MIN_SHAPE:g}, got {val!r}")
-            if key in p:
-                p[key] = float(val)
-        return p
+        """`params` over the kind's `KINDS` defaults, read by `checked_params`."""
+        return checked_params(KINDS[self.kind], self.params, self.kind)
 
     @property
     def npoints(self) -> int:
@@ -605,10 +600,12 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     if m > model.horizon:
         raise HorizonExceeded(f"i_max = {m} beyond horizon {model.horizon}")
 
+    orders = p_grid if 2.0 in p_grid else p_grid + (2.0,)   # the squares are order 2's row
+
     def worker(ci, start, paths):
-        pt_sum, pt_sq = paths.sum(axis=0), (paths ** 2).sum(axis=0)
         with np.errstate(over="ignore"):  # an overflowing order is reported below
-            return (_abs_power_sums(paths, p_grid), pt_sum, pt_sq,
+            sums = _abs_power_sums(paths, orders)
+            return (sums[:len(p_grid)], paths.sum(axis=0), sums[orders.index(2.0)],
                     _abs_power_sums(paths, p_grid, pairs=(first, second)), paths.shape[0])
 
     parts = _run_chunks(model, m, R, worker, threads)

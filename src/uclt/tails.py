@@ -10,7 +10,8 @@ bounds the tail of every normalized partial sum at x > 1 uniformly in the
 number of summands, where M2(T, v) = -integral over (v, inf) of y**2 dT(y)
 is the truncated second moment carried by the tail.  Since T is
 nonincreasing its differential is nonpositive, so M2 >= 0 and the bracket
-is a sum of two nonnegative terms minimized over the split point v.
+is a sum of two nonnegative terms minimized over the split point v.  The
+forms of T and their keys are the table `FORMS` (`TailFunction.from_dict`).
 """
 from __future__ import annotations
 
@@ -21,9 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._gridopt import log_grid, minimize_rows
-from .errors import UcltError
+from .errors import UcltError, check_keys, finite
 
-_FORMS = ("closed_weibull", "tabulated", "degenerate_zero")
+#: Each form's keys, all required, and what each holds: a number or a list of them.
+FORMS = {"closed_weibull": {"K": float, "q": float},
+         "tabulated": {"x_grid": tuple, "values": tuple}, "degenerate_zero": {}}
+_FIELDS = {"K": "scale", "q": "shape"}  # the fields that K and q fill
 
 #: The split points v that `w_operator` scans span [V_SPAN[0] * x, V_SPAN[1] * x].
 V_SPAN = (1e-4, 1e4)
@@ -60,7 +64,7 @@ class TailFunction:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ValueError(f"unknown tail form {self.form!r}")
         if self.form == "closed_weibull":
             if not (self.scale and self.scale > 0 and self.shape and self.shape >= MIN_SHAPE):
@@ -125,25 +129,21 @@ class TailFunction:
         raise ValueError("closed-form tails have a density, not jumps")
 
     def to_dict(self) -> dict:
-        d = {"form": self.form}
-        if self.form == "closed_weibull":
-            d["K"] = self.scale
-            d["q"] = self.shape
-        elif self.form == "tabulated":
-            d["x_grid"] = list(self.x_grid)
-            d["values"] = list(self.values)
-        return d
+        """The form and the form's `FORMS` keys."""
+        vals = {key: getattr(self, _FIELDS.get(key, key)) for key in FORMS[self.form]}
+        return {"form": self.form,
+                **{key: list(v) if isinstance(v, tuple) else v for key, v in vals.items()}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TailFunction":
-        form = d["form"]
-        if form == "closed_weibull":
-            return cls.closed_weibull(d["K"], d["q"])
-        if form == "tabulated":
-            return cls.tabulated(d["x_grid"], d["values"])
-        if form == "degenerate_zero":
-            return cls.degenerate_zero()
-        raise ValueError(f"unknown tail form {form!r}")
+        """Reads what `to_dict` writes against `FORMS`; ValueError naming the key
+        on a key the form does not take, a missing one or one of another type."""
+        if not (isinstance(d, dict) and isinstance(d.get("form"), str) and d["form"] in FORMS):
+            raise ValueError(f"expected an object with a form of {', '.join(FORMS)}, got {d!r}")
+        kinds = FORMS[d["form"]]
+        check_keys({"form": d["form"], **dict.fromkeys(kinds, ...)}, d, d["form"])
+        return cls(d["form"], **{_FIELDS.get(key, key): finite(key, d[key], kind is tuple)
+                                 for key, kind in kinds.items()})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

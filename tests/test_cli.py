@@ -106,6 +106,13 @@ class TestCheckTheorem:
         ({"name": "matern"}, "config.model.kernel.name"),
         ({"name": "rbf", "lenght_scale": 0.1}, "config.model.kernel.lenght_scale"),
         ({"name": "fractional_brownian", "hurst": 2.0}, "config.model: hurst"),
+        # each kernel's keys and defaults are its KERNELS entry, checked like a model's
+        ({"name": "rbf", "length_scale": 0}, "config.model: length_scale"),
+        ({"name": "rbf", "length_scale": "0.5"}, "config.model: length_scale"),
+        ({"name": "rbf", "length_scale": None}, "config.model: length_scale"),
+        ({"name": "rbf", "hurst": 0.5}, "config.model.kernel.hurst"),
+        ({"name": "brownian", "hurst": 0.9}, "config.model.kernel.hurst"),
+        ({"name": "white", "variance": True}, "config.model: variance"),
     ])
     def test_bad_kernel_key_path(self, tmp_path, capsys, kernel, path):
         doc = theorem_cfg()
@@ -182,6 +189,25 @@ class TestCheckTheorem:
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("psi,path", [
+        ({"form": "closed_power", "q": 2, "r": 3}, "config.psi: r "),
+        ({"form": "scaled", "factor": 2, "base": {"form": "closed_power", "q": 2, "bogus": 1}},
+         "config.psi: base: bogus "),
+        ({"form": "closed_power", "q": "2"}, "config.psi: q "),
+        ({"form": "closed_power"}, "config.psi: q "),
+        ({"form": "closed_power", "q": 2, "support": [2]}, "config.psi: support "),
+        ({"form": "scaled", "factor": 2, "base": 5}, "config.psi: base: expected an object"),
+        ({"form": "scaled", "factor": 2, "support": [3, 9],
+          "base": {"form": "closed_power", "q": 2}}, "config.psi: support "),
+    ], ids=["key-of-another-form", "nested-unknown-key", "string-number", "missing-key",
+            "short-support", "base-not-an-object", "wrapper-support-not-the-base's"])
+    def test_bad_psi_key_path(self, psi, path):
+        code, err, made = run_quiet("check-theorem", theorem_cfg(psi=psi))
+        assert code == 1
+        assert path in err
+        assert "Traceback" not in err
+        assert not made
 
     def test_one_point_model_rejected_before_simulating(self, tmp_path, capsys, monkeypatch):
         def simulate(*args, **kwargs):
@@ -340,6 +366,25 @@ class TestInequalities:
         assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("tail,path", [
+        ({"form": "closed_weibull", "K": 1, "q": 2, "cap": 3}, "config.tail_domination.tail: cap "),
+        ({"form": "closed_weibull", "K": "1", "q": 2}, "config.tail_domination.tail: K "),
+        ({"form": "closed_weibull", "K": True, "q": 2}, "config.tail_domination.tail: K "),
+        ({"form": "tabulated", "x_grid": [0, 1], "values": [1, "0"]},
+         "config.tail_domination.tail: values "),
+        ({"form": "closed_weibull", "q": 2}, "config.tail_domination.tail: K "),
+        (5, "config.tail_domination.tail: expected an object"),
+    ], ids=["key-of-no-form", "string-number", "bool", "string-in-list", "missing-key",
+            "not-an-object"])
+    def test_bad_tail_key_path(self, tail, path):
+        doc = {"seed": 3, "replications": 500,
+               "tail_domination": {"tail": tail, "x_values": [1.5], "n_values": [16]}}
+        code, err, made = run_quiet("inequalities", doc)
+        assert code == 1
+        assert path in err
+        assert "Traceback" not in err
+        assert not made
 
     @pytest.mark.parametrize("blocks,path", [
         ({"osekowski": {"n_grid": [0.5]}}, "config.osekowski.n_grid: "),

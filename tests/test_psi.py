@@ -96,6 +96,45 @@ class TestEval:
         assert doc["support"][1] is None  # null encodes the unbounded endpoint
 
 
+TABULATED = PsiFunction.tabulated([2, 3, 4], [1.0, 1.1, 1.3])
+CLOSED_POWER = {"form": "closed_power", "support": [2.0, None], "q": 2.0}
+TABULATED_DICT = {"form": "tabulated", "support": [1.5, None], "grid": [2.0, 3.0, 4.0],
+                  "values": [1.0, 1.1, 1.3]}
+
+
+class TestSerialization:
+    # every form, wrappers of wrappers included, against what to_dict wrote
+    # before it was read from the FORMS table
+    @pytest.mark.parametrize("psi,doc", [
+        (PsiFunction.closed_power(2), CLOSED_POWER),
+        (PsiFunction.closed_power(1.5, support=(2.5, 50)),
+         {"form": "closed_power", "support": [2.5, 50], "q": 1.5}),
+        (PsiFunction.degenerate(3, support=(2, 8)),
+         {"form": "degenerate", "support": [2, 8], "r": 3.0}),
+        (TABULATED, TABULATED_DICT),
+        (PsiFunction.closed_power(2).scaled(3.0),
+         {"form": "scaled", "support": [2.0, None], "factor": 3.0, "base": CLOSED_POWER}),
+        (rosenthal_transform(PsiFunction.closed_power(1)),
+         {"form": "rosenthal", "support": [2.0, None],
+          "base": {"form": "closed_power", "support": [2.0, None], "q": 1.0}}),
+        (rosenthal_transform(TABULATED).scaled(2.0),
+         {"form": "scaled", "support": [1.5, None], "factor": 2.0,
+          "base": {"form": "rosenthal", "support": [1.5, None], "base": TABULATED_DICT}}),
+    ], ids=["closed_power", "closed_power-bounded", "degenerate", "tabulated", "scaled",
+            "rosenthal", "scaled-rosenthal-tabulated"])
+    def test_dict_round_trip(self, psi, doc):
+        assert psi.to_dict() == doc
+        assert PsiFunction.from_dict(psi.to_dict()) == psi
+        assert PsiFunction.from_json(psi.to_json()) == psi
+
+    def test_wrapper_support_defaults_to_the_base(self):
+        doc = {"form": "rosenthal", "base": {"form": "closed_power", "q": 2, "support": [3, 9]}}
+        psi = PsiFunction.from_dict(doc)
+        assert (psi.support_low, psi.support_high) == (3.0, 9.0)
+        with pytest.raises(ValueError, match="support must be"):
+            PsiFunction.from_dict({**doc, "support": [2, None]})
+
+
 class TestMomentCurve:
     def test_gaussian_moments(self):
         # E Z^2 = 1, E Z^4 = 3, E Z^6 = 15 from the closed form

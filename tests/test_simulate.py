@@ -614,6 +614,8 @@ class TestKindsTable:
         ("bounded_sign", {"amplitude_slope": -1.0}, "amplitude_slope = -1.0 makes"),
         ("garch_like", {"vol_lo": 0.0}, "vol_lo and vol_hi need"),
         ("garch_like", {"memory": True}, "memory must be a finite number"),
+        ("iid_gaussian_field", {"kernel": {"name": "rbf", "length_scale": 0}},
+         "length_scale must be > 0"),
     ])
     def test_rejected_at_construction(self, kind, params, match):
         with pytest.raises(ValueError, match=match):

@@ -121,6 +121,31 @@ class TestTailFunction:
                 assert back.value(x) == T.value(x)
 
 
+class TestSerialization:
+    # every form against what to_dict wrote before it was read from the FORMS table
+    @pytest.mark.parametrize("T,doc", [
+        (TailFunction.closed_weibull(2.0, 0.5), {"form": "closed_weibull", "K": 2.0, "q": 0.5}),
+        (TailFunction.step(3.0), {"form": "tabulated", "x_grid": [0.0, 3.0], "values": [1.0, 0.0]}),
+        (TailFunction.tabulated([0.0, 0.5, 2.0], [1.0, 0.25, 0.0]),
+         {"form": "tabulated", "x_grid": [0.0, 0.5, 2.0], "values": [1.0, 0.25, 0.0]}),
+        (TailFunction.degenerate_zero(), {"form": "degenerate_zero"}),
+    ], ids=["closed_weibull", "step", "tabulated", "degenerate_zero"])
+    def test_dict_round_trip(self, T, doc):
+        assert T.to_dict() == doc
+        assert TailFunction.from_dict(T.to_dict()) == T
+
+    @pytest.mark.parametrize("doc,match", [
+        ({"form": "degenerate_zero", "K": 1.0}, "K is not a parameter of degenerate_zero"),
+        ({"form": "tabulated", "x_grid": 3.0, "values": [0.0]}, "x_grid must be a list"),
+        ({"form": "weibull", "K": 1.0, "q": 2.0}, "with a form of closed_weibull"),
+        ({"form": ["closed_weibull"], "K": 1.0, "q": 2.0}, "with a form of closed_weibull"),
+        ([1.0], "expected an object"),
+    ])
+    def test_from_dict_names_the_key(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            TailFunction.from_dict(doc)
+
+
 class TestSecondMoment:
     def test_degenerate_zero(self):
         assert tail_second_moment(TailFunction.degenerate_zero(), 0.5) == 0.0
