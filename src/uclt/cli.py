@@ -472,6 +472,10 @@ def run_inequalities(cfg: dict, args) -> int:
         mode = ose.get("mode", str, default="points")
         if mode not in ("points", "pairs"):
             raise ConfigError("config.osekowski.mode: must be points or pairs")
+        one = [i for i, model in enumerate(models) if model.npoints < 2]
+        if mode == "pairs" and one:
+            raise ConfigError(f"config.osekowski.mode: pairs needs at least two points in every "
+                              f"model; config.models[{one[0]}].x_points has one")
         ose_spec = (ps, ns, mode)
         ose.finish()
     lem = s.sub("tail_domination", default=run_all)

@@ -34,9 +34,7 @@ _REPLAY_BLOCK = 32
 
 
 def _parse_metric(metric):
-    """Accepts 'euclidean', 'sup', 'holder(alpha)' or ('holder', alpha)."""
-    if isinstance(metric, tuple) and metric[0] == "holder":
-        return "holder", float(metric[1])
+    """Accepts 'euclidean', 'sup' or 'holder(alpha)'."""
     if not isinstance(metric, str):
         raise ValueError(f"unrecognized metric spec {metric!r}")
     name = metric.strip().lower()

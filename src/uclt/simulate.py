@@ -4,7 +4,7 @@ Models generate adapted difference sequences xi_i(x) on a finite coordinate
 grid; the engine draws replications in fixed-size chunks, each chunk on its
 own counter-based substream of the master seed, so results are byte-identical
 for a given (model, seed, R) no matter how many worker threads run the
-chunks.  Aggregation combines per-chunk partials in chunk order.
+chunks.  Chunk workers return partials, which the engine puts in chunk order.
 
 Chunks hold only the grid columns their reducer reads: `osekowski_check`
 its point or its pair's two points, `tail_domination_check`,
@@ -135,6 +135,8 @@ def checked_params(table: dict, given: dict, owner: str) -> dict:
 
 def kernel_matrix(spec: dict, coords: np.ndarray) -> np.ndarray:
     """Covariance matrix on the coordinate rows of the kernel `spec`, read by `checked_params`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"kernel must be an object with a name, got {spec!r}")
     name = spec.get("name")
     if name not in KERNELS:
         raise ValueError(f"unknown kernel {name!r}")
@@ -219,15 +221,9 @@ class MartingaleFieldModel:
     def _kernel(self) -> np.ndarray:
         return kernel_matrix(self.p["kernel"], self._coord_array)
 
-    @cached_property
-    def _chols(self) -> dict:
-        return {}
-
     def _chol(self, cols: tuple[int, ...]) -> np.ndarray:
         """Cholesky factor of the kernel restricted to the grid columns `cols`."""
-        if cols not in self._chols:
-            self._chols[cols] = _cholesky(self._kernel[np.ix_(cols, cols)])
-        return self._chols[cols]
+        return _cholesky(self._kernel[np.ix_(cols, cols)])
 
     @cached_property
     def _amplitude(self) -> np.ndarray:
@@ -398,31 +394,29 @@ def _columns(model: MartingaleFieldModel, indices) -> tuple[int, ...]:
 def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
                 threads: int | None = None, cols: tuple[int, ...] | None = None,
                 draw=None) -> list:
-    """Generate chunks (optionally in parallel) and collect worker results
-    in chunk order.  `worker(chunk_index, start, paths)` must only touch
-    chunk-local state or disjoint output slices.  Chunks hold the grid
-    columns `cols` only (all when None); their spans depend on the full
-    grid, so batch-means groups are the same at any width.  `draw(rng,
-    count)`, when given, makes each chunk's data in place of the paths."""
+    """Generate chunks (optionally in parallel): `worker(chunk_index, start,
+    paths)` returns each chunk's result, and the engine returns the results
+    in chunk order.  Chunks hold the grid columns `cols` only (all when
+    None); their spans depend on the full grid, so batch-means groups are
+    the same at any width.  `draw(rng, count)`, when given, makes each
+    chunk's data in place of the paths."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
+    if R < 1:
+        raise ValueError(f"need at least one replication, got R = {R}")
     spans = _chunk_spans(R, n, model.npoints)
-    results: list = [None] * len(spans)
 
     def task(span):
         ci, start, count = span
         rng = _chunk_rng(model.seed, ci)
-        data = _generate(model, n, rng, count, cols) if draw is None else draw(rng, count)
-        results[ci] = worker(ci, start, data)
+        return worker(ci, start, _generate(model, n, rng, count, cols) if draw is None
+                      else draw(rng, count))
 
     nt = resolve_threads(threads)
     if nt == 1 or len(spans) == 1:
-        for span in spans:
-            task(span)
-    else:
-        with ThreadPoolExecutor(max_workers=nt) as pool:
-            list(pool.map(task, spans))
-    return results
+        return [task(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=nt) as pool:
+        return list(pool.map(task, spans))
 
 
 def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ...]):
@@ -464,17 +458,15 @@ def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | 
     consecutive n and accumulated.  Rows at different n share draws."""
     ns = [int(n) for n in n_values]
     cols = tuple(range(model.npoints)) if cols is None else cols
-    out = np.empty((len(ns), R, len(cols)))
     draw = _closed_sums(model, ns, cols) if closed_law else None
+    scale = np.array([1.0 / math.sqrt(n) for n in ns])[:, None, None]
 
     def worker(ci, start, data):
         if draw is None:
             data = np.cumsum([data[:, lo:n].sum(axis=1) for lo, n in zip([0] + ns, ns)], axis=0)
-        for j, n in enumerate(ns):
-            out[j, start:start + data.shape[1]] = data[j] * (1.0 / math.sqrt(n))
+        return data * scale
 
-    _run_chunks(model, ns[-1], R, worker, threads, cols, draw)
-    return out
+    return np.concatenate(_run_chunks(model, ns[-1], R, worker, threads, cols, draw), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,32 +514,26 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
     names = ("const", "tanh(prev)", "tanh(runsum)")
 
     def worker(ci, start, paths):
+        """Sums of v and v**2 for v = xi_i * z, one row per (index, regressor)."""
         xs = paths[:, :, 0]
-        out = {}
+        sums = []
         for i in indices:
             xi = xs[:, i - 1]
             prev = xs[:, i - 2] if i >= 2 else np.zeros_like(xi)
             runsum = xs[:, :i - 1].sum(axis=1) / math.sqrt(max(i - 1, 1))
-            for nm, z in zip(names, (np.ones_like(xi), np.tanh(prev), np.tanh(runsum))):
+            for z in (np.ones_like(xi), np.tanh(prev), np.tanh(runsum)):
                 v = xi * z
-                key = (i, nm)
-                out[key] = (v.sum(), (v * v).sum(), v.size)
-        return out
+                sums.append((v.sum(), (v * v).sum()))
+        return np.array(sums)
 
-    parts = _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
+    moments = sum(_run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))) / R
     rows = []
-    for i in indices:
-        for nm in names:
-            s1 = sum(p[(i, nm)][0] for p in parts)
-            s2 = sum(p[(i, nm)][1] for p in parts)
-            cnt = sum(p[(i, nm)][2] for p in parts)
-            mean = float(s1 / cnt)
-            var = max(float(s2 / cnt) - mean * mean, 0.0)
-            se = math.sqrt(var / cnt)
-            pval = math.erfc(abs(mean) / (se * math.sqrt(2.0))) if se > 0 \
-                else float(abs(mean) <= 1e-15)
-            rows.append({"index": i, "regressor": nm, "mean": mean, "se": se,
-                         "p_value": pval})
+    for (i, nm), (m1, m2) in zip([(i, nm) for i in indices for nm in names], moments):
+        mean = float(m1)
+        se = math.sqrt(max(float(m2) - mean * mean, 0.0) / R)
+        pval = math.erfc(abs(mean) / (se * math.sqrt(2.0))) if se > 0 \
+            else float(abs(mean) <= 1e-15)
+        rows.append({"index": i, "regressor": nm, "mean": mean, "se": se, "p_value": pval})
     rejected = holm_rejections([r["p_value"] for r in rows], MD_FAMILY_LEVEL)
     for row, rej in zip(rows, rejected):
         row["ok"] = not rej
@@ -647,6 +633,11 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         raise ValueError("the inequality is checked for p >= 2 only")
     n_grid = sorted(int(n) for n in n_grid)
     idx = {lb: k for k, lb in enumerate(model.labels)}
+    if mode not in ("points", "pairs"):
+        raise ValueError(f"mode must be points or pairs, got {mode!r}")
+    if mode == "pairs" and (pair is None or len(pair) != 2 or pair[0] == pair[1]
+                            or not set(pair) <= set(idx)):
+        raise ValueError(f"pairs mode needs two distinct labels of {model.labels}, got {pair!r}")
     cols = _columns(model, [x_index] if mode == "points" else [idx[x] for x in pair])
 
     def series_of(paths):
@@ -798,15 +789,9 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
     b = b / math.sqrt(float((b ** 2).sum()))
     if tail is None:
         tail = model.dominating_tail()
-    n = b.size
-    out = np.empty(R)
-
-    def worker(ci, start, paths):
-        out[start:start + paths.shape[0]] = paths[:, :, 0] @ b
-        return None
-
-    _run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))
-    return _tail_rows(_tail_bounds(tail, x_values), n, out)
+    sums = np.concatenate(_run_chunks(model, b.size, R, lambda ci, start, paths: paths[:, :, 0] @ b,
+                                      threads, _columns(model, [x_index])))
+    return _tail_rows(_tail_bounds(tail, x_values), b.size, sums)
 
 
 def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,

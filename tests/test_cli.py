@@ -412,6 +412,21 @@ class TestInequalities:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_pairs_mode_on_a_one_point_model_rejected_before_simulating(self, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("osekowski_check reached for a one-point model in pairs mode")
+
+        monkeypatch.setattr("uclt.cli.osekowski_check", simulate)
+        doc = {"seed": 3, "replications": 500,
+               "models": [{"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2}}, "horizon": 16},
+                          {"kind": "bounded_sign", "x_points": [[0.5]], "horizon": 16}],
+               "osekowski": {"mode": "pairs", "p_grid": [2.0], "n_grid": [8]}}
+        code, err, made = run_quiet("inequalities", doc)
+        assert code == 1
+        assert "config.osekowski.mode: " in err and "config.models[1].x_points" in err
+        assert "Traceback" not in err
+        assert not made
+
     def test_threads_key_with_flag(self, tmp_path):
         doc = {"seed": 3, "replications": 500, "threads": 2,
                "models": [{"kind": "bounded_sign", "name": "b",

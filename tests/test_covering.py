@@ -357,6 +357,13 @@ class TestSpaceConstruction:
         s = FiniteMetricSpace.from_coords([[0, 0], [1, 2]], metric="sup")
         assert s.dist[0, 1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("metric", [("holder", 3.0), ("holder", 0.5)],
+                             ids=["exponent-above-one", "exponent-in-range"])
+    def test_tuple_holder_metric_rejected(self, metric):
+        # a Hoelder exponent is given only as 'holder(alpha)', where it is checked
+        with pytest.raises(ValueError):
+            FiniteMetricSpace.from_coords([[0], [1], [2]], metric=metric)
+
     def test_csv_loaders(self, tmp_path):
         dist = tmp_path / "d.csv"
         dist.write_text("a,b\n0,1\n1,0\n")

@@ -1,4 +1,5 @@
 """Monte Carlo engine: determinism, normalization, and the statistical checks."""
+import copy
 import hashlib
 import math
 
@@ -452,6 +453,16 @@ class TestOsekowski:
         with pytest.raises(ValueError):
             osekowski_check(white_gaussian(), [1.5], [8], 100)
 
+    @pytest.mark.parametrize("mode,pair,match", [
+        ("pair", ("x0", "x2"), "mode must be points or pairs"),
+        ("pairs", None, "pairs mode needs two distinct labels"),
+        ("pairs", ("x1", "x1"), "pairs mode needs two distinct labels"),
+        ("pairs", ("x0", "x7"), "pairs mode needs two distinct labels"),
+    ], ids=["unknown-mode", "no-pair", "same-point-twice", "unknown-label"])
+    def test_rejects_mode_and_pair(self, mode, pair, match):
+        with pytest.raises(ValueError, match=match):
+            osekowski_check(white_gaussian(), [2.0], [8], 100, mode=mode, pair=pair)
+
 
 class TestEquicontinuity:
     def test_identical_points_both_sides_zero(self):
@@ -616,6 +627,8 @@ class TestKindsTable:
         ("garch_like", {"memory": True}, "memory must be a finite number"),
         ("iid_gaussian_field", {"kernel": {"name": "rbf", "length_scale": 0}},
          "length_scale must be > 0"),
+        ("iid_gaussian_field", {"kernel": 5}, "kernel must be an object"),
+        ("garch_like", {"kernel": "rbf"}, "kernel must be an object"),
     ])
     def test_rejected_at_construction(self, kind, params, match):
         with pytest.raises(ValueError, match=match):
@@ -903,6 +916,97 @@ class TestPartialSums:
     def test_horizon_guard(self):
         with pytest.raises(HorizonExceeded):
             _partial_sums(SHARED_SIGNS, [16, 65], 10)
+
+
+def same(a, b) -> bool:
+    """Equal by content, dicts and arrays included."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
+def digest(values) -> str:
+    """sha256 of `values` rounded to 10 decimals (BLAS kernels may differ in
+    the last bit between CPUs), as in `FULL_WIDTH_DIGESTS`."""
+    return hashlib.sha256(np.round(np.asarray(values, dtype=float), 10).tobytes()).hexdigest()[:16]
+
+
+class TestChunkResults:
+    """Each reducer's results at a fixed seed, in 17 chunks of at most 43 rows,
+    as digests frozen before chunk workers returned their results."""
+
+    R = 700
+
+    MD_DIGESTS = {
+        "iid_gaussian_field": "1f920bb61da00ef2",
+        "weibull_field": "9204f60a5bfb3417",
+        "garch_like": "14ef5c1112fb4e47",
+        "bounded_sign": "e7e8f9bd8b5fad6a",
+    }
+    WEIGHTED_DIGESTS = {
+        "iid_gaussian_field": "c20698e03fc0cdcd",
+        "weibull_field": "2ba841f2ab7dbb23",
+        "garch_like": "31bc6fbe3e5ae37c",
+        "bounded_sign": "f7fca3e3009ab724",
+    }
+    PARTIAL_SUMS_DIGESTS = {
+        "iid_gaussian_field": "45d15752d0f21f1f",
+        "weibull_field": "32747a81afec98f9",
+        "garch_like": "a57821424ad0a804",
+        "bounded_sign": "4cdaa2c1fe3e3059",
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_martingale_difference_check(self, model, threads):
+        rows = martingale_difference_check(model, [1, 2, 16], x_index=1, R=self.R, threads=threads)
+        got = digest([[r["mean"], r["se"], r["p_value"]] for r in rows])
+        assert got == self.MD_DIGESTS[model.kind]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_weighted_tail_domination_sums(self, model, threads, monkeypatch):
+        seen = []
+
+        def rows(bounds, n, sums):
+            seen.append(sums.copy())
+            return []
+
+        monkeypatch.setattr("uclt.simulate._tail_rows", rows)
+        weighted_tail_domination_check(model, None, [1.5], np.arange(1.0, 17.0), self.R,
+                                       x_index=1, threads=threads)
+        assert seen[0].shape == (self.R,)
+        assert digest(seen[0]) == self.WEIGHTED_DIGESTS[model.kind]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_partial_sums(self, model, threads):
+        etas = _partial_sums(model, [4, 16], self.R, threads, cols=(0, 2))
+        assert etas.shape == (2, self.R, 2)
+        assert digest(etas) == self.PARTIAL_SUMS_DIGESTS[model.kind]
+
+    def test_no_replications_rejected(self):
+        # with no chunk there is no result to put in order
+        for run in (lambda: simulate_eta(white_gaussian(), 4, 0),
+                    lambda: weighted_tail_domination_check(white_gaussian(), None, [1.5],
+                                                           np.ones(4), 0)):
+            with pytest.raises(ValueError, match="need at least one replication"):
+                run()
+
+    @pytest.mark.parametrize("kind", ["garch_like", "iid_gaussian_field"])
+    def test_a_pass_leaves_the_model_unchanged(self, kind):
+        # whatever a pass needs of the model is made at construction; chunk
+        # workers on other threads read it and write nothing to it
+        model = MartingaleFieldModel("m", kind, grid_coords(3),
+                                     {"kernel": {"name": "rbf", "length_scale": 0.5}},
+                                     horizon=16, seed=5)
+        before = copy.deepcopy(vars(model))
+        osekowski_check(model, [2.0], [16], 300, x_index=1, threads=2)
+        osekowski_check(model, [2.0], [16], 300, mode="pairs", pair=("x0", "x2"), threads=2)
+        tail_domination_check(model, None, [1.5], [4, 16], 300, x_index=2, threads=2)
+        assert same(vars(model), before)
 
 
 TAIL_KINDS = PROJECTION_KINDS + [SHARED_SIGNS, INDEPENDENT_SIGNS,
