@@ -29,7 +29,7 @@ EXACT_SEARCH_CAP = 20
 _TRIANGLE_CHECK_CAP = 128
 
 #: Radii, and at most as many pairs, whose grown balls the greedy covering
-#: sweep checks in one pass.
+#: sweep checks together, at most twice as many balls per pass.
 _REPLAY_BLOCK = 32
 
 
@@ -164,32 +164,49 @@ def _resume(balls: np.ndarray, run, s: int, m: int, after: int, cap: int):
     `run` holds, per step j < m, the uncovered bitset before the step (a
     column of U) with its popcount, the pick and its gain.  Each step picks
     the center whose ball covers the most uncovered points, breaking ties
-    toward the lowest index.  Gains never grow, so once the run provably
-    needs `cap` or more balls, or its best gain is 1, the count is known and
-    it stops.  Once the uncovered set equals the reference's at a step after
-    `after`, the reference tail holds from there on and is kept.  Returns
-    (steps, size), with size None when the old tail was kept.
+    toward the lowest index.  Gains never grow, so the run goes one gain
+    level at a time: one pass over every ball finds the largest gain g, and
+    the centers of gain g, in index order, are picked while they still
+    cover g uncovered points (checked on Python integers); the rest of the
+    level has fallen below g.  Once the run provably needs `cap` or more
+    balls, or its best gain is 1, the count is known and it stops.  Once the
+    uncovered set equals the reference's at a step after `after`, the
+    reference tail holds from there on and is kept.  The new uncovered sets
+    are written to U at return.  Returns (steps, size), with size None when
+    the old tail was kept.
     """
     U, left, pick, gain = run
-    u = U[:, s].copy()
-    rest = int(left[s])
-    k = s
+    width = 8 * U.shape[0]
+    packed, now = balls.T.tobytes(), U[:, s]
+    u = int.from_bytes(now.tobytes(), "little")
+    rest, k, us = int(left[s]), s, []
     while True:
-        gains = np.bitwise_count(balls & u[:, None]).sum(axis=0, dtype=np.int32)
-        x = int(gains.argmax())  # argmax takes the lowest index on ties
-        g = int(gains[x])
-        pick[k], gain[k] = x, g
-        u &= ~balls[:, x]
-        rest -= g
-        k += 1
-        # the rest needs at least rest/g more balls, exactly that many once g is 1
-        total = k + -(-rest // g)
-        if rest == 0 or g == 1 or total >= cap:
-            return k, min(total, cap)
-        if after < k < m and rest == left[k] and np.array_equal(u, U[:, k]):
-            return m, None
-        U[:, k] = u
-        left[k] = rest
+        gains = np.bitwise_count(balls & now[:, None]).sum(axis=0, dtype=np.int32)
+        g = int(gains[gains.argmax()])
+        for x in (gains == g).nonzero()[0].tolist():
+            ball = int.from_bytes(packed[width * x:width * (x + 1)], "little")
+            if (ball & u).bit_count() < g:
+                continue
+            pick[k], gain[k] = x, g
+            u &= ~ball
+            rest -= g
+            k += 1
+            # the rest needs at least rest/g more balls, exactly that many once g is 1
+            total = k + -(-rest // g)
+            if rest == 0 or g == 1 or total >= cap:
+                done = k, min(total, cap)
+            elif (after < k < m and rest == left[k]
+                  and u == int.from_bytes(U[:, k].tobytes(), "little")):
+                done = m, None
+            else:
+                us.append(u)
+                left[k] = rest
+                continue
+            if us:
+                U[:, s + 1:k] = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in us),
+                                              dtype=np.uint64).reshape(k - s - 1, -1).T
+            return done
+        now = np.frombuffer(u.to_bytes(width, "little"), dtype=np.uint64)
 
 
 def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.ndarray:
@@ -202,10 +219,11 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
     and it does at the first step where it covers more uncovered points than
     the pick, or as many at a lower index.  The last step's tie is exempt: it
     changes the pick but not the count.  The grown balls of a block of radii
-    are checked against every step in one pass.  Radii with no such step keep
-    the reference count; at the first one that has one the greedy resumes
-    from that step (see `_resume`), and the rest of the block is checked
-    against the new run.
+    are checked against every step, 2 * _REPLAY_BLOCK balls per pass, which
+    bounds the pass's memory where many pairs tie.  Radii with no such
+    step keep the reference count; at the first one that has one the greedy
+    resumes from that step (see `_resume`), and the rest of the block is
+    checked against the new run.
 
     With `running_min` the result is the running minimum of the sizes; a run
     that cannot lower it stops early, and the sweep stops once it reaches 1.
@@ -235,13 +253,13 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
     while level < radii.size and cap > 1:
         # a block is _REPLAY_BLOCK radii, or fewer so that it holds no more than
         # _REPLAY_BLOCK pairs; where many pairs tie it is one radius
-        lo = np.searchsorted(first, level)
+        lo = first.searchsorted(level)
         cut = first[lo + 2 * _REPLAY_BLOCK] if lo + 2 * _REPLAY_BLOCK < first.size else radii.size
         end = min(level + _REPLAY_BLOCK, max(level + 1, int(cut)))
-        hi = np.searchsorted(first, end)
+        hi = first.searchsorted(end)
         # one column per grown ball and radius, ordered by radius, then center
         key = first[lo:hi] * n + center[lo:hi]
-        fresh = np.diff(key, prepend=-1) != 0
+        fresh = key != np.concatenate(([-1], key[:-1]))
         col_level, col_center = np.divmod(key[fresh], n)
         cols = balls[:, col_center]
         np.bitwise_or.at(cols, (word[lo:hi], np.cumsum(fresh) - 1), bit[lo:hi])
@@ -251,23 +269,33 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
         carry = np.flatnonzero(col_center[by_center[1:]] == col_center[by_center[:-1]]) + 1
         while carry.size:
             cols[:, by_center[carry]] |= cols[:, by_center[carry - 1]]
-            carry = carry[1:][np.diff(carry) == 1]
+            carry = carry[1:][carry[1:] - carry[:-1] == 1]
         while level < end and cap > 1:
-            a = np.searchsorted(col_level, level)
-            gains = np.bitwise_count(cols[:, a:, None] & U[:, None, :m]).sum(axis=0, dtype=np.int32)
-            flags = gains > gain[:m]
-            flags[:, :-1] |= ((gains[:, :-1] == gain[:m - 1])
-                              & (col_center[a:, None] < pick[:m - 1]))
-            hits = np.flatnonzero(flags.any(axis=1))
-            diverge = int(col_level[a + hits[0]]) if hits.size else end
+            # flag the steps where a grown ball would change the pick, at most
+            # 2 * _REPLAY_BLOCK columns at a time, up to the first flagged
+            # column's radius
+            a = c = int(col_level.searchsorted(level))
+            b, hit = col_level.size, None
+            while c < b:
+                d = min(c + 2 * _REPLAY_BLOCK, b)
+                gains = np.bitwise_count(cols[:, c:d, None] & U[:, None, :m]).sum(axis=0, dtype=np.int32)
+                flags = gains > gain[:m]
+                flags[:, :-1] |= ((gains[:, :-1] == gain[:m - 1])
+                                  & (col_center[c:d, None] < pick[:m - 1]))
+                if hit is not None:
+                    steps |= flags.any(axis=0)
+                elif (hits := flags.any(axis=1).nonzero()[0]).size:
+                    hit = c + int(hits[0])
+                    b = int(col_level.searchsorted(col_level[hit], side="right"))
+                    steps = flags[hits[0]:b - c].any(axis=0)
+                c = d
+            diverge = end if hit is None else int(col_level[hit])
             sizes[level:diverge] = min(size, cap)
             # grow the balls up to the diverging radius, or the block's last one
-            b = np.searchsorted(col_level, diverge, side="right")
             np.bitwise_or.at(balls, (slice(None), col_center[a:b]), cols[:, a:b])
             if diverge == end:
                 level = end
                 break
-            steps = flags[hits[0]:b - a].any(axis=0)
             s, after = int(steps.argmax()), m - 1 - int(steps[::-1].argmax())
             m, resized = _resume(balls, run, s, m, after, cap)
             size = size if resized is None else resized

@@ -388,6 +388,8 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
 def _columns(model: MartingaleFieldModel, indices) -> tuple[int, ...]:
     """The sorted distinct grid columns among `indices`, negative ones
     counting from the end: the `cols` of a chunk that reads only these."""
+    if any(not -model.npoints <= i < model.npoints for i in indices):
+        raise ValueError(f"x_index must index one of the {model.npoints} grid points, got {indices}")
     return tuple(sorted({range(model.npoints)[i] for i in indices}))
 
 
@@ -786,7 +788,10 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
                                    threads: int | None = None) -> list[dict]:
     """Same domination check for sum_i b_i xi_i with unit sum of b_i**2."""
     b = np.asarray(weights, dtype=float)
-    b = b / math.sqrt(float((b ** 2).sum()))
+    norm = float((b ** 2).sum())
+    if not 0 < norm < math.inf:
+        raise ValueError(f"weights must have a positive finite norm, got {weights!r}")
+    b = b / math.sqrt(norm)
     if tail is None:
         tail = model.dominating_tail()
     sums = np.concatenate(_run_chunks(model, b.size, R, lambda ci, start, paths: paths[:, :, 0] @ b,

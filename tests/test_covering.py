@@ -308,6 +308,123 @@ class TestReplayPaths:
         assert any(f % 2 == 0 and f + 1 in diverging for f in diverging)
 
 
+def stepwise_resume(balls, run, s, m, after, cap):
+    """The per-step greedy loop `covering._resume` replaced: one numpy gain
+    pass and argmax per step, each step written as it is taken."""
+    U, left, pick, gain = run
+    u = U[:, s].copy()
+    rest = int(left[s])
+    k = s
+    while True:
+        gains = np.bitwise_count(balls & u[:, None]).sum(axis=0, dtype=np.int32)
+        x = int(gains.argmax())  # argmax takes the lowest index on ties
+        g = int(gains[x])
+        pick[k], gain[k] = x, g
+        u &= ~balls[:, x]
+        rest -= g
+        k += 1
+        total = k + -(-rest // g)
+        if rest == 0 or g == 1 or total >= cap:
+            return k, min(total, cap)
+        if after < k < m and rest == left[k] and np.array_equal(u, U[:, k]):
+            return m, None
+        U[:, k] = u
+        left[k] = rest
+
+
+def gain_levels(balls, run, s, k):
+    """Steps s..k-1 of a greedy run split into gain levels, the runs of equal
+    gain: per level its picks and the candidates it rejects, the centers of
+    the level's gain at its first step, below its last pick and not picked,
+    whose gain fell within the level."""
+    U, _, pick, gain = run
+    levels, j = [], s
+    while j < k:
+        e = j + int(np.argmax(np.append(gain[j:k] != gain[j], True)))
+        gains = np.bitwise_count(balls & U[:, j, None]).sum(axis=0)
+        picks = [int(x) for x in pick[j:e]]
+        levels.append((picks, [int(x) for x in np.flatnonzero(gains == gain[j])
+                               if x < picks[-1] and x not in picks]))
+        j = e
+    return levels
+
+
+def compared_sweep(monkeypatch, space, running_min):
+    """The sweep over every distance level with each `_resume` call checked
+    against `stepwise_resume` on a copy of its input: the same return value
+    and the same run, bit for bit.  Records each call's start, reference
+    length, last flagged step, cap, steps and size, and, for a call that
+    ran to its stop, its gain levels."""
+    d = space.dist
+    radii = np.concatenate(([0.0], np.unique(d[d > 0])))
+    calls = []
+    resume = covering._resume
+
+    def checked(balls, run, s, m, after, cap):
+        want_run = tuple(a.copy() for a in run)
+        want = stepwise_resume(balls, want_run, s, m, after, cap)
+        steps, size = resume(balls, run, s, m, after, cap)
+        assert (steps, size) == want
+        for got_a, want_a in zip(run, want_run):
+            assert got_a.dtype == want_a.dtype and np.array_equal(got_a, want_a)
+        calls.append(dict(s=s, m=m, after=after, cap=cap, steps=steps, size=size,
+                          levels=gain_levels(balls, run, s, steps) if size is not None else []))
+        return steps, size
+
+    monkeypatch.setattr(covering, "_resume", checked)
+    covering._replay_sweep(d, radii, running_min)
+    monkeypatch.undo()
+    return calls
+
+
+def random_space(n, seed=41):
+    return FiniteMetricSpace.from_coords(np.random.default_rng(seed).random((n, 2)))
+
+
+GAIN_LEVEL_SPACES = {
+    **{f"random{n}": lambda n=n: random_space(n) for n in (63, 64, 65, 130)},
+    "sup_grid": lambda: FiniteMetricSpace.from_coords(
+        np.stack(np.meshgrid(range(7), range(7)), axis=-1).reshape(-1, 2), metric="sup"),
+    "repeated": lambda: FiniteMetricSpace.from_coords(
+        np.random.default_rng(43).random((12, 2))[np.random.default_rng(47).integers(0, 12, 40)]),
+}
+
+
+class TestGainLevels:
+    """`_resume` takes each gain level with one numpy pass and checks each
+    pick on Python integers; the run it leaves must be the per-step loop's."""
+
+    @pytest.mark.parametrize("running_min", [False, True], ids=["raw", "running-min"])
+    @pytest.mark.parametrize("space", list(GAIN_LEVEL_SPACES))
+    def test_equals_stepwise_loop(self, monkeypatch, space, running_min):
+        s = GAIN_LEVEL_SPACES[space]()
+        calls = compared_sweep(monkeypatch, s, running_min)
+        levels = [lv for c in calls for lv in c["levels"]]
+        assert any(len(picks) >= 2 for picks, _ in levels)
+        assert any(rejected for _, rejected in levels)
+
+    def test_splice_and_cap_equal_stepwise_loop(self, monkeypatch):
+        s = GAIN_LEVEL_SPACES["random65"]()
+        calls = compared_sweep(monkeypatch, s, running_min=True)
+        assert any(c["size"] is None and c["s"] <= c["after"] < c["m"] for c in calls)
+        # a run cut by the cap before it covered every point
+        assert any(c["size"] == c["cap"] and c["steps"] < len(s) for c in calls[1:])
+
+    @pytest.mark.parametrize("space", ["grid_1d", "integer_grid"])
+    def test_tie_heavy_radius_larger_than_one_flag_slice(self, space):
+        # distances tie across many pairs: one radius grows more balls than
+        # one flag pass takes, so the flags run over several slices
+        if space == "grid_1d":
+            s = FiniteMetricSpace.grid_1d(200)
+        else:
+            s = FiniteMetricSpace.from_coords(
+                np.stack(np.meshgrid(range(12), range(12)), axis=-1).reshape(-1, 2))
+        levels = np.concatenate(([0.0], np.unique(s.dist[s.dist > 0])))
+        grown = max(np.unique(np.nonzero(s.dist == t)[0]).size for t in levels[1:])
+        assert grown > 2 * covering._REPLAY_BLOCK
+        assert list(_greedy_sizes(s.dist, levels)) == [plain_greedy(s, t) for t in levels]
+
+
 class TestEntropy:
     def test_zero_at_diameter(self):
         s = FiniteMetricSpace.grid_1d(7)

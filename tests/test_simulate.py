@@ -569,6 +569,13 @@ class TestTailDomination:
                                               rng.standard_normal(64), 50000)
         assert all(r["ok"] for r in rows)
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [], [1.0, math.nan], [1.0, math.inf]],
+                             ids=["all-zero", "empty", "nan", "inf"])
+    def test_weights_without_a_positive_finite_norm_rejected(self, weights):
+        # all-zero weights once divided by a zero norm and passed on NaN sums
+        with pytest.raises(ValueError, match="weights"):
+            weighted_tail_domination_check(white_gaussian(), None, [1.5], weights, 200)
+
 
 class TestConfigAndReports:
     def test_unknown_kernel_rejected_at_construction(self):
@@ -729,6 +736,19 @@ class TestColumnProjection:
             ))
 
         assert run(1) == run(4)
+
+    @pytest.mark.parametrize("x_index", [3, 5, -4], ids=["one-past", "five", "negative"])
+    @pytest.mark.parametrize("check", ["osekowski", "tail", "weighted", "md"])
+    def test_x_index_outside_the_grid_rejected(self, check, x_index):
+        model = white_gaussian()  # three points: x_index -3 to 2
+        run = {"osekowski": lambda: osekowski_check(model, [2.0], [8], 200, x_index=x_index),
+               "tail": lambda: tail_domination_check(model, None, [1.5], [8], 200,
+                                                     x_index=x_index),
+               "weighted": lambda: weighted_tail_domination_check(model, None, [1.5], np.ones(8),
+                                                                  200, x_index=x_index),
+               "md": lambda: martingale_difference_check(model, [2], x_index=x_index, R=200)}
+        with pytest.raises(ValueError, match="x_index"):
+            run[check]()
 
     def test_projected_reducers_read_their_column(self, monkeypatch):
         # weibull_field draws the same variates at any width, so a reducer on
