@@ -49,9 +49,10 @@ from .simulate import (
     grid_coords,
     holm_rejections,
     martingale_difference_check,
-    osekowski_check,
+    osekowski_reader,
     resolve_threads,
-    tail_domination_check,
+    run_readers,
+    tail_domination_reader,
 )
 from .tails import MIN_SHAPE, TailFunction, w_operator
 
@@ -464,8 +465,10 @@ def run_inequalities(cfg: dict, args) -> int:
     horizon = min(model.horizon for model in models)
     run_all = None if any(key in cfg for key in _INEQUALITY_BLOCKS) else {}
 
+    # the path checks: output table -> (report check, each model's reader, row
+    # keys in the table, the row key that passes)
+    checks = {}
     ose = s.sub("osekowski", default=run_all)
-    ose_spec = None
     if ose is not None:
         ps = ose.get("p_grid", float, many=True, minimum=2, default=[2.0, 3.0, 4.0])
         ns = ose.get("n_grid", int, many=True, positive=True, maximum=horizon, default=[8, 64])
@@ -476,10 +479,15 @@ def run_inequalities(cfg: dict, args) -> int:
         if mode == "pairs" and one:
             raise ConfigError(f"config.osekowski.mode: pairs needs at least two points in every "
                               f"model; config.models[{one[0]}].x_points has one")
-        ose_spec = (ps, ns, mode)
         ose.finish()
+        try:
+            readers = [osekowski_reader(m, ps, ns, reps, mode=mode, pair=(
+                m.labels[0], m.labels[-1]) if mode == "pairs" else None) for m in models]
+        except ValueError as exc:   # too few replications for a batch-means se
+            raise ConfigError(f"config.replications: {exc}") from None
+        checks["osekowski"] = ("osekowski", readers, ("p", "n", "ratio", "se", "bound"),
+                               "within_bound")
     lem = s.sub("tail_domination", default=run_all)
-    lem_spec = None
     if lem is not None:
         xs = lem.get("x_values", float, many=True, default=[1.5, 2.0, 3.0])
         if any(x <= 1 for x in xs):
@@ -494,8 +502,10 @@ def run_inequalities(cfg: dict, args) -> int:
                 tail = TailFunction.from_dict(tail_raw)
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"config.tail_domination.tail: {exc}") from None
-        lem_spec = (xs, ns, r2, tail)
         lem.finish()
+        readers = [tail_domination_reader(m, tail, xs, ns, r2) for m in models]
+        checks["tail_bounds"] = ("tail_domination", readers,
+                                 ("n", "x", "empirical", "bound", "se"), "ok")
     slope = s.sub("weibull_slope", default=run_all)
     slope_spec = None
     if slope is not None:
@@ -519,29 +529,19 @@ def run_inequalities(cfg: dict, args) -> int:
     s.finish()
 
     reports: list[SimulationReport] = []
-    ose_rows, tail_rows, slope_rows, md_rows = [], [], [], []
+    tables = {key: [] for key in checks}
+    slope_rows, md_rows = [], []
     all_ok = True
 
-    for model in models:
-        if ose_spec is not None:
-            ps, ns, mode = ose_spec
-            pair = None
-            if mode == "pairs":
-                pair = (model.labels[0], model.labels[-1])
-            try:
-                rows = osekowski_check(model, ps, ns, reps, mode=mode, pair=pair, threads=threads)
-            except OrderOverflow as exc:
-                raise ConfigError(f"config.osekowski.p_grid: {exc}") from None
-            reports.append(SimulationReport(model.name, model.seed, reps, "osekowski", rows))
-            ose_rows += [[model.name, r["p"], r["n"], r["ratio"], r["se"], r["bound"]] for r in rows]
-            all_ok &= all(r["within_bound"] for r in rows)
-        if lem_spec is not None:
-            xs, ns, r2, tail = lem_spec
-            rows = tail_domination_check(model, tail, xs, ns, r2, threads=threads)
-            reports.append(SimulationReport(model.name, model.seed, r2, "tail_domination", rows))
-            tail_rows += [[model.name, r["n"], r["x"], r["empirical"], r["bound"], r["se"]]
-                          for r in rows]
-            all_ok &= all(r["ok"] for r in rows)
+    for i, model in enumerate(models):
+        try:   # checks with the same R and columns share one engine pass
+            results = run_readers(model, [check[1][i] for check in checks.values()], threads)
+        except OrderOverflow as exc:
+            raise ConfigError(f"config.osekowski.p_grid: {exc}") from None
+        for (key, (check, readers, fields, ok)), rows in zip(checks.items(), results):
+            reports.append(SimulationReport(model.name, model.seed, readers[i].R, check, rows))
+            tables[key] += [[model.name] + [r[f] for f in fields] for r in rows]
+            all_ok &= all(r[ok] for r in rows)
         if mdc_spec is not None:
             ids, r3 = mdc_spec
             rows = martingale_difference_check(model, ids, R=r3, threads=threads)
@@ -569,11 +569,7 @@ def run_inequalities(cfg: dict, args) -> int:
                                             [{"q": q, "slope": fit, "required": need, "ok": ok}]))
             all_ok &= ok
 
-    outputs = {}
-    if ose_rows:
-        outputs["osekowski"] = _table("osekowski", ose_rows)
-    if tail_rows:
-        outputs["tail_bounds"] = _table("tail_bounds", tail_rows)
+    outputs = {key: _table(key, rows) for key, rows in tables.items()}
     if slope_rows:
         outputs["slopes"] = ("slopes.csv", (["q", "slope", "required", "ok"], slope_rows))
     outputs["inequalities"] = ("inequalities.json", {"reports": [r.to_dict() for r in reports]})

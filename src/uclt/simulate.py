@@ -19,6 +19,9 @@ independent-sign ``bounded_sign``, which draw only the columns asked for.
 `tail_domination_check` reads eta_n at every n from one pass; there
 ``iid_gaussian_field`` and unmodulated ``bounded_sign`` without growth draw
 it from its closed law (`_closed_sums`), the other reducers read paths.
+It and `osekowski_check` each run one `Reader` through `run_readers`, where
+readers on one model with the same R and columns and no closed law share a
+pass sized for the largest of their n.
 
 Shipped model kinds, with their parameters and defaults in `KINDS`:
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -331,6 +335,11 @@ def resolve_threads(threads: int | None) -> int:
     return max(1, int(threads))
 
 
+def _correlate(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """z @ chol.T; a 1 x 1 factor scales z in place instead, to the same values."""
+    return np.multiply(z, chol[0, 0], out=z) if chol.shape == (1, 1) else z @ chol.T
+
+
 def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
               count: int, cols: tuple[int, ...] | None = None) -> np.ndarray:
     """One chunk of paths with shape (count, n, len(cols)), on the sorted
@@ -346,8 +355,7 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     k = len(cols)
     p = model.p
     if model.kind == "iid_gaussian_field":
-        z = rng.standard_normal((count, n, k))
-        paths = z @ model._chol(cols).T
+        paths = _correlate(rng.standard_normal((count, n, k)), model._chol(cols))
     elif model.kind == "weibull_field":
         u = rng.random((count, n))
         radial = p["K"] * (-np.log1p(-u)) ** (1.0 / p["q"])
@@ -358,11 +366,15 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     elif model.kind == "garch_like":
         # one draw for all steps gives the variates of one draw per step
         amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
-        steps = rng.standard_normal((n, count, k)) @ model._chol(cols).T
-        state = np.zeros((count, k))
-        for i in range(n):
-            sigma = np.clip(1.0 + amp * np.tanh(state), lo, hi)
-            state = mem * state + (1.0 - mem) * steps[i]
+        steps = _correlate(rng.standard_normal((n, count, k)), model._chol(cols))
+        state, sigma, new = np.zeros((count, k)), np.empty((count, k)), np.empty((count, k))
+        for i in range(n):   # sigma = clip(1 + amp tanh(state)), state = mem state + (1 - mem) eps
+            np.tanh(state, out=sigma)
+            sigma *= amp
+            sigma += 1.0
+            np.minimum(np.maximum(sigma, lo, out=sigma), hi, out=sigma)
+            state *= mem
+            state += np.multiply(steps[i], 1.0 - mem, out=new)
             steps[i] *= sigma
         paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
     else:  # bounded_sign
@@ -421,6 +433,28 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
         return list(pool.map(task, spans))
 
 
+#: One check's share of an engine pass of R replications to step n or beyond
+#: on the grid columns `cols`: `read(paths)` reduces a chunk's paths, or its
+#: `draw(rng, count)` when a closed law gives one, and `finish(parts)` makes
+#: the result from the parts in chunk order.
+Reader = namedtuple("Reader", "R n cols read finish draw", defaults=[None])
+
+
+def run_readers(model: MartingaleFieldModel, readers: list[Reader],
+                threads: int | None = None) -> list:
+    """Each reader's result, in order: from one engine pass, sized (chunk spans
+    too) for the largest of their n, when all have the same R and columns and
+    none has a draw, else from a pass each."""
+    if len(readers) != 1 and (any(r.draw for r in readers)
+                              or len({(r.R, r.cols) for r in readers}) != 1):
+        return [run_readers(model, [r], threads)[0] for r in readers]
+    first = readers[0]
+    parts = _run_chunks(model, max(r.n for r in readers), first.R,
+                        lambda ci, start, data: [r.read(data) for r in readers],
+                        threads, first.cols, first.draw)
+    return [r.finish([part[k] for part in parts]) for k, r in enumerate(readers)]
+
+
 def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ...]):
     """`draw(rng, count)` of S_n = sum_{i<=n} xi_i for the ascending `ns`, shape
     (len(ns), count, len(cols)), from the exact law, or None.  The increments
@@ -436,7 +470,7 @@ def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ..
         chol = model._chol(cols)
 
         def draw(rng, count):
-            z = rng.standard_normal((len(ns), count, len(cols))) @ chol.T
+            z = _correlate(rng.standard_normal((len(ns), count, len(cols))), chol)
             return np.cumsum(z * sd, axis=0) + drift
         return draw
     if model.kind == "bounded_sign" and p["modulation"] == 0.0 and model.growth == 0.0:
@@ -451,24 +485,29 @@ def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ..
     return None
 
 
-def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | None = None,
-                  cols: tuple[int, ...] | None = None, closed_law: bool = True) -> np.ndarray:
-    """eta_n = n**-0.5 S_n on the grid columns `cols` (all when None) for each
-    n of the ascending `n_values`, shape (len(n_values), R, len(cols)), from
-    one engine pass: the closed law of the sums (`_closed_sums`) when asked
-    for and known, else paths to the largest n, summed in blocks between
-    consecutive n and accumulated.  Rows at different n share draws."""
+def _sums_reader(model: MartingaleFieldModel, n_values, R: int, cols: tuple[int, ...],
+                 closed_law: bool = True) -> Reader:
+    """`_partial_sums`' reader: the closed law of the sums (`_closed_sums`) when
+    asked for and known, else paths summed in blocks between consecutive n."""
     ns = [int(n) for n in n_values]
-    cols = tuple(range(model.npoints)) if cols is None else cols
     draw = _closed_sums(model, ns, cols) if closed_law else None
     scale = np.array([1.0 / math.sqrt(n) for n in ns])[:, None, None]
 
-    def worker(ci, start, data):
+    def read(data):
         if draw is None:
             data = np.cumsum([data[:, lo:n].sum(axis=1) for lo, n in zip([0] + ns, ns)], axis=0)
         return data * scale
 
-    return np.concatenate(_run_chunks(model, ns[-1], R, worker, threads, cols, draw), axis=1)
+    return Reader(R, ns[-1], cols, read, lambda parts: np.concatenate(parts, axis=1), draw)
+
+
+def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | None = None,
+                  cols: tuple[int, ...] | None = None, closed_law: bool = True) -> np.ndarray:
+    """eta_n = n**-0.5 S_n on the grid columns `cols` (all when None) for each n
+    of the ascending `n_values`, shape (len(n_values), R, len(cols)), from one
+    engine pass (`_sums_reader`), so rows at different n share draws."""
+    cols = tuple(range(model.npoints)) if cols is None else cols
+    return run_readers(model, [_sums_reader(model, n_values, R, cols, closed_law)], threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +667,18 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
     Rows carry a batch-means standard error and flags against the universal
     constant 15.5879, with a margin of `SE_MARGIN` standard errors, and the
     independent-case constant 0.6535.  Raises `OrderOverflow` if an order
-    takes a simulated value beyond float range.
+    takes a simulated value beyond float range, and ValueError if R gives
+    fewer than two engine chunks (R <= 16).
     """
+    reader = osekowski_reader(model, p_grid, n_grid, R, mode=mode, x_index=x_index, pair=pair)
+    return run_readers(model, [reader], threads)[0]
+
+
+def osekowski_reader(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
+                     mode: str = "points", x_index: int = 0,
+                     pair: tuple[str, str] | None = None) -> Reader:
+    """`osekowski_check`'s reader: each chunk's power sums of the normalized
+    sums and of the steps to the largest n, the rows from their totals."""
     p_grid = [float(p) for p in p_grid]
     if any(p < 2 for p in p_grid):
         raise ValueError("the inequality is checked for p >= 2 only")
@@ -641,21 +690,18 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
                             or not set(pair) <= set(idx)):
         raise ValueError(f"pairs mode needs two distinct labels of {model.labels}, got {pair!r}")
     cols = _columns(model, [x_index] if mode == "points" else [idx[x] for x in pair])
+    a, b = (0, 0) if mode == "points" else (cols.index(idx[x]) for x in pair)
+    if len(_chunk_spans(R, n_grid[-1], model.npoints)) < 2:   # at any n when R <= 16
+        raise ValueError(f"R = {R} gives fewer than two engine chunks; the batch-means "
+                         f"standard error needs two (R > 16)")
 
-    def series_of(paths):
-        if mode == "points":
-            return paths[:, :, 0]
-        a, b = (cols.index(idx[x]) for x in pair)
-        return paths[:, :, a] - paths[:, :, b]
-
-    def worker(ci, start, paths):
-        z = series_of(paths)
+    def read(paths):
+        paths = paths[:, :n_grid[-1]]
+        z = paths[:, :, 0] if mode == "points" else paths[:, :, a] - paths[:, :, b]
         # (count, len(n_grid)) in column order, so that each n sums as one column
         sums = (np.cumsum(z, axis=1).T[[n - 1 for n in n_grid]] / np.sqrt(n_grid)[:, None]).T
         with np.errstate(over="ignore"):  # an overflowing order is reported below
             return _abs_power_sums(sums, p_grid), _abs_power_sums(z, p_grid), z.shape[0]
-
-    parts = _run_chunks(model, n_grid[-1], R, worker, threads, cols)
 
     def ratio_from(num, den, cnt):
         out = np.empty((len(p_grid), len(n_grid)))
@@ -667,23 +713,20 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
                 out[pi, ni] = 0.0 if lhs == 0 else lhs / rhs  # a zero series is 0 / 0
         return out
 
-    with np.errstate(over="ignore"):   # an overflowing order is reported below
-        tot_num, tot_den = (sum(p[j] for p in parts) for j in (0, 1))
-    _check_orders_finite(p_grid, tot_num, tot_den)
-    ratios = ratio_from(tot_num, tot_den, R)
-    batch = np.stack([ratio_from(p[0], p[1], p[2]) for p in parts])
-    se = batch.std(axis=0, ddof=1) / math.sqrt(len(parts)) if len(parts) > 1 \
-        else np.zeros_like(ratios)
-    rows = []
-    for pi, p in enumerate(p_grid):
-        for ni, n in enumerate(n_grid):
-            r = float(ratios[pi, ni])
-            s = float(se[pi, ni])
-            rows.append({"p": p, "n": n, "ratio": r, "se": s,
-                         "bound": OSEKOWSKI_CONSTANT,
-                         "within_bound": r <= OSEKOWSKI_CONSTANT - SE_MARGIN * s,
-                         "rosenthal_ok": r <= ROSENTHAL_CONSTANT})
-    return rows
+    def finish(parts):
+        with np.errstate(over="ignore"):   # an overflowing order is reported below
+            tot_num, tot_den = (sum(p[j] for p in parts) for j in (0, 1))
+        _check_orders_finite(p_grid, tot_num, tot_den)
+        ratios = ratio_from(tot_num, tot_den, R)
+        batch = np.stack([ratio_from(p[0], p[1], p[2]) for p in parts])
+        se = batch.std(axis=0, ddof=1) / math.sqrt(len(parts))
+        return [{"p": p, "n": n, "ratio": r, "se": s, "bound": OSEKOWSKI_CONSTANT,
+                 "within_bound": r <= OSEKOWSKI_CONSTANT - SE_MARGIN * s,
+                 "rosenthal_ok": r <= ROSENTHAL_CONSTANT}
+                for p, rs, ss in zip(p_grid, ratios.tolist(), se.tolist())
+                for n, r, s in zip(n_grid, rs, ss)]
+
+    return Reader(R, n_grid[-1], cols, read, finish)
 
 
 def eta_increment_curves(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: int,
@@ -756,12 +799,18 @@ def tail_domination_check(model: MartingaleFieldModel, tail: TailFunction | None
     the transform bound at x, which holds for every n and is computed once
     per x, plus `SE_MARGIN` binomial standard errors.
     """
-    if tail is None:
-        tail = model.dominating_tail()
+    reader = tail_domination_reader(model, tail, x_values, n_values, R, x_index=x_index)
+    return run_readers(model, [reader], threads)[0]
+
+
+def tail_domination_reader(model: MartingaleFieldModel, tail: TailFunction | None,
+                           x_values, n_values, R: int, *, x_index: int = 0) -> Reader:
+    """`tail_domination_check`'s reader: `_partial_sums`' at one point, made into rows."""
     ns = sorted(int(n) for n in n_values)
-    etas = _partial_sums(model, ns, R, threads, _columns(model, [x_index]))[:, :, 0]
-    bounds = _tail_bounds(tail, x_values)
-    return [row for n, eta in zip(ns, etas) for row in _tail_rows(bounds, n, eta)]
+    sums = _sums_reader(model, ns, R, _columns(model, [x_index]))
+    bounds = _tail_bounds(model.dominating_tail() if tail is None else tail, x_values)
+    return sums._replace(finish=lambda parts: [
+        row for n, eta in zip(ns, sums.finish(parts)[:, :, 0]) for row in _tail_rows(bounds, n, eta)])
 
 
 def _tail_bounds(tail: TailFunction, x_values) -> list[tuple[float, float]]:

@@ -249,6 +249,25 @@ class TestModelBlock:
         assert m2.coords == ((0.0,), (1.0,))
 
 
+_RBF = {"name": "rbf", "length_scale": 0.5}
+_GRID5 = {"grid_1d": {"n": 5}}
+# the benchmark's `inequalities` config at seed 801
+SHARED_PASS_CONFIG = {
+    "seed": 801, "replications": 20000,
+    "models": [
+        {"kind": "iid_gaussian_field", "name": "iid-gaussian-rbf", "x_points": _GRID5,
+         "kernel": _RBF, "horizon": 1024},
+        {"kind": "bounded_sign", "name": "bounded-sign", "x_points": _GRID5,
+         "modulation": 0.25, "amplitude_slope": 0.5, "horizon": 1024},
+        {"kind": "garch_like", "name": "garch-like", "x_points": _GRID5,
+         "kernel": _RBF, "horizon": 1024},
+        {"kind": "weibull_field", "name": "capped-weibull", "x_points": _GRID5,
+         "K": 1.0, "q": 2.0, "cap": 10.0, "horizon": 1024},
+    ],
+    "osekowski": {}, "tail_domination": {}, "weibull_slope": {},
+}
+
+
 class TestInequalities:
     def test_smoke_run_under_ten_seconds(self, tmp_path):
         doc = {"seed": 3, "replications": 2000,
@@ -414,9 +433,9 @@ class TestInequalities:
 
     def test_pairs_mode_on_a_one_point_model_rejected_before_simulating(self, monkeypatch):
         def simulate(*args, **kwargs):
-            raise AssertionError("osekowski_check reached for a one-point model in pairs mode")
+            raise AssertionError("run_readers reached for a one-point model in pairs mode")
 
-        monkeypatch.setattr("uclt.cli.osekowski_check", simulate)
+        monkeypatch.setattr("uclt.cli.run_readers", simulate)
         doc = {"seed": 3, "replications": 500,
                "models": [{"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2}}, "horizon": 16},
                           {"kind": "bounded_sign", "x_points": [[0.5]], "horizon": 16}],
@@ -426,6 +445,70 @@ class TestInequalities:
         assert "config.osekowski.mode: " in err and "config.models[1].x_points" in err
         assert "Traceback" not in err
         assert not made
+
+    def test_one_engine_chunk_rejected_before_simulating(self, monkeypatch):
+        # R <= 16 is one engine chunk: no batch-means standard error
+        def simulate(*args, **kwargs):
+            raise AssertionError("run_readers reached with one engine chunk")
+
+        monkeypatch.setattr("uclt.cli.run_readers", simulate)
+        doc = {"seed": 3, "replications": 16,
+               "models": [{"kind": "bounded_sign", "x_points": {"grid_1d": {"n": 2}}, "horizon": 16}],
+               "osekowski": {"p_grid": [2.0], "n_grid": [8]}}
+        code, err, made = run_quiet("inequalities", doc)
+        assert code == 1
+        assert "config.replications: " in err and "two engine chunks" in err
+        assert "Traceback" not in err
+        assert not made
+
+    def count_passes(self, monkeypatch):
+        from uclt import simulate
+        passes, real = [], simulate._run_chunks
+
+        def counted(model, n, R, worker, threads=None, cols=None, draw=None):
+            passes.append((model.name, n, R, cols, draw is not None))
+            return real(model, n, R, worker, threads, cols, draw)
+
+        monkeypatch.setattr("uclt.simulate._run_chunks", counted)
+        return passes
+
+    def test_benchmark_config_one_pass_per_path_model(self, tmp_path, monkeypatch):
+        # the Gaussian tail has a closed law; every other model's two checks
+        # read one pass to n = 256
+        passes = self.count_passes(monkeypatch)
+        cfg = write_cfg(tmp_path / "c.json", SHARED_PASS_CONFIG)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert passes == [("iid-gaussian-rbf", 64, 20000, (0,), False),
+                          ("iid-gaussian-rbf", 256, 20000, (0,), True),
+                          ("bounded-sign", 256, 20000, (0,), False),
+                          ("garch-like", 256, 20000, (0,), False),
+                          ("capped-weibull", 256, 20000, (0,), False)]
+
+    @pytest.mark.parametrize("change,want", [
+        ({}, [(256, 2000, (0,))]),
+        ({"osekowski": {"mode": "pairs"}}, [(64, 2000, (0, 4)), (256, 2000, (0,))]),
+        ({"tail_domination": {"replications": 3000}}, [(64, 2000, (0,)), (256, 3000, (0,))]),
+    ], ids=["shared", "pairs-mode", "another-tail-r"])
+    def test_separate_passes_where_r_or_columns_differ(self, tmp_path, monkeypatch, change, want):
+        passes = self.count_passes(monkeypatch)
+        doc = {"seed": 3, "replications": 2000,
+               "models": [m for m in SHARED_PASS_CONFIG["models"] if m["kind"] == "garch_like"],
+               "osekowski": {}, "tail_domination": {}}
+        for key, block in change.items():
+            doc[key] = block
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert [p[1:4] for p in passes] == want
+
+    def test_shared_passes_thread_invariant(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.json", {**SHARED_PASS_CONFIG, "replications": 2000})
+        trees = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert main(["inequalities", "--config", cfg, "--threads", str(threads),
+                         "--out", str(out)]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
 
     def test_threads_key_with_flag(self, tmp_path):
         doc = {"seed": 3, "replications": 500, "threads": 2,

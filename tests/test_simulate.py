@@ -33,8 +33,11 @@ from uclt.simulate import (
     ks_two_sample,
     martingale_difference_check,
     osekowski_check,
+    osekowski_reader,
+    run_readers,
     simulate_eta,
     tail_domination_check,
+    tail_domination_reader,
     weighted_tail_domination_check,
 )
 from uclt.tails import w_operator
@@ -462,6 +465,20 @@ class TestOsekowski:
     def test_rejects_mode_and_pair(self, mode, pair, match):
         with pytest.raises(ValueError, match=match):
             osekowski_check(white_gaussian(), [2.0], [8], 100, mode=mode, pair=pair)
+
+
+class TestOneChunk:
+    """The batch-means standard error needs two engine chunks; R <= 16 gives one."""
+
+    def test_one_chunk_rejected(self):
+        with pytest.raises(ValueError, match="fewer than two engine chunks"):
+            osekowski_check(white_gaussian(), [2.0, 4.0], [8], 16)
+        with pytest.raises(ValueError, match="fewer than two engine chunks"):
+            osekowski_reader(rademacher(), [2.0], [8], 16, mode="pairs", pair=("x0", "x1"))
+
+    def test_two_chunks_give_a_standard_error(self):
+        rows = osekowski_check(white_gaussian(), [2.0, 4.0], [8], 17)
+        assert all(r["se"] > 0 for r in rows)
 
 
 class TestEquicontinuity:
@@ -1041,3 +1058,86 @@ def test_tail_domination_thread_invariant(model):
                                           x_index=1, threads=threads))
 
     assert run(1) == run(4)
+
+
+# the models of the benchmark's `inequalities` workload, one grid of 5 points
+SHARED_PASS_MODELS = [
+    MartingaleFieldModel("iid-gaussian-rbf", "iid_gaussian_field", grid_coords(5),
+                         {"kernel": {"name": "rbf", "length_scale": 0.5}}, horizon=1024, seed=802),
+    MartingaleFieldModel("bounded-sign", "bounded_sign", grid_coords(5),
+                         {"modulation": 0.25, "amplitude_slope": 0.5}, horizon=1024, seed=803),
+    MartingaleFieldModel("garch-like", "garch_like", grid_coords(5),
+                         {"kernel": {"name": "rbf", "length_scale": 0.5}}, horizon=1024, seed=804),
+    MartingaleFieldModel("capped-weibull", "weibull_field", grid_coords(5),
+                         {"K": 1.0, "q": 2.0, "cap": 10.0}, horizon=1024, seed=805),
+]
+
+
+class TestSharedPass:
+    """`run_readers` gives the osekowski and tail-domination readers of one
+    model one engine pass to the larger n where R and the columns agree and
+    the tail has no closed law.  R = 2000 gives 125-row chunks at n = 64 and
+    at n = 256, as R = 20000 gives 1250-row chunks."""
+
+    R, P, N_OSE, X, N_TAIL = 2000, [2.0, 3.0, 4.0], [8, 64], [1.5, 2.0, 3.0], [16, 256]
+
+    def readers(self, model, R_tail=None):
+        return [osekowski_reader(model, self.P, self.N_OSE, self.R),
+                tail_domination_reader(model, None, self.X, self.N_TAIL, R_tail or self.R)]
+
+    def count_passes(self, monkeypatch):
+        passes = []
+        real = _run_chunks
+
+        def counted(model, n, R, worker, threads=None, cols=None, draw=None):
+            passes.append((model.name, n, R, cols, draw is not None))
+            return real(model, n, R, worker, threads, cols, draw)
+
+        monkeypatch.setattr("uclt.simulate._run_chunks", counted)
+        return passes
+
+    def test_garch_rows_equal_standalone_checks(self):
+        # garch draws its steps step-major, so the first 64 steps of a
+        # 256-step chunk are the 64-step chunk's
+        model = SHARED_PASS_MODELS[2]
+        ose, tail = run_readers(model, self.readers(model))
+        assert ose == osekowski_check(model, self.P, self.N_OSE, self.R)
+        assert tail == tail_domination_check(model, None, self.X, self.N_TAIL, self.R)
+
+    @pytest.mark.parametrize("model", SHARED_PASS_MODELS[1:4:2], ids=lambda m: m.kind)
+    def test_rows_are_the_readers_on_paths_to_the_larger_n(self, model):
+        readers = self.readers(model)
+        parts = _run_chunks(model, 256, self.R, lambda ci, start, paths: [r.read(paths) for r in readers],
+                            cols=(0,))
+        got = run_readers(model, readers)
+        for k, r in enumerate(readers):
+            assert got[k] == r.finish([part[k] for part in parts])
+        assert got[1] == tail_domination_check(model, None, self.X, self.N_TAIL, self.R)
+        # rows drawn row-major at 256 steps are another stream than at 64
+        assert got[0] != osekowski_check(model, self.P, self.N_OSE, self.R)
+
+    def test_each_path_model_one_pass(self, monkeypatch):
+        passes = self.count_passes(monkeypatch)
+        for model in SHARED_PASS_MODELS:
+            run_readers(model, self.readers(model))
+        assert passes == [("iid-gaussian-rbf", 64, self.R, (0,), False),
+                          ("iid-gaussian-rbf", 256, self.R, (0,), True),
+                          ("bounded-sign", 256, self.R, (0,), False),
+                          ("garch-like", 256, self.R, (0,), False),
+                          ("capped-weibull", 256, self.R, (0,), False)]
+
+    def test_pairs_and_another_tail_r_run_apart(self, monkeypatch):
+        model = SHARED_PASS_MODELS[2]
+        pairs = osekowski_reader(model, self.P, self.N_OSE, self.R, mode="pairs", pair=("x0", "x4"))
+        want = [osekowski_check(model, self.P, self.N_OSE, self.R, mode="pairs", pair=("x0", "x4")),
+                tail_domination_check(model, None, self.X, self.N_TAIL, 3000)]
+        passes = self.count_passes(monkeypatch)
+        assert run_readers(model, [pairs, self.readers(model)[1]])[0] == want[0]
+        assert run_readers(model, self.readers(model, R_tail=3000))[1] == want[1]
+        assert [p[1:4] for p in passes] == [(64, self.R, (0, 4)), (256, self.R, (0,)),
+                                            (64, self.R, (0,)), (256, 3000, (0,))]
+
+    @pytest.mark.parametrize("model", SHARED_PASS_MODELS, ids=lambda m: m.kind)
+    def test_thread_invariant(self, model):
+        assert repr(run_readers(model, self.readers(model), threads=1)) == \
+            repr(run_readers(model, self.readers(model), threads=2))
