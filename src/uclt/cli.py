@@ -388,6 +388,8 @@ def run_check_theorem(cfg: dict, args) -> int:
                                        i_max=max(n_grid), threads=threads)
     except OrderOverflow as exc:
         raise ConfigError(f"config.p_grid: {exc}") from None
+    except ValueError as exc:   # too few replications for a jackknife se
+        raise ConfigError(f"config.replications: {exc}") from None
     psi = natural_function(field) if psi_spec == "natural" else psi_spec
     sigma2 = sigma_squared(field, n_grid, growth_factor=growth_factor)
 

@@ -428,17 +428,16 @@ def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarra
 def _jackknife(group_sums: np.ndarray, counts: np.ndarray, p_grid):
     """Delete-a-group jackknife of L_p norms from per-group power sums.
 
-    `group_sums` has shape (G, P, ...): the sums of |x|**p over each group;
-    `counts` (G,) holds the group sizes.  Returns the debiased norms
-    (clipped at 0) and their standard errors, each of shape (P, ...).
+    `group_sums` has shape (G, P, ...): the sums of |x|**p over each of
+    G >= 2 groups; `counts` (G,) holds the group sizes.  Returns the
+    debiased norms (clipped at 0) and their standard errors, each of shape
+    (P, ...).
     """
     G = group_sums.shape[0]
     n = counts.sum()
     inv = _along_p(1.0 / np.asarray(p_grid, dtype=float), group_sums.ndim - 1)
     total = group_sums.sum(axis=0)
     full = (total / n) ** inv
-    if G < 2:
-        return full, np.zeros_like(full)
     loo = (total[None] - group_sums) / _along_p(n - counts, group_sums.ndim)
     loo = loo ** inv[None]
     jack = G * full - (G - 1) * loo.mean(axis=0)

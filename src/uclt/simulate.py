@@ -16,6 +16,15 @@ full-width variates for ``weibull_field`` and shared-sign ``bounded_sign``,
 and is a different stream for the Gaussian-driven kinds and for
 independent-sign ``bounded_sign``, which draw only the columns asked for.
 
+A chunk's variates: ``iid_gaussian_field`` draws its normals row-major,
+(count, n, k); ``garch_like`` draws them step-major, (n, count, k);
+``weibull_field`` draws E ~ Exp(1) for its radial part K E**(1/q), then its
+signs, each (count, n); ``bounded_sign`` draws its signs step-major, (n,
+count, 1) when shared, else (n, count, k).  Signs come 64 to a raw Philox
+word (`_signs`).  A step-major chunk's first m steps are the same at any
+n >= m when the chunk spans agree, so a shared pass reads the rows a pass
+to m would.
+
 `tail_domination_check` reads eta_n at every n from one pass; there
 ``iid_gaussian_field`` and unmodulated ``bounded_sign`` without growth draw
 it from its closed law (`_closed_sums`), the other reducers read paths.
@@ -340,6 +349,16 @@ def _correlate(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return np.multiply(z, chol[0, 0], out=z) if chol.shape == (1, 1) else z @ chol.T
 
 
+def _signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Fair signs +-1.0 of `shape` in C order, 64 to a raw word of the bit
+    generator, from its least significant bit up."""
+    size = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8", copy=False)
+    signs = np.unpackbits(words.view(np.uint8), bitorder="little", count=size) * 2.0
+    signs -= 1.0
+    return signs.reshape(shape)
+
+
 def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
               count: int, cols: tuple[int, ...] | None = None) -> np.ndarray:
     """One chunk of paths with shape (count, n, len(cols)), on the sorted
@@ -357,39 +376,46 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     if model.kind == "iid_gaussian_field":
         paths = _correlate(rng.standard_normal((count, n, k)), model._chol(cols))
     elif model.kind == "weibull_field":
-        u = rng.random((count, n))
-        radial = p["K"] * (-np.log1p(-u)) ** (1.0 / p["q"])
+        radial = rng.standard_exponential((count, n, 1))   # K E**(1/q), E ~ Exp(1): Weibull
+        radial **= 1.0 / p["q"]
+        radial *= p["K"]
         if p["cap"] is not None:
-            radial = np.minimum(radial, p["cap"])
-        signs = rng.integers(0, 2, (count, n)) * 2.0 - 1.0
-        paths = (signs * radial)[:, :, None] * model._amplitude[list(cols)][None, None, :]
+            np.minimum(radial, p["cap"], out=radial)
+        radial *= _signs(rng, (count, n, 1))
+        paths = radial * model._amplitude[list(cols)]
     elif model.kind == "garch_like":
         # one draw for all steps gives the variates of one draw per step
         amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
+        # sigma lies in [1 - |amp|, 1 + |amp|]: the clip binds only where [lo, hi] cuts in
+        clip = not lo <= 1.0 - abs(amp) <= 1.0 + abs(amp) <= hi
         steps = _correlate(rng.standard_normal((n, count, k)), model._chol(cols))
         state, sigma, new = np.zeros((count, k)), np.empty((count, k)), np.empty((count, k))
         for i in range(n):   # sigma = clip(1 + amp tanh(state)), state = mem state + (1 - mem) eps
             np.tanh(state, out=sigma)
             sigma *= amp
             sigma += 1.0
-            np.minimum(np.maximum(sigma, lo, out=sigma), hi, out=sigma)
+            if clip:
+                np.minimum(np.maximum(sigma, lo, out=sigma), hi, out=sigma)
             state *= mem
             state += np.multiply(steps[i], 1.0 - mem, out=new)
             steps[i] *= sigma
         paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
-    else:  # bounded_sign
+    else:  # bounded_sign, signs step-major: a chunk's first m steps are the same at any n >= m
         mod = p["modulation"]
         a0 = p["base"] * model._amplitude[list(cols)]
-        signs = rng.integers(0, 2, (count, n, 1 if p["cross"] == "shared" else k)) * 2.0 - 1.0
+        signs = _signs(rng, (n, count, 1 if p["cross"] == "shared" else k))
         if mod == 0.0:
-            paths = signs * a0[None, None, :]
+            steps = signs * a0
         else:
             steps = np.empty((n, count, k))
-            running = np.zeros((count, k))
-            for i in range(n):
-                ampl = a0 * (1.0 + mod * np.tanh(running / math.sqrt(max(i, 1))))
-                running += np.multiply(signs[:, i, :], ampl, out=steps[i])
-            paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
+            running, ampl = np.zeros((count, k)), np.empty((count, k))
+            for i in range(n):   # ampl = a0 (1 + mod tanh(running / sqrt(max(i, 1))))
+                np.tanh(np.divide(running, math.sqrt(max(i, 1)), out=ampl), out=ampl)
+                ampl *= mod
+                ampl += 1.0
+                ampl *= a0
+                running += np.multiply(signs[i], ampl, out=steps[i])
+        paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
     if model.growth != 0.0:
         paths *= (np.arange(1, n + 1) ** model.growth)[None, :, None]
     if model.bias != 0.0:
@@ -403,6 +429,14 @@ def _columns(model: MartingaleFieldModel, indices) -> tuple[int, ...]:
     if any(not -model.npoints <= i < model.npoints for i in indices):
         raise ValueError(f"x_index must index one of the {model.npoints} grid points, got {indices}")
     return tuple(sorted({range(model.npoints)[i] for i in indices}))
+
+
+def _check_two_chunks(R: int, n: int, npoints: int) -> None:
+    """ValueError unless R replications give two engine chunks or more (at any n
+    when R > 16): a standard error with the chunks as groups needs two."""
+    if len(_chunk_spans(R, n, npoints)) < 2:
+        raise ValueError(f"R = {R} gives fewer than two engine chunks; a standard error "
+                         f"with the chunks as groups needs two (R > 16)")
 
 
 def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
@@ -616,7 +650,8 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     are raised by multiplication in `psi._abs_power_sums`, which forms pair
     differences and adds rows in chunk order whatever its slab size (a fixed
     float budget).  Raises `OrderOverflow` if an order takes a simulated
-    value beyond float range.
+    value beyond float range, and ValueError if R gives fewer than two engine
+    chunks (R <= 16).
     """
     labels = model.labels
     idx = {lb: k for k, lb in enumerate(labels)}
@@ -626,6 +661,7 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
     m = int(i_max if i_max is not None else model.horizon)
     if m > model.horizon:
         raise HorizonExceeded(f"i_max = {m} beyond horizon {model.horizon}")
+    _check_two_chunks(R, m, model.npoints)
 
     orders = p_grid if 2.0 in p_grid else p_grid + (2.0,)   # the squares are order 2's row
 
@@ -691,9 +727,7 @@ def osekowski_reader(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         raise ValueError(f"pairs mode needs two distinct labels of {model.labels}, got {pair!r}")
     cols = _columns(model, [x_index] if mode == "points" else [idx[x] for x in pair])
     a, b = (0, 0) if mode == "points" else (cols.index(idx[x]) for x in pair)
-    if len(_chunk_spans(R, n_grid[-1], model.npoints)) < 2:   # at any n when R <= 16
-        raise ValueError(f"R = {R} gives fewer than two engine chunks; the batch-means "
-                         f"standard error needs two (R > 16)")
+    _check_two_chunks(R, n_grid[-1], model.npoints)
 
     def read(paths):
         paths = paths[:, :n_grid[-1]]

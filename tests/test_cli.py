@@ -88,6 +88,20 @@ class TestCheckTheorem:
         verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())
         assert verdict["verdicts"]["moment_level"]["conclusion"] == "hypothesis-failed(variance)"
 
+    def test_one_engine_chunk_rejected_before_simulating(self, monkeypatch):
+        # replications <= 16 is one engine chunk: no jackknife standard error
+        def generate(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr("uclt.simulate._generate", generate)
+        doc = theorem_cfg()
+        doc["replications"] = 16
+        code, err, made = run_quiet("check-theorem", doc)
+        assert code == 1
+        assert "config.replications: " in err and "two engine chunks" in err
+        assert "Traceback" not in err
+        assert not made
+
     def test_negative_q_schema_error(self, tmp_path):
         doc = theorem_cfg()
         doc["model"] = {"kind": "weibull_field", "name": "w",

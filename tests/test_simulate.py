@@ -24,6 +24,7 @@ from uclt.simulate import (
     _generate,
     _partial_sums,
     _run_chunks,
+    _signs,
     equicontinuity_check,
     estimate_moment_curves,
     eta_increment_curves,
@@ -480,6 +481,18 @@ class TestOneChunk:
         rows = osekowski_check(white_gaussian(), [2.0, 4.0], [8], 17)
         assert all(r["se"] > 0 for r in rows)
 
+    def test_moment_field_on_one_chunk_rejected_before_drawing(self, monkeypatch):
+        def generate(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr("uclt.simulate._generate", generate)
+        with pytest.raises(ValueError, match="fewer than two engine chunks"):
+            estimate_moment_curves(white_gaussian(), [("x0", "x1")], [2.0, 4.0], 16, i_max=8)
+
+    def test_moment_field_on_two_chunks_has_standard_errors(self):
+        field = estimate_moment_curves(white_gaussian(), [("x0", "x1")], [2.0, 4.0], 17, i_max=8)
+        assert np.all(field.point_se > 0) and np.all(field.pair_se > 0)
+
 
 class TestEquicontinuity:
     def test_identical_points_both_sides_zero(self):
@@ -793,9 +806,9 @@ class TestColumnProjection:
     # engine learned to project
     FULL_WIDTH_DIGESTS = {
         "iid_gaussian_field": "0be253760c41d6fc",
-        "weibull_field": "5990573ebb7c4f97",
+        "weibull_field": "eb9cd811aa4fa35e",
         "garch_like": "b7d7e4d22bf5e67f",
-        "bounded_sign": "5228d80216767cfc",
+        "bounded_sign": "6155750c05fc14b7",
     }
 
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -806,19 +819,18 @@ class TestColumnProjection:
 
 
 def sign_reference(model, n, rng, count, cols):
-    """Modulated bounded_sign paths from signs drawn as (count, n, 1) when
-    shared or (count, n, len(cols)) when independent, the amplitude
+    """Modulated bounded_sign paths from signs drawn step-major as (n, count, 1)
+    when shared or (n, count, len(cols)) when independent, the amplitude
     recursion written out step by step."""
     p = model.p
     a0 = p["base"] * (1.0 + p["amplitude_slope"] * model._coord_array[list(cols), 0])
     width = 1 if p["cross"] == "shared" else len(cols)
-    signs = np.broadcast_to(rng.integers(0, 2, (count, n, width)) * 2.0 - 1.0,
-                            (count, n, len(cols)))
+    signs = np.broadcast_to(_signs(rng, (n, count, width)), (n, count, len(cols)))
     paths = np.empty((count, n, len(cols)))
     running = np.zeros((count, len(cols)))
     for i in range(n):
         ampl = a0[None, :] * (1.0 + p["modulation"] * np.tanh(running / math.sqrt(max(i, 1))))
-        paths[:, i, :] = signs[:, i, :] * ampl
+        paths[:, i, :] = signs[i] * ampl
         running += paths[:, i, :]
     return paths
 
@@ -853,11 +865,95 @@ class TestStepLoops:
         assert got.flags.c_contiguous
         assert np.array_equal(got, want)
 
+    def test_garch_clip_that_binds(self):
+        # vol_lo 0.8 and vol_hi 1.2 cut into 1 -+ vol_amp = 1 -+ 0.45, so the
+        # step loop clips; at the defaults it can skip the clip
+        model = MartingaleFieldModel("gc", "garch_like", grid_coords(3),
+                                     {"vol_lo": 0.8, "vol_hi": 1.2}, horizon=64, seed=24)
+        rng, chol = _chunk_rng(model.seed, 5), _cholesky(model._kernel)
+        want, sigmas = np.empty((self.COUNT, self.N, 3)), []
+        state = np.zeros((self.COUNT, 3))
+        for i in range(self.N):
+            eps = rng.standard_normal((self.COUNT, 3)) @ chol.T
+            sigmas.append(np.clip(1.0 + 0.45 * np.tanh(state), 0.8, 1.2))
+            want[:, i, :] = sigmas[-1] * eps
+            state = 0.7 * state + (1.0 - 0.7) * eps
+        assert np.any(np.array(sigmas) == 0.8) and np.any(np.array(sigmas) == 1.2)
+        assert np.array_equal(_generate(model, self.N, _chunk_rng(model.seed, 5), self.COUNT), want)
+
     def test_full_width_is_the_default(self):
         model = STEP_LOOP_KINDS[1]
         got = _generate(model, self.N, _chunk_rng(model.seed, 2), self.COUNT)
         want = _generate(model, self.N, _chunk_rng(model.seed, 2), self.COUNT, (0, 1, 2, 3))
         assert np.array_equal(got, want)
+
+
+#: False-alarm chance of each law test of `TestSignAndWeibullDraws`.
+LAW_LEVEL = 1e-7
+
+
+def z_bound(tests: int = 1) -> float:
+    """Two-sided normal quantile that keeps a family of `tests` tests at LAW_LEVEL."""
+    return float(stats.norm.isf(LAW_LEVEL / (2 * tests)))
+
+
+class TestSignAndWeibullDraws:
+    """`_signs` takes 64 fair signs from each raw Philox word, and the capped
+    Weibull chunk is K E**(1/q) with E ~ Exp(1), capped and signed: both
+    against their laws at fixed seeds."""
+
+    WORDS = 20000
+
+    def signs(self):
+        return _signs(_chunk_rng(41, 0), (self.WORDS, 64))   # column j: bit j of each word
+
+    def test_sign_is_its_bit_of_its_word(self):
+        words = _chunk_rng(41, 1).bit_generator.random_raw(3)
+        bits = np.array([(int(words[i // 64]) >> (i % 64)) & 1 for i in range(150)])
+        assert np.array_equal(_signs(_chunk_rng(41, 1), (2, 75)), (2.0 * bits - 1.0).reshape(2, 75))
+
+    def test_signs_balanced_overall_and_at_each_bit(self):
+        s = self.signs()
+        assert set(np.unique(s).tolist()) == {-1.0, 1.0}
+        assert abs(s.mean()) <= z_bound() / math.sqrt(s.size)
+        assert np.all(np.abs(s.mean(axis=0)) <= z_bound(64) / math.sqrt(self.WORDS))
+
+    @pytest.mark.parametrize("lag", [1, 64])
+    def test_sign_products_centred(self, lag):
+        # products of independent fair signs at a fixed lag are independent fair signs
+        s = self.signs().ravel()
+        prod = s[lag:] * s[:-lag]
+        assert abs(prod.mean()) <= z_bound() / math.sqrt(prod.size)
+
+    @pytest.mark.parametrize("q", [2.0, 1.5])
+    def test_capped_weibull_chunk_follows_its_law(self, q):
+        K, cap = 1.3, 2.0
+        model = MartingaleFieldModel("wl", "weibull_field", grid_coords(3),
+                                     {"K": K, "q": q, "cap": cap, "amplitude_slope": 0.5},
+                                     horizon=64, seed=43)
+        x = _generate(model, 64, _chunk_rng(model.seed, 0), 2000)
+        assert np.array_equal(x[:, :, 2], x[:, :, 0] * 1.5)   # amplitudes 1, 1.25 and 1.5
+        a = np.sort(np.abs(x[:, :, 0]).ravel())
+        assert a[-1] == cap
+        # d = sup over x < cap of |F_m(x) - F(x)|, F(x) = 1 - exp(-(x/K)**q):
+        # at most the uncapped sample's KS distance, so the Kolmogorov tail bounds its chance
+        below = a[a < cap]
+        cdf, i = -np.expm1(-(below / K) ** q), np.arange(1, below.size + 1)
+        d = max((i / a.size - cdf).max(), (cdf - (i - 1) / a.size).max(),
+                -math.expm1(-(cap / K) ** q) - below.size / a.size)
+        assert stats.kstwo.sf(d, a.size) > LAW_LEVEL
+        signs = np.sign(x[:, :, 0])
+        assert abs(signs.mean()) <= z_bound() / math.sqrt(signs.size)
+
+    @pytest.mark.parametrize("model", [ALL_KINDS[1], ALL_KINDS[3], PROJECTION_KINDS[4],
+                                       PROJECTION_KINDS[6]], ids=lambda m: m.name)
+    def test_thread_invariant(self, model):
+        def run(threads):
+            return (simulate_eta(model, 64, 900, threads=threads),
+                    osekowski_check(model, [2.0, 3.0], [8, 64], 900, threads=threads))
+
+        (eta1, rows1), (eta2, rows2) = run(1), run(2)
+        assert np.array_equal(eta1, eta2) and rows1 == rows2
 
 
 # amplitudes 1, 1.25 and 1.5 times base 2
@@ -978,21 +1074,21 @@ class TestChunkResults:
 
     MD_DIGESTS = {
         "iid_gaussian_field": "1f920bb61da00ef2",
-        "weibull_field": "9204f60a5bfb3417",
+        "weibull_field": "8932c41de202acff",
         "garch_like": "14ef5c1112fb4e47",
-        "bounded_sign": "e7e8f9bd8b5fad6a",
+        "bounded_sign": "04f16103d576c9f2",
     }
     WEIGHTED_DIGESTS = {
         "iid_gaussian_field": "c20698e03fc0cdcd",
-        "weibull_field": "2ba841f2ab7dbb23",
+        "weibull_field": "756ed776c024f1b5",
         "garch_like": "31bc6fbe3e5ae37c",
-        "bounded_sign": "f7fca3e3009ab724",
+        "bounded_sign": "3d3a5d8657d0e4d4",
     }
     PARTIAL_SUMS_DIGESTS = {
         "iid_gaussian_field": "45d15752d0f21f1f",
-        "weibull_field": "32747a81afec98f9",
+        "weibull_field": "c98602a756ce889f",
         "garch_like": "a57821424ad0a804",
-        "bounded_sign": "4cdaa2c1fe3e3059",
+        "bounded_sign": "7cac99ecc1040d74",
     }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1113,8 +1209,11 @@ class TestSharedPass:
         for k, r in enumerate(readers):
             assert got[k] == r.finish([part[k] for part in parts])
         assert got[1] == tail_domination_check(model, None, self.X, self.N_TAIL, self.R)
-        # rows drawn row-major at 256 steps are another stream than at 64
-        assert got[0] != osekowski_check(model, self.P, self.N_OSE, self.R)
+        # signs are drawn step-major, so the first 64 of 256 steps are the
+        # 64-step chunk's; Weibull rows drawn row-major at 256 steps are another
+        # stream than at 64
+        alone = osekowski_check(model, self.P, self.N_OSE, self.R)
+        assert (got[0] == alone) == (model.kind == "bounded_sign")
 
     def test_each_path_model_one_pass(self, monkeypatch):
         passes = self.count_passes(monkeypatch)
