@@ -485,7 +485,7 @@ def run_inequalities(cfg: dict, args) -> int:
         try:
             readers = [osekowski_reader(m, ps, ns, reps, mode=mode, pair=(
                 m.labels[0], m.labels[-1]) if mode == "pairs" else None) for m in models]
-        except ValueError as exc:   # too few replications for a batch-means se
+        except ValueError as exc:   # too few replications for a jackknife se
             raise ConfigError(f"config.replications: {exc}") from None
         checks["osekowski"] = ("osekowski", readers, ("p", "n", "ratio", "se", "bound"),
                                "within_bound")

@@ -425,23 +425,27 @@ def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarra
     return np.stack(sums)
 
 
-def _jackknife(group_sums: np.ndarray, counts: np.ndarray, p_grid):
-    """Delete-a-group jackknife of L_p norms from per-group power sums.
+def _group_jackknife(stat, *group_sums: np.ndarray):
+    """Delete-a-group jackknife (Efron 1982; Kott 2001) of a statistic of
+    summed rows.  Each of `group_sums` holds the sums of one summand over G >= 2
+    groups along axis 0; `stat(*sums)` maps sums stacked over sets of rows to
+    each set's value, for all rows and for the G leave-one-group-out sets.
+    Returns the all-rows value, the debiased value and the standard error."""
+    G = group_sums[0].shape[0]
+    totals = [g.sum(axis=0) for g in group_sums]
+    full = stat(*(t[None] for t in totals))[0]
+    loo = stat(*(t[None] - g for t, g in zip(totals, group_sums)))
+    mean = loo.mean(axis=0)
+    return full, G * full - (G - 1) * mean, np.sqrt((G - 1) / G * ((loo - mean) ** 2).sum(axis=0))
 
-    `group_sums` has shape (G, P, ...): the sums of |x|**p over each of
-    G >= 2 groups; `counts` (G,) holds the group sizes.  Returns the
-    debiased norms (clipped at 0) and their standard errors, each of shape
-    (P, ...).
-    """
-    G = group_sums.shape[0]
-    n = counts.sum()
+
+def _jackknife(group_sums: np.ndarray, counts: np.ndarray, p_grid):
+    """`_group_jackknife` of L_p norms: `group_sums` (G, P, ...) holds the sums
+    of |x|**p over each group and `counts` (G,) the group sizes.  Returns the
+    debiased norms (clipped at 0) and their standard errors, each (P, ...)."""
     inv = _along_p(1.0 / np.asarray(p_grid, dtype=float), group_sums.ndim - 1)
-    total = group_sums.sum(axis=0)
-    full = (total / n) ** inv
-    loo = (total[None] - group_sums) / _along_p(n - counts, group_sums.ndim)
-    loo = loo ** inv[None]
-    jack = G * full - (G - 1) * loo.mean(axis=0)
-    se = np.sqrt((G - 1) / G * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+    _, jack, se = _group_jackknife(lambda sums, n: (sums / _along_p(n, sums.ndim)) ** inv,
+                                   group_sums, counts)
     return np.maximum(jack, 0.0), se
 
 

@@ -63,8 +63,8 @@ import numpy as np
 
 from .distances import PairwiseMomentField, _pair_key
 from .errors import HorizonExceeded, OrderOverflow, check_keys, finite
-from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _jackknife,
-                  gls_norm, rosenthal_transform)
+from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _group_jackknife,
+                  _jackknife, gls_norm, rosenthal_transform)
 from .tails import MIN_SHAPE, TailFunction, w_operator
 
 #: Universal constant in the martingale moment inequality
@@ -265,10 +265,6 @@ class MartingaleFieldModel:
             return np.diag(amp ** 2)
         return None
 
-    def marginal_limit_std(self) -> np.ndarray | None:
-        cov = self.analytic_covariance()
-        return None if cov is None else np.sqrt(np.diag(cov))
-
     def dominating_tail(self) -> TailFunction:
         """A tail function dominating every one-sided tail of xi_i(x).
 
@@ -319,7 +315,7 @@ def default_model_suite(seed: int) -> list[MartingaleFieldModel]:
 
 def _chunk_spans(R: int, n: int, npts: int):
     # capped by the float budget, floored at 16, and small enough to give at
-    # least ~16 chunks so that batch-means standard errors are meaningful
+    # least ~16 chunks so that jackknife standard errors are meaningful
     size = int(min(8192, max(16, _CHUNK_BUDGET // max(1, n * npts)), max(16, R // 16)))
     spans = []
     start = 0
@@ -445,8 +441,8 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
     """Generate chunks (optionally in parallel): `worker(chunk_index, start,
     paths)` returns each chunk's result, and the engine returns the results
     in chunk order.  Chunks hold the grid columns `cols` only (all when
-    None); their spans depend on the full grid, so batch-means groups are
-    the same at any width.  `draw(rng, count)`, when given, makes each
+    None); their spans depend on the full grid, so jackknife groups are the
+    same at any width.  `draw(rng, count)`, when given, makes each
     chunk's data in place of the paths."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
@@ -700,11 +696,11 @@ def osekowski_check(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         |n**-0.5 sum_{k<=n} zeta_k|_p / [(p / ln p) * sqrt(mean_k |zeta_k|_p**2)]
 
     with numerator and denominator estimated from the same replications.
-    Rows carry a batch-means standard error and flags against the universal
-    constant 15.5879, with a margin of `SE_MARGIN` standard errors, and the
-    independent-case constant 0.6535.  Raises `OrderOverflow` if an order
-    takes a simulated value beyond float range, and ValueError if R gives
-    fewer than two engine chunks (R <= 16).
+    Rows carry a leave-one-chunk-out jackknife standard error and flags
+    against the universal constant 15.5879, with a margin of `SE_MARGIN`
+    standard errors, and the independent-case constant 0.6535.  Raises
+    `OrderOverflow` if an order takes a simulated value beyond float range,
+    and ValueError if R gives fewer than two engine chunks (R <= 16).
     """
     reader = osekowski_reader(model, p_grid, n_grid, R, mode=mode, x_index=x_index, pair=pair)
     return run_readers(model, [reader], threads)[0]
@@ -748,12 +744,11 @@ def osekowski_reader(model: MartingaleFieldModel, p_grid, n_grid, R: int, *,
         return out
 
     def finish(parts):
-        with np.errstate(over="ignore"):   # an overflowing order is reported below
-            tot_num, tot_den = (sum(p[j] for p in parts) for j in (0, 1))
-        _check_orders_finite(p_grid, tot_num, tot_den)
-        ratios = ratio_from(tot_num, tot_den, R)
-        batch = np.stack([ratio_from(p[0], p[1], p[2]) for p in parts])
-        se = batch.std(axis=0, ddof=1) / math.sqrt(len(parts))
+        num, den, cnt = (np.array([p[j] for p in parts]) for j in (0, 1, 2))
+        with np.errstate(over="ignore"):   # an overflowing order is reported here
+            _check_orders_finite(p_grid, num.sum(axis=0), den.sum(axis=0))
+        ratios, _, se = _group_jackknife(
+            lambda *sets: np.array([ratio_from(*one) for one in zip(*sets)]), num, den, cnt)
         return [{"p": p, "n": n, "ratio": r, "se": s, "bound": OSEKOWSKI_CONSTANT,
                  "within_bound": r <= OSEKOWSKI_CONSTANT - SE_MARGIN * s,
                  "rosenthal_ok": r <= ROSENTHAL_CONSTANT}
@@ -897,10 +892,11 @@ def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,
     eta_a = simulate_eta(model, n_small, R, threads=threads)
     eta_b = simulate_eta(model, n_large, R, threads=threads)
     ks_sup = ks_two_sample(np.abs(eta_a).max(axis=1), np.abs(eta_b).max(axis=1))
-    stds = model.marginal_limit_std()
+    cov = model.analytic_covariance()
     per_point = None
-    if stds is not None:
+    if cov is not None:
         per_point = {}
+        stds = np.sqrt(np.diag(cov))
         for j, lb in enumerate(model.labels):
             per_point[lb] = {"n_small": ks_gaussian(eta_a[:, j], float(stds[j])),
                              "n_large": ks_gaussian(eta_b[:, j], float(stds[j]))}

@@ -461,7 +461,7 @@ class TestInequalities:
         assert not made
 
     def test_one_engine_chunk_rejected_before_simulating(self, monkeypatch):
-        # R <= 16 is one engine chunk: no batch-means standard error
+        # R <= 16 is one engine chunk: no jackknife standard error
         def simulate(*args, **kwargs):
             raise AssertionError("run_readers reached with one engine chunk")
 

@@ -11,6 +11,7 @@ from uclt.psi import (
     DEFAULT_P_CAP,
     MomentCurve,
     PsiFunction,
+    _group_jackknife,
     gaussian_lp_norm,
     gls_norm,
     gls_tail_bound,
@@ -157,6 +158,18 @@ class TestMomentCurve:
         curve = MomentCurve.from_samples(rng.standard_normal(200000), [2, 4, 6])
         for p in (2, 4, 6):
             assert curve.value_at(p) == pytest.approx(gaussian_lp_norm(p), abs=4 * curve.stderr_at(p) + 1e-3)
+
+    def test_group_jackknife_of_a_mean_is_batch_means(self):
+        # for a statistic linear in the sums, over G groups of equal size, the
+        # leave-one-group-out values average to the all-rows value, and their
+        # spread is the group means' sd(ddof=1) / sqrt(G)
+        rng = np.random.default_rng(24)
+        G, m = 16, 50
+        x = rng.standard_normal((G, m))
+        value, debiased, se = _group_jackknife(lambda sums, n: sums / n, x.sum(axis=1), np.full(G, m))
+        assert value == pytest.approx(x.mean(), rel=1e-12)
+        assert debiased == pytest.approx(x.mean(), rel=1e-12)
+        assert se == pytest.approx(x.mean(axis=1).std(ddof=1) / math.sqrt(G), rel=1e-12)
 
     def test_scaling(self):
         c = MomentCurve.standard_gaussian([2, 4]).with_scale(2.0)

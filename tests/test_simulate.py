@@ -468,8 +468,60 @@ class TestOsekowski:
             osekowski_check(white_gaussian(), [2.0], [8], 100, mode=mode, pair=pair)
 
 
+class TestOsekowskiJackknife:
+    """`osekowski_check`'s standard error is a delete-a-group jackknife over the
+    engine chunks.  R = 700 at n = 64 on three points gives 16 chunks of 43
+    rows and a short last one of 12."""
+
+    R, P, N = 700, [2.0, 3.0, 4.0], [8, 64]
+    MODES = {"points": {"x_index": 1}, "pairs": {"pair": ("x0", "x2")}}
+    # sha256 of the ratio column (`digest`), frozen before the errors moved
+    # from batch means to the jackknife; weibull pairs are a zero series
+    RATIO_DIGESTS = {
+        ("iid_gaussian_field", "points"): "d0034de0fc4d0b11",
+        ("iid_gaussian_field", "pairs"): "4a655517d00a2a6c",
+        ("weibull_field", "points"): "65bb6317612f5c4b",
+        ("weibull_field", "pairs"): "17b0761f87b081d5",
+        ("garch_like", "points"): "3f988cb48bc11c5e",
+        ("garch_like", "pairs"): "6df839d1207d5d8b",
+        ("bounded_sign", "points"): "5d642b57515558f4",
+        ("bounded_sign", "pairs"): "fe2567d6e358475f",
+    }
+
+    def ratio(self, num, den, cnt):
+        """The (p, n) ratios of one set of rows from its power sums."""
+        p, n = np.array(self.P)[:, None], np.array(self.N)
+        lhs = (num / cnt) ** (1 / p)
+        lp2 = ((den / cnt) ** (1 / p)) ** 2
+        rhs = p / np.log(p) * np.sqrt(np.cumsum(lp2, axis=1)[:, n - 1] / n)
+        return np.where(lhs == 0, 0.0, lhs / np.where(rhs == 0, 1.0, rhs))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_se_is_the_leave_one_chunk_out_jackknife(self, model, mode):
+        reader = osekowski_reader(model, self.P, self.N, self.R, mode=mode, **self.MODES[mode])
+        parts = _run_chunks(model, reader.n, self.R, lambda ci, start, paths: reader.read(paths),
+                            cols=reader.cols)
+        assert [p[2] for p in parts] == [43] * 16 + [12]
+        num, den = (sum(p[j] for p in parts) for j in (0, 1))
+        loo = np.stack([self.ratio(num - a, den - b, self.R - c) for a, b, c in parts])
+        G = len(parts)
+        want = np.sqrt((G - 1) / G * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+        rows = osekowski_check(model, self.P, self.N, self.R, mode=mode, **self.MODES[mode])
+        got = np.array([r["se"] for r in rows]).reshape(want.shape)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-15)
+        assert np.array([r["ratio"] for r in rows]).reshape(want.shape) == pytest.approx(
+            self.ratio(num, den, self.R), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
+    def test_ratios_frozen(self, model, mode):
+        rows = osekowski_check(model, self.P, self.N, self.R, mode=mode, **self.MODES[mode])
+        assert digest([r["ratio"] for r in rows]) == self.RATIO_DIGESTS[model.kind, mode]
+
+
 class TestOneChunk:
-    """The batch-means standard error needs two engine chunks; R <= 16 gives one."""
+    """The jackknife standard error needs two engine chunks; R <= 16 gives one."""
 
     def test_one_chunk_rejected(self):
         with pytest.raises(ValueError, match="fewer than two engine chunks"):
