@@ -154,6 +154,13 @@ def _flag_or_key(s: _Schema, flag, key: str, kind, **rules):
     return s.get(key, kind, **rules)
 
 
+def _threads(s: _Schema, flag) -> int:
+    """The worker count: `--threads`, else config.threads, else UCLT_THREADS, else 1."""
+    if flag is not None and flag < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {flag}")
+    return resolve_threads(_flag_or_key(s, flag, "threads", int, minimum=1))
+
+
 def _is_coordinate_table(rows) -> bool:
     """A nonempty list of nonempty equal-length rows of finite numbers."""
     return (isinstance(rows, list) and bool(rows)
@@ -335,7 +342,7 @@ def run_check_theorem(cfg: dict, args) -> int:
     s = _Schema(cfg)
     seed = _flag_or_key(s, args.seed, "seed", int, required=True, minimum=0)
     reps = _flag_or_key(s, args.reps, "replications", int, default=4000, positive=True)
-    threads = resolve_threads(_flag_or_key(s, args.threads, "threads", int))
+    threads = _threads(s, args.threads)
     out = _flag_or_key(s, args.out or None, "out", str, default="uclt-check-theorem")
     model = _validate_model(s.sub("model", required=True), seed)
     if model.npoints < 2:
@@ -455,7 +462,7 @@ def run_inequalities(cfg: dict, args) -> int:
     s = _Schema(cfg)
     seed = _flag_or_key(s, args.seed, "seed", int, required=True, minimum=0)
     reps = _flag_or_key(s, args.reps, "replications", int, default=20000, positive=True)
-    threads = resolve_threads(_flag_or_key(s, args.threads, "threads", int))
+    threads = _threads(s, args.threads)
     out = _flag_or_key(s, args.out or None, "out", str, default="uclt-inequalities")
 
     models_raw = s.get("models", many=True)

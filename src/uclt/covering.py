@@ -231,12 +231,14 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
     n = dist.shape[0]
     words = -(-n // 64)
     # each (center, member) entry arrives at the first radius that reaches it
-    first = np.searchsorted(radii, dist.ravel())
-    order = np.argsort(first, kind="stable")
+    index = np.int32 if n * n < 2**31 else np.int64   # keys too: an int key would convert first
+    first = np.searchsorted(radii, dist.ravel()).astype(index)
+    order = np.argsort(first, kind="stable").astype(index)
     first = first[order]
-    center, member = np.divmod(order, n)
-    word = member // 64
-    bit = np.left_shift(np.uint64(1), (member % 64).astype(np.uint64))
+    center, member = np.divmod(order, index(n))
+    del order
+    word, bit = member // 64, np.left_shift(np.uint64(1), (member % 64).astype(np.uint8))
+    del member
     balls = np.zeros((words, n), dtype=np.uint64)
     run = (np.zeros((words, n), dtype=np.uint64), np.zeros(n + 1, dtype=np.int64),
            np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
@@ -244,7 +246,7 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
     U[:, 0] = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64)
     left[0] = n
     sizes = np.empty(radii.size, dtype=np.int64)
-    stop = np.searchsorted(first, 1)
+    stop = first.searchsorted(index(1))
     np.bitwise_or.at(balls, (word[:stop], center[:stop]), bit[:stop])
     m, size = _resume(balls, run, 0, 0, -1, n + 1)
     sizes[0] = size
@@ -253,12 +255,12 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
     while level < radii.size and cap > 1:
         # a block is _REPLAY_BLOCK radii, or fewer so that it holds no more than
         # _REPLAY_BLOCK pairs; where many pairs tie it is one radius
-        lo = first.searchsorted(level)
+        lo = first.searchsorted(index(level))
         cut = first[lo + 2 * _REPLAY_BLOCK] if lo + 2 * _REPLAY_BLOCK < first.size else radii.size
         end = min(level + _REPLAY_BLOCK, max(level + 1, int(cut)))
-        hi = first.searchsorted(end)
+        hi = first.searchsorted(index(end))
         # one column per grown ball and radius, ordered by radius, then center
-        key = first[lo:hi] * n + center[lo:hi]
+        key = first[lo:hi].astype(np.int64) * n + center[lo:hi]
         fresh = key != np.concatenate(([-1], key[:-1]))
         col_level, col_center = np.divmod(key[fresh], n)
         cols = balls[:, col_center]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -368,6 +369,21 @@ def _check_curves(p_grid, norms: np.ndarray, stderr: np.ndarray | None = None) -
         raise ValueError("norms must be nondecreasing in p (within Monte Carlo slack)")
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, shape, like: np.ndarray | None = None) -> np.ndarray:
+    """This thread's buffer `name`, ``np.empty(shape)`` or ``np.empty_like(like,
+    shape=shape)``, kept across calls and replaced when the shape or `like`'s
+    dtype, shape or strides (hence the memory order) change.  It holds what its
+    last use left, so no caller returns it or a view of it."""
+    key = tuple(shape), None if like is None else (like.dtype, like.shape, like.strides)
+    kept = vars(_SCRATCH)
+    if name not in kept or kept[name][0] != key:
+        kept[name] = key, np.empty(shape) if like is None else np.empty_like(like, shape=shape)
+    return kept[name][1]
+
+
 def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarray:
     """Sums over axis 0 of |z|**p for each p in `p_grid`, stacked along a new
     first axis; with `starts`, sums over the groups of rows beginning there.
@@ -380,18 +396,20 @@ def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarra
     z⁶·z² at 8, z²·sqrt|z| at 2.5).  Such products may differ from `**` in
     the last bits; other p use `**`.
 
-    Rows are reduced in slabs of `_SLAB_BUDGET` values, pair differences
-    formed per slab.  Each order's running sum is row 0 of the next slab's
-    buffer, so rows are added in chunk order whatever the slab size, bit for
-    bit as by one ``sum(axis=0)``.  Groups, and column-major z that numpy
-    sums pairwise, take one slab; so do one-value rows (pairwise too) of any
-    chunk of the engine (at most 8,192).  z is left unchanged.
+    Rows are reduced, and pair differences formed, in slabs of `_SLAB_BUDGET`
+    values in `_scratch` buffers laid out like z.  Each order's running sum is
+    row 0 of the next slab's buffer, so rows are added in chunk order whatever
+    the slab size, bit for bit as by one ``sum(axis=0)``.  Groups, and
+    column-major z that numpy sums pairwise, take one slab; so do one-value
+    rows (pairwise too) of any engine chunk (at most 8,192).  z is unchanged.
     """
     n = z.shape[0]
     row = z.shape[1:] if pairs is None else z.shape[1:-1] + (len(pairs[0]),)
     step = n if starts is not None or z.strides[0] < z.strides[-1] \
         else min(n, max(1, _SLAB_BUDGET // max(1, math.prod(row))))
-    a, z2, buf = (np.empty_like(z, shape=(step + 1,) + row) for _ in range(3))
+    # one buffer set per kind of call, so that calls that alternate keep theirs
+    kind = f"{'points' if pairs is None else 'pairs'}{'' if step < n else ' whole'}"
+    a, z2, buf = (_scratch(f"{kind} {i}", (step + 1,) + row, z) for i in range(3))
     sums = [None] * len(p_grid)
     for lo in range(0, n, step):
         body = slice(1, min(step, n - lo) + 1)

@@ -62,9 +62,9 @@ from functools import cached_property
 import numpy as np
 
 from .distances import PairwiseMomentField, _pair_key
-from .errors import HorizonExceeded, OrderOverflow, check_keys, finite
+from .errors import ConfigError, HorizonExceeded, OrderOverflow, check_keys, finite
 from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _abs_power_sums, _group_jackknife,
-                  _jackknife, gls_norm, rosenthal_transform)
+                  _jackknife, _scratch, _SCRATCH, gls_norm, rosenthal_transform)
 from .tails import MIN_SHAPE, TailFunction, w_operator
 
 #: Universal constant in the martingale moment inequality
@@ -317,15 +317,7 @@ def _chunk_spans(R: int, n: int, npts: int):
     # capped by the float budget, floored at 16, and small enough to give at
     # least ~16 chunks so that jackknife standard errors are meaningful
     size = int(min(8192, max(16, _CHUNK_BUDGET // max(1, n * npts)), max(16, R // 16)))
-    spans = []
-    start = 0
-    ci = 0
-    while start < R:
-        count = min(size, R - start)
-        spans.append((ci, start, count))
-        start += count
-        ci += 1
-    return spans
+    return [(ci, start, min(size, R - start)) for ci, start in enumerate(range(0, R, size))]
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -334,8 +326,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def resolve_threads(threads: int | None) -> int:
+    """`threads`, else UCLT_THREADS (ConfigError unless a whole number >= 1), else 1."""
     if threads is None:
-        env = os.environ.get("UCLT_THREADS")
+        env = os.environ.get("UCLT_THREADS", "").strip()
+        if env and not (env.isdecimal() and int(env) >= 1):
+            raise ConfigError(f"UCLT_THREADS: must be a whole number >= 1, got {env!r}")
         threads = int(env) if env else 1
     return max(1, int(threads))
 
@@ -346,13 +341,14 @@ def _correlate(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
 
 
 def _signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Fair signs +-1.0 of `shape` in C order, 64 to a raw word of the bit
-    generator, from its least significant bit up."""
+    """Fair signs +-1.0 of `shape` in C order in `_scratch` "signs", 64 to a
+    raw word of the bit generator, from its least significant bit up."""
     size = math.prod(shape)
     words = rng.bit_generator.random_raw(-(-size // 64)).astype("<u8", copy=False)
-    signs = np.unpackbits(words.view(np.uint8), bitorder="little", count=size) * 2.0
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=size).reshape(shape)
+    signs = np.multiply(bits, 2.0, out=_scratch("signs", shape))
     signs -= 1.0
-    return signs.reshape(shape)
+    return signs
 
 
 def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
@@ -364,27 +360,31 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     kinds use the Cholesky factor of K[cols, cols] (the garch volatility at
     x depends on eps at x only), and sign and Weibull amplitudes are per
     column.  Which kinds keep their full-width variates: module docstring.
+    Intermediates go to this thread's `_scratch` buffers; the paths are a
+    fresh array (one column's Gaussian or Weibull draw, made in place).
     """
     if cols is None:
         cols = tuple(range(model.npoints))
     k = len(cols)
     p = model.p
     if model.kind == "iid_gaussian_field":
-        paths = _correlate(rng.standard_normal((count, n, k)), model._chol(cols))
-    elif model.kind == "weibull_field":
-        radial = rng.standard_exponential((count, n, 1))   # K E**(1/q), E ~ Exp(1): Weibull
+        z = rng.standard_normal(out=np.empty((count, n, 1)) if k == 1 else _scratch("draws", (count, n, k)))
+        paths = _correlate(z, model._chol(cols))
+    elif model.kind == "weibull_field":   # K E**(1/q), E ~ Exp(1): Weibull
+        radial = rng.standard_exponential(out=np.empty((count, n, 1)) if k == 1
+                                          else _scratch("draws", (count, n, 1)))
         radial **= 1.0 / p["q"]
         radial *= p["K"]
         if p["cap"] is not None:
             np.minimum(radial, p["cap"], out=radial)
         radial *= _signs(rng, (count, n, 1))
-        paths = radial * model._amplitude[list(cols)]
+        paths = np.multiply(radial, model._amplitude[list(cols)], out=radial if k == 1 else None)
     elif model.kind == "garch_like":
         # one draw for all steps gives the variates of one draw per step
         amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
         # sigma lies in [1 - |amp|, 1 + |amp|]: the clip binds only where [lo, hi] cuts in
         clip = not lo <= 1.0 - abs(amp) <= 1.0 + abs(amp) <= hi
-        steps = _correlate(rng.standard_normal((n, count, k)), model._chol(cols))
+        steps = _correlate(rng.standard_normal(out=_scratch("draws", (n, count, k))), model._chol(cols))
         state, sigma, new = np.zeros((count, k)), np.empty((count, k)), np.empty((count, k))
         for i in range(n):   # sigma = clip(1 + amp tanh(state)), state = mem state + (1 - mem) eps
             np.tanh(state, out=sigma)
@@ -395,15 +395,15 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
             state *= mem
             state += np.multiply(steps[i], 1.0 - mem, out=new)
             steps[i] *= sigma
-        paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
+        paths = steps.transpose(1, 0, 2).copy()
     else:  # bounded_sign, signs step-major: a chunk's first m steps are the same at any n >= m
         mod = p["modulation"]
         a0 = p["base"] * model._amplitude[list(cols)]
         signs = _signs(rng, (n, count, 1 if p["cross"] == "shared" else k))
+        steps = signs if signs.shape[2] == k else _scratch("draws", (n, count, k))
         if mod == 0.0:
-            steps = signs * a0
+            np.multiply(signs, a0, out=steps)
         else:
-            steps = np.empty((n, count, k))
             running, ampl = np.zeros((count, k)), np.empty((count, k))
             for i in range(n):   # ampl = a0 (1 + mod tanh(running / sqrt(max(i, 1))))
                 np.tanh(np.divide(running, math.sqrt(max(i, 1)), out=ampl), out=ampl)
@@ -411,7 +411,7 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
                 ampl += 1.0
                 ampl *= a0
                 running += np.multiply(signs[i], ampl, out=steps[i])
-        paths = np.ascontiguousarray(steps.transpose(1, 0, 2))
+        paths = steps.transpose(1, 0, 2).copy()
     if model.growth != 0.0:
         paths *= (np.arange(1, n + 1) ** model.growth)[None, :, None]
     if model.bias != 0.0:
@@ -443,7 +443,8 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
     in chunk order.  Chunks hold the grid columns `cols` only (all when
     None); their spans depend on the full grid, so jackknife groups are the
     same at any width.  `draw(rng, count)`, when given, makes each
-    chunk's data in place of the paths."""
+    chunk's data in place of the paths.  A worker owns the paths it gets;
+    each thread keeps its `_scratch` buffers from chunk to chunk of a pass."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
     if R < 1:
@@ -458,7 +459,9 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
 
     nt = resolve_threads(threads)
     if nt == 1 or len(spans) == 1:
-        return [task(span) for span in spans]
+        parts = [task(span) for span in spans]
+        vars(_SCRATCH).clear()   # a pass's buffers go with it, as a pool thread's do
+        return parts
     with ThreadPoolExecutor(max_workers=nt) as pool:
         return list(pool.map(task, spans))
 

@@ -755,6 +755,47 @@ class TestMutatedConfigs:
         assert time.time() - t0 < 6.5
 
 
+class TestThreadCount:
+    """A worker count below 1 or not a number exits 1 before anything is
+    drawn or written, naming where it came from."""
+
+    @pytest.mark.parametrize("flag,key,env,named", [
+        ("0", None, None, "--threads: "),
+        ("-3", None, None, "--threads: "),
+        (None, 0, None, "config.threads: "),
+        (None, -2, None, "config.threads: "),
+        (None, None, "abc", "UCLT_THREADS: "),
+        (None, None, "0", "UCLT_THREADS: "),
+        (None, None, "-1", "UCLT_THREADS: "),
+    ], ids=["flag-0", "flag-negative", "key-0", "key-negative", "env-text", "env-0", "env-negative"])
+    @pytest.mark.parametrize("command", ["check-theorem", "inequalities"])
+    def test_bad_thread_count_rejected(self, tmp_path, capsys, monkeypatch, command, flag, key,
+                                       env, named):
+        def generate(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr("uclt.simulate._generate", generate)
+        if env is None:
+            monkeypatch.delenv("UCLT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("UCLT_THREADS", env)
+        doc = copy.deepcopy(FULL_CONFIGS[command])
+        if key is not None:
+            doc["threads"] = key
+        argv = [command, "--config", write_cfg(tmp_path / "c.json", doc), "--out", str(tmp_path / "run")]
+        assert main(argv + (["--threads", flag] if flag is not None else [])) == 1
+        assert capsys.readouterr().err.startswith("config error: " + named)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["check-theorem", "inequalities"])
+    def test_flag_wins_over_bad_key_and_env(self, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("UCLT_THREADS", "abc")
+        doc = {**FULL_CONFIGS[command], "threads": 0}
+        argv = [command, "--config", write_cfg(tmp_path / "c.json", doc), "--threads", "2",
+                "--out", str(tmp_path / "run")]
+        assert main(argv) in (0, 2)
+
+
 class TestCovering:
     def test_grid_space(self, tmp_path):
         doc = {"space": {"grid_1d": {"n": 11}, "metric": "euclidean"},

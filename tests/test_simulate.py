@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import gamma as gamma_fn
 
 from uclt.distances import natural_function, sigma_squared
 from uclt.errors import HorizonExceeded
-from uclt.psi import _abs_power_sums, _jackknife, gaussian_lp_norm
+from uclt.psi import _SCRATCH, _abs_power_sums, _jackknife, gaussian_lp_norm
 from uclt.simulate import (
     KINDS,
     OSEKOWSKI_CONSTANT,
@@ -1292,3 +1293,76 @@ class TestSharedPass:
     def test_thread_invariant(self, model):
         assert repr(run_readers(model, self.readers(model), threads=1)) == \
             repr(run_readers(model, self.readers(model), threads=2))
+
+
+def on_fresh_thread(fn):
+    """fn() on a new thread, whose scratch buffers start empty."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def scratch_buffers() -> list:
+    """The scratch buffers this thread holds."""
+    return [buf for _, buf in vars(_SCRATCH).values()]
+
+
+# the four kinds; signs shared and independent, modulated and not; capped Weibull with a slope
+SCRATCH_KINDS = ALL_KINDS + [SHARED_SIGNS, INDEPENDENT_SIGNS, STEP_LOOP_KINDS[2], PROJECTION_KINDS[6]]
+
+
+class TestChunkScratch:
+    """Each thread keeps its chunk intermediates in scratch buffers from chunk
+    to chunk: no value may depend on what a buffer held before, and no
+    result may share memory with one."""
+
+    # a short last chunk, then n = 64 -> 256 -> 64: each change of shape replaces a buffer
+    SPANS = [(64, 0, 40), (64, 1, 13), (256, 2, 40), (64, 3, 40)]
+
+    @pytest.mark.parametrize("cols", [None, (1,)], ids=["all-columns", "one-column"])
+    @pytest.mark.parametrize("model", SCRATCH_KINDS, ids=lambda m: m.name)
+    def test_consecutive_chunks_equal_fresh_thread_chunks(self, model, cols):
+        got = [_generate(model, n, _chunk_rng(model.seed, ci), count, cols)
+               for n, ci, count in self.SPANS]
+        for (n, ci, count), chunk in zip(self.SPANS, got):
+            want = on_fresh_thread(lambda: _generate(model, n, _chunk_rng(model.seed, ci), count, cols))
+            assert np.array_equal(chunk, want)
+
+    @pytest.mark.parametrize("n,count", [(16, 40), (1, 40), (16, 1)],
+                             ids=["chunk", "one-step", "one-row"])
+    @pytest.mark.parametrize("cols", [None, (1,)], ids=["all-columns", "one-column"])
+    @pytest.mark.parametrize("model", SCRATCH_KINDS, ids=lambda m: m.name)
+    def test_chunk_shares_no_memory_with_scratch(self, model, cols, n, count):
+        paths = _generate(model, n, _chunk_rng(model.seed, 0), count, cols)
+        assert not any(np.shares_memory(paths, buf) for buf in scratch_buffers())
+
+    @pytest.mark.parametrize("model", SCRATCH_KINDS, ids=lambda m: m.name)
+    def test_read_results_share_no_memory_with_scratch(self, model):
+        readers = [osekowski_reader(model, [2.0, 3.0], [8, 16], 400),
+                   osekowski_reader(model, [2.0, 3.0], [8, 16], 400, mode="pairs", pair=("x0", "x2")),
+                   tail_domination_reader(model, None, [1.5], [4, 16], 400)]
+        for reader in readers:
+            rng = _chunk_rng(model.seed, 0)
+            data = _generate(model, reader.n, rng, 25, reader.cols) if reader.draw is None \
+                else reader.draw(rng, 25)
+            parts = reader.read(data)
+            for part in parts if isinstance(parts, tuple) else [parts]:
+                assert not any(np.shares_memory(part, buf) for buf in scratch_buffers())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_power_sums_equal_fresh_buffers(self, order):
+        # one slab either way, so both layouts ask for buffers of one shape;
+        # the layout sets numpy's order of summation
+        z = np.asarray(np.random.default_rng(8).standard_normal((1000, 3)) * 3.0, order=order)
+        other = np.asarray(z, order="F" if order == "C" else "C")
+        want = on_fresh_thread(lambda: _abs_power_sums(z, SLAB_GRID))
+        got = [_abs_power_sums(z, SLAB_GRID), _abs_power_sums(z, SLAB_GRID)]
+        _abs_power_sums(other, SLAB_GRID)
+        got.append(_abs_power_sums(z, SLAB_GRID))
+        assert all(np.array_equal(g, want) for g in got)
+
+    def test_single_thread_pass_drops_its_buffers(self):
+        simulate_eta(ALL_KINDS[2], 16, 200, threads=1)
+        assert not vars(_SCRATCH)
