@@ -4,8 +4,8 @@
 Builds a volatility-modulated field, verifies the difference property,
 estimates moment curves, checks the moment inequality and the uniform
 increment modulus, and finishes with distributional-stabilization
-diagnostics.  Everything is reproducible: chunked counter-based substreams
-make results independent of worker threads.
+diagnostics.  Everything is reproducible: one seeded substream per chunk
+makes results independent of worker threads.
 """
 import math
 

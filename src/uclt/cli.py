@@ -738,8 +738,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--reps", type=int, default=None, help="override the replication count")
         p.add_argument("--out", default=None, help="output directory")
+        if name == "covering":      # draws nothing and sweeps on one thread
+            continue
+        p.add_argument("--reps", type=int, default=None, help="override the replication count")
         p.add_argument("--threads", type=int, default=None,
                        help="worker cap (UCLT_THREADS fallback); never changes results")
     pe = sub.add_parser("export")

@@ -30,8 +30,8 @@ import numpy as np
 
 from .covering import FiniteMetricSpace
 from .errors import MissingData
-from .psi import (SE_MARGIN, MomentCurve, PsiFunction, _check_curves, _p_index,
-                  gaussian_lp_norm, gls_norms, subq_norms)
+from .psi import (MomentCurve, PsiFunction, _check_curves, _p_index, gaussian_lp_norm,
+                  gls_norms, subq_norms)
 
 #: Dyadic default for index-grid truncation of sup over n.
 DEFAULT_N_GRID = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -114,23 +114,6 @@ class PairwiseMomentField:
         return float(self.point_var[i - 1, self._column("variance", i, x, self._point_col)])
 
     # -- whole-field operations -------------------------------------------------
-
-    def variance_consistency(self) -> list[dict]:
-        """Violations of variance == (p=2 norm)**2 beyond `SE_MARGIN` standard
-        errors of Monte Carlo slack.
-
-        Returns one row per offending (index, point); empty means consistent.
-        Analytic fields must match exactly (their stderr is zero).
-        """
-        if 2.0 not in self.p_grid:
-            return []
-        k = self.p_grid.index(2.0)
-        l2, se, var = self.point_norms[k], self.point_se[k], self.point_var
-        slack = SE_MARGIN * se * np.maximum(2.0 * l2, 1.0) + 1e-9
-        bad = np.abs(var - l2 * l2) > slack
-        return [{"index": int(i) + 1, "point": self.x_labels[j], "variance": float(var[i, j]),
-                 "l2_squared": float(l2[i, j] * l2[i, j]), "slack": float(slack[i, j])}
-                for j, i in np.argwhere(bad.T)]
 
     def scale(self, c: float) -> "PairwiseMomentField":
         """Field of c * xi: norms scale by |c|, variances by c**2."""

@@ -230,10 +230,6 @@ class PsiFunction:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, s: str) -> "PsiFunction":
-        return cls.from_dict(json.loads(s))
-
 
 def gaussian_lp_norm(p, scale: float = 1.0):
     """|scale * Z|_p for standard normal Z, from the absolute-moment formula.
@@ -305,13 +301,6 @@ class MomentCurve:
     def stderr_at(self, p: float) -> float:
         return 0.0 if self.stderr is None else self.stderr[_p_index(self.p_grid, p)]
 
-    def with_scale(self, c: float) -> "MomentCurve":
-        """Curve of the variable scaled by |c| (L_p norms are homogeneous)."""
-        c = abs(float(c))
-        se = None if self.stderr is None else tuple(c * s for s in self.stderr)
-        return MomentCurve(self.p_grid, tuple(c * v for v in self.norms),
-                           provenance=self.provenance, stderr=se)
-
     def to_dict(self) -> dict:
         d = {"p_grid": list(self.p_grid), "norms": list(self.norms),
              "provenance": self.provenance}
@@ -327,10 +316,6 @@ class MomentCurve:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "MomentCurve":
-        return cls.from_dict(json.loads(s))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Deterministic Monte Carlo laboratory for martingale-difference fields.
 
 Models generate adapted difference sequences xi_i(x) on a finite coordinate
-grid; the engine draws replications in fixed-size chunks, each chunk on its
-own counter-based substream of the master seed, so results are byte-identical
-for a given (model, seed, R) no matter how many worker threads run the
-chunks.  Chunk workers return partials, which the engine puts in chunk order.
+grid; the engine draws replications in fixed-size chunks, chunk ci on its
+own SFC64 generator seeded by SeedSequence(seed, spawn_key=(ci,)), so results
+are byte-identical for a given (model, seed, R) no matter how many worker
+threads run the chunks.  Chunk workers return partials, which the engine
+puts in chunk order.
 
 Chunks hold only the grid columns their reducer reads: `osekowski_check`
 its point or its pair's two points, `tail_domination_check`,
@@ -20,7 +21,7 @@ A chunk's variates: ``iid_gaussian_field`` draws its normals row-major,
 (count, n, k); ``garch_like`` draws them step-major, (n, count, k);
 ``weibull_field`` draws E ~ Exp(1) for its radial part K E**(1/q), then its
 signs, each (count, n); ``bounded_sign`` draws its signs step-major, (n,
-count, 1) when shared, else (n, count, k).  Signs come 64 to a raw Philox
+count, 1) when shared, else (n, count, k).  Signs come 64 to a raw SFC64
 word (`_signs`).  A step-major chunk's first m steps are the same at any
 n >= m when the chunk spans agree, so a shared pass reads the rows a pass
 to m would.
@@ -322,7 +323,7 @@ def _chunk_spans(R: int, n: int, npts: int):
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def resolve_threads(threads: int | None) -> int:

@@ -841,6 +841,19 @@ class TestCovering:
         assert main(["covering", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.eps.values" in capsys.readouterr().err
 
+    # the sweep draws nothing and runs on one thread, so covering has neither
+    # flag; argparse rejects them, bad values and good ones alike, with exit 2
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "2"],
+                                      ["--reps", "-5"], ["--reps", "100"]],
+                             ids=["threads-0", "threads-2", "reps-negative", "reps-100"])
+    def test_unread_flags_rejected(self, tmp_path, capsys, flag):
+        cfg = write_cfg(tmp_path / "c.json", {"space": {"grid_1d": {"n": 5}}})
+        with pytest.raises(SystemExit) as exc:
+            main(["covering", "--config", cfg, "--out", str(tmp_path / "run"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestExport:
     def test_empty_run_dir(self, tmp_path):

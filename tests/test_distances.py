@@ -203,15 +203,19 @@ class TestSigmaSquared:
 
 
 class TestVarianceConsistency:
+    # an analytic field has zero standard errors, so its variance must be its
+    # squared L2 norm up to rounding
     def test_analytic_field_consistent(self):
         field, _ = brownian_field()
-        assert field.variance_consistency() == []
+        l2 = field.point_norms[field.p_grid.index(2.0)]
+        assert not field.point_se.any()
+        assert np.abs(field.point_var - l2 * l2).max() <= 1e-9
 
     def test_corrupted_variance_flagged(self):
         field, _ = brownian_field(m=2, npts=2)
         field.point_var[0, 1] = 9.0      # index 1, point x1
-        rows = field.variance_consistency()
-        assert rows and rows[0]["point"] == "x1"
+        l2 = field.point_norms[field.p_grid.index(2.0)]
+        assert np.argwhere(np.abs(field.point_var - l2 * l2) > 1e-9).tolist() == [[0, 1]]
 
 
 class TestMatrixAssembly:

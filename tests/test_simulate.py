@@ -209,85 +209,86 @@ class TestMomentEstimation:
             assert got.value_at(p) == pytest.approx(expect, abs=5 * got.stderr_at(p) + 2e-3)
 
 
-# -- a small moment field frozen at the commit before orders p >= 2 with 2p an
-# integer were raised by multiplication: rbf field on 3 points, pairs
+# -- a small moment field with every order raised by `**`, as before orders
+# p >= 2 with 2p an integer were raised by multiplication (on the SFC64
+# substreams, by tests/refreeze_stream_pins.py): rbf field on 3 points, pairs
 # (x0, x1) and (x1, x2), i = 1..2, R = 800 (16 chunk groups).  Layout (P, m, k).
 FROZEN_P = (1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 6.0, 8.0)
 POINT_NORMS = [
-    [[0.9122508780655512, 0.9529223671491849, 0.8976343036810306],
-     [0.8693964944423236, 0.8597929967150932, 0.8973011016702728]],
-    [[1.0155553409754798, 1.0515696446815817, 0.9872396114193212],
-     [0.9565076649234179, 0.9450406741706718, 0.9949131702691361]],
-    [[1.1106682648983472, 1.141354047263082, 1.0700704905916325],
-     [1.0358474314207733, 1.0222645152029486, 1.0851512311273268]],
-    [[1.1988545332560818, 1.2243029379078862, 1.1475753842169674],
-     [1.1090077281793675, 1.0932062795753588, 1.1692593561551732]],
-    [[1.3121293598331931, 1.331872712436514, 1.2486948488912368],
-     [1.2029854056932159, 1.1840262924698877, 1.2781679585350858]],
-    [[1.3573656098187392, 1.3756621074325892, 1.2896950961377094],
-     [1.2406795851909038, 1.2203480082547955, 1.3220161017224683]],
-    [[1.615903098834778, 1.6493590255620134, 1.532055941847517],
-     [1.4609169123736123, 1.430503963215962, 1.578566794187271]],
-    [[1.8160301115181525, 1.9199515843251085, 1.727879878006334],
-     [1.6396239093777218, 1.5968941607833465, 1.7875040584819182]],
+    [[0.8858603485846253, 0.894455801456493, 0.9170875632049995],
+     [0.9136740141498816, 0.8850021751267949, 0.8975583533632872]],
+    [[0.9791474053448272, 0.9889627557325174, 1.0195419260581247],
+     [1.0094055452739212, 0.9730631538810481, 0.9904975360601806]],
+    [[1.064976589203111, 1.074338027002959, 1.1143338014679962],
+     [1.0960117468876867, 1.054714809693012, 1.074877199660726]],
+    [[1.1451764131947364, 1.1524365096436178, 1.202934723452838],
+     [1.1749229581043679, 1.1318867424329326, 1.1520384305839997]],
+    [[1.2501698167839805, 1.2521319494594927, 1.318622896197187],
+     [1.274296407186636, 1.2345342410117546, 1.2499768120521324]],
+    [[1.2930267502435342, 1.2920311396509874, 1.3657354774161234],
+     [1.3133726466075437, 1.2769836985573306, 1.2888544791899257]],
+    [[1.5539374070046676, 1.5267566469860192, 1.653429998777316],
+     [1.5308260800670332, 1.5399220286911124, 1.5108906816567327]],
+    [[1.7814590915568687, 1.7233174752132712, 1.9119665506585193],
+     [1.693377816544622, 1.7666214789239305, 1.6841074135457887]],
 ]
 POINT_SE = [
-    [[0.02509080342291476, 0.01699879290716367, 0.020993906935371533],
-     [0.019313732393205395, 0.025627693269582336, 0.02881790962252594]],
-    [[0.028385307787134436, 0.01903466924685276, 0.022389053616491093],
-     [0.020635775440866234, 0.028380311724997814, 0.0315879133075872]],
-    [[0.03152037482829917, 0.02163390013353931, 0.023831826213095802],
-     [0.021873639656875908, 0.03128392533357741, 0.03414061484176554]],
-    [[0.03444035537930081, 0.025053879776727205, 0.02561487298797563],
-     [0.022951001737002444, 0.03413530580143519, 0.03651789181301768]],
-    [[0.03815371164928816, 0.03172214652191981, 0.028868197565656617],
-     [0.02432509894137462, 0.0378045300984616, 0.039708789180809966]],
-    [[0.039620156891388925, 0.035396813550240006, 0.030505135313821707],
-     [0.024934551161910998, 0.039223187063561114, 0.04108102653242448]],
-    [[0.04805567804920093, 0.07576669499659235, 0.04284001803831642],
-     [0.030618274721511993, 0.046120031741786575, 0.05160487013378655]],
-    [[0.05610504371894317, 0.1448134082304937, 0.05356973969592439],
-     [0.03850141756262539, 0.04919302932915236, 0.06568080081337656]],
+    [[0.020087880853607226, 0.027605533846942268, 0.025342697717529703],
+     [0.020111966283282455, 0.030219377098909463, 0.02356004628035365]],
+    [[0.023330316125141456, 0.030048154840539132, 0.031077008661680363],
+     [0.021478731705517715, 0.03294638554710216, 0.02575699805376867]],
+    [[0.02677162892569087, 0.03312068321634168, 0.03703985712764001],
+     [0.022966289403664773, 0.03592767958430047, 0.027879451656636557]],
+    [[0.03045485196696889, 0.036636880718490375, 0.04317722691747538],
+     [0.024413757922946266, 0.03915210224381336, 0.029983064711389486]],
+    [[0.036136935908505016, 0.042064061151432, 0.05221090821222813],
+     [0.026322715257522642, 0.044149054216992535, 0.032868745508250995]],
+    [[0.038796508535178464, 0.044520579733369606, 0.056310233731871155],
+     [0.027101904618880773, 0.046479931994941485, 0.03405550618353622]],
+    [[0.06051806257411179, 0.06189686657245234, 0.08901431656675464],
+     [0.03171625192385559, 0.06399500188935348, 0.0405642431347642]],
+    [[0.08784761088158394, 0.07866523952805193, 0.1314787184337708],
+     [0.03517053260479041, 0.08025411204357874, 0.04496269889425009]],
 ]
 PAIR_NORMS = [
-    [[0.8067330327760089, 0.7902558581627677],
-     [0.79914721184314, 0.8181358325122652]],
-    [[0.8839950350642827, 0.87227951357257],
-     [0.8820952862288731, 0.9001548666745833]],
-    [[0.9537182478606692, 0.9477393628216202],
-     [0.9573673864298229, 0.9736687459139102]],
-    [[1.0176605473683455, 1.0181053863499976],
-     [1.0267164281624925, 1.040556548518536]],
-    [[1.0995654627881883, 1.1099504096916952],
-     [1.1159308028517003, 1.1253506273023142]],
-    [[1.1324191508736305, 1.147363851604787],
-     [1.1518004941621385, 1.1590457102644365]],
-    [[1.3266195303396735, 1.3750002312550507],
-     [1.3631351155377232, 1.3536176699218814]],
-    [[1.4927031766376047, 1.5738854978980292],
-     [1.5384933921502153, 1.5122863296723565]],
+    [[0.7583421659629455, 0.7893017581475466],
+     [0.8070330229873974, 0.8009800492828383]],
+    [[0.8364062630138154, 0.8703781667261872],
+     [0.9003164162920463, 0.8790670578152397]],
+    [[0.9072203629747531, 0.9443015882525341],
+     [0.986508909257866, 0.949361605630795]],
+    [[0.9723482082455472, 1.012311416385982],
+     [1.0667331603824977, 1.0139043330637278]],
+    [[1.0560072398446128, 1.099321923208521],
+     [1.1703336428179512, 1.0971574739401397]],
+    [[1.0896298784407605, 1.1341292023805067],
+     [1.211917583059119, 1.130858972073348]],
+    [[1.2873907220229128, 1.3388147978415361],
+     [1.4528343591175918, 1.3349225605843387]],
+    [[1.4482927286873384, 1.5153697679899167],
+     [1.6450938079300634, 1.513022317586806]],
 ]
 PAIR_SE = [
-    [[0.013215165386148713, 0.02399068093500414],
-     [0.02249295611547823, 0.022117882367660813]],
-    [[0.015069965190483595, 0.025790947882954864],
-     [0.023399891886724457, 0.02300346239090163]],
-    [[0.016797696594434756, 0.02781973306846893],
-     [0.024569860696925554, 0.0238725027234033]],
-    [[0.018404344305083184, 0.030134415855223768],
-     [0.02598561577440382, 0.024617140490470136]],
-    [[0.020687592178030366, 0.03389476417084173],
-     [0.028392919925319258, 0.02559209522874196]],
-    [[0.021771346821943954, 0.035697827037721064],
-     [0.029580154387846936, 0.02606360843665652]],
-    [[0.03284365423251802, 0.05056895461226238],
-     [0.039663396965663025, 0.0318664739491982]],
-    [[0.051609627510604925, 0.06841954073716107],
-     [0.051833694807105805, 0.042648691366076186]],
+    [[0.021661144285123963, 0.022256186417502967],
+     [0.031006996228087, 0.018341928603680932]],
+    [[0.022058402345477165, 0.0245615436492696],
+     [0.03250101319629514, 0.01863658354754219]],
+    [[0.022823381265361264, 0.027021312176167187],
+     [0.0340866221397072, 0.019522137439058028]],
+    [[0.02402423694358758, 0.0296690146560558],
+     [0.03569523025195437, 0.02116949093185163]],
+    [[0.026381781090288273, 0.0338156374715043],
+     [0.03795046489368328, 0.02493932494806215]],
+    [[0.027579699151808374, 0.03579168731506121],
+     [0.03894342474753717, 0.027071825892961192]],
+    [[0.036354809609405445, 0.05316394345043675],
+     [0.047451527987395756, 0.04677091746362195]],
+    [[0.04335744403426871, 0.07943393738715208],
+     [0.06094789250106311, 0.06845723009043629]],
 ]
 VARIANCES = [
-    [1.0292225201428737, 1.1040720795233723, 0.9751897271522136],
-    [0.9114288874657875, 0.8890863418317966, 0.9895054531391599],
+    [0.9593842853360011, 0.9783356248879425, 1.0394549901066377],
+    [1.0183097375101051, 0.9456926700843036, 0.9802002962716698],
 ]
 
 
@@ -479,14 +480,14 @@ class TestOsekowskiJackknife:
     # sha256 of the ratio column (`digest`), frozen before the errors moved
     # from batch means to the jackknife; weibull pairs are a zero series
     RATIO_DIGESTS = {
-        ("iid_gaussian_field", "points"): "d0034de0fc4d0b11",
-        ("iid_gaussian_field", "pairs"): "4a655517d00a2a6c",
-        ("weibull_field", "points"): "65bb6317612f5c4b",
+        ("iid_gaussian_field", "points"): "dddb5199a731ec71",
+        ("iid_gaussian_field", "pairs"): "2f028393e2ae986f",
+        ("weibull_field", "points"): "1cacc924ffd0eb52",
         ("weibull_field", "pairs"): "17b0761f87b081d5",
-        ("garch_like", "points"): "3f988cb48bc11c5e",
-        ("garch_like", "pairs"): "6df839d1207d5d8b",
-        ("bounded_sign", "points"): "5d642b57515558f4",
-        ("bounded_sign", "pairs"): "fe2567d6e358475f",
+        ("garch_like", "points"): "13e0eae4061a2b20",
+        ("garch_like", "pairs"): "ba61a4720511e5bb",
+        ("bounded_sign", "points"): "07e574c3ca15e2d6",
+        ("bounded_sign", "pairs"): "17e8887aa29a419a",
     }
 
     def ratio(self, num, den, cnt):
@@ -603,7 +604,9 @@ class TestCovariance:
     def test_estimated_field_variance_consistency(self):
         m = white_gaussian()
         field = estimate_moment_curves(m, [], [2.0, 4.0], 20000, i_max=4)
-        assert field.variance_consistency() == []
+        l2, se = field.point_norms[0], field.point_se[0]      # p = 2
+        # the variance is the squared L2 norm within 3 of its standard errors
+        assert np.all(np.abs(field.point_var - l2 * l2) <= 3.0 * se * np.maximum(2.0 * l2, 1.0) + 1e-9)
 
 
 class TestCltDiagnostic:
@@ -858,10 +861,10 @@ class TestColumnProjection:
     # kernels may differ in the last bit between CPUs), frozen before the
     # engine learned to project
     FULL_WIDTH_DIGESTS = {
-        "iid_gaussian_field": "0be253760c41d6fc",
-        "weibull_field": "eb9cd811aa4fa35e",
-        "garch_like": "b7d7e4d22bf5e67f",
-        "bounded_sign": "6155750c05fc14b7",
+        "iid_gaussian_field": "c6e80e9de37f5456",
+        "weibull_field": "e94e937cfb2e344d",
+        "garch_like": "42c54baed41faff3",
+        "bounded_sign": "108d9bee4e0652f4",
     }
 
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
@@ -950,8 +953,32 @@ def z_bound(tests: int = 1) -> float:
     return float(stats.norm.isf(LAW_LEVEL / (2 * tests)))
 
 
+class TestChunkSubstreams:
+    """Chunk `ci` of a run at `seed` draws from SFC64 seeded by
+    SeedSequence(seed, spawn_key=(ci,)): one substream per chunk, the same
+    on whichever thread draws it."""
+
+    def test_sfc64_seeded_by_the_spawn_key(self):
+        bits = _chunk_rng(801, 5).bit_generator
+        assert type(bits) is np.random.SFC64
+        assert (bits.seed_seq.entropy, bits.seed_seq.spawn_key) == (801, (5,))
+        want = np.random.SFC64(np.random.SeedSequence(801, spawn_key=(5,))).random_raw(64)
+        assert np.array_equal(bits.random_raw(64), want)
+
+    def test_same_key_same_words(self):
+        words = _chunk_rng(801, 5).bit_generator.random_raw(64)
+        assert np.array_equal(_chunk_rng(801, 5).bit_generator.random_raw(64), words)
+        again = on_fresh_thread(lambda: _chunk_rng(801, 5).bit_generator.random_raw(64))
+        assert np.array_equal(again, words)
+
+    def test_chunks_and_seeds_give_different_words(self):
+        words = [tuple(_chunk_rng(seed, ci).bit_generator.random_raw(4).tolist())
+                 for seed in (801, 802) for ci in range(32)]
+        assert len(set(words)) == len(words)
+
+
 class TestSignAndWeibullDraws:
-    """`_signs` takes 64 fair signs from each raw Philox word, and the capped
+    """`_signs` takes 64 fair signs from each raw SFC64 word, and the capped
     Weibull chunk is K E**(1/q) with E ~ Exp(1), capped and signed: both
     against their laws at fixed seeds."""
 
@@ -1126,22 +1153,22 @@ class TestChunkResults:
     R = 700
 
     MD_DIGESTS = {
-        "iid_gaussian_field": "1f920bb61da00ef2",
-        "weibull_field": "8932c41de202acff",
-        "garch_like": "14ef5c1112fb4e47",
-        "bounded_sign": "04f16103d576c9f2",
+        "iid_gaussian_field": "a180d2b9ba580434",
+        "weibull_field": "62a64e529fcdb42f",
+        "garch_like": "d569e0c151f3dd0b",
+        "bounded_sign": "894dab490ed69f93",
     }
     WEIGHTED_DIGESTS = {
-        "iid_gaussian_field": "c20698e03fc0cdcd",
-        "weibull_field": "756ed776c024f1b5",
-        "garch_like": "31bc6fbe3e5ae37c",
-        "bounded_sign": "3d3a5d8657d0e4d4",
+        "iid_gaussian_field": "1bb91ed6a2f82fc8",
+        "weibull_field": "70b5c12b28490fb4",
+        "garch_like": "82fc61d4872a1d04",
+        "bounded_sign": "dac5510c9ae4721d",
     }
     PARTIAL_SUMS_DIGESTS = {
-        "iid_gaussian_field": "45d15752d0f21f1f",
-        "weibull_field": "c98602a756ce889f",
-        "garch_like": "a57821424ad0a804",
-        "bounded_sign": "7cac99ecc1040d74",
+        "iid_gaussian_field": "0ea864dafe1bf43a",
+        "weibull_field": "5bf41e64eedb378c",
+        "garch_like": "fa76263e8257ef98",
+        "bounded_sign": "e8c88a0d71c75af6",
     }
 
     @pytest.mark.parametrize("threads", [1, 2])
