@@ -25,7 +25,7 @@ from uclt import (
 # increments between x1 and x2 have standard deviation sqrt(|x1 - x2|)
 coords = np.linspace(0.2, 1.0, 6)
 field = PairwiseMomentField.from_gaussian_kernel(
-    coords, lambda a, b: min(a[0], b[0]), p_grid=[2, 2.5, 3, 4, 6, 8], m=16)
+    np.minimum.outer(coords, coords), p_grid=[2, 2.5, 3, 4, 6, 8], m=16)
 labels = field.x_labels
 
 print("== natural generating function ==")

@@ -43,6 +43,7 @@ from .simulate import (
     MD_FAMILY_LEVEL,
     MartingaleFieldModel,
     SimulationReport,
+    _check_two_chunks,
     clt_diagnostic,
     default_model_suite,
     estimate_moment_curves,
@@ -391,8 +392,11 @@ def run_check_theorem(cfg: dict, args) -> int:
     labels = model.labels
     pairs = [(labels[a], labels[b]) for a in range(len(labels)) for b in range(a + 1, len(labels))]
     try:
-        field = estimate_moment_curves(model, pairs, p_grid, reps,
-                                       i_max=max(n_grid), threads=threads)
+        _check_two_chunks(reps, max(n_grid), model.npoints)   # for every kind alike
+        field = model.exact_moment_field(pairs, p_grid, max(n_grid))
+        if field is None:
+            field = estimate_moment_curves(model, pairs, p_grid, reps,
+                                           i_max=max(n_grid), threads=threads)
     except OrderOverflow as exc:
         raise ConfigError(f"config.p_grid: {exc}") from None
     except ValueError as exc:   # too few replications for a jackknife se

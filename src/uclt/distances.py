@@ -124,26 +124,27 @@ class PairwiseMomentField:
             meta=dict(self.meta), provenance=self.provenance)
 
     @classmethod
-    def from_gaussian_kernel(cls, coords, kernel, p_grid, m: int,
-                             labels=None) -> "PairwiseMomentField":
-        """Analytic field for i.i.d. Gaussian draws with covariance `kernel`.
+    def from_gaussian_kernel(cls, kmat, p_grid, m: int, labels=None,
+                             pairs=None) -> "PairwiseMomentField":
+        """Analytic field for i.i.d. Gaussian draws with covariance matrix `kmat`.
 
-        kernel(xa, xb) takes coordinate vectors; point norms are
-        sqrt(k(x,x)) * |Z|_p and increment norms use the increment variance
-        k(x1,x1) + k(x2,x2) - 2 k(x1,x2).
+        `kmat` is (k, k) over `labels` (default x0, x1, ...).  Point norms are
+        sqrt(K_xx) * |Z|_p and increment norms use the increment variance
+        K_aa + K_bb - 2 K_ab, the same at every index, for the label `pairs`
+        (default all).
         """
-        coords = np.asarray(coords, dtype=float).reshape(len(coords), -1)
+        kmat = np.asarray(kmat, dtype=float)
         if labels is None:
-            labels = tuple(f"x{i}" for i in range(coords.shape[0]))
-        p_grid = tuple(float(p) for p in p_grid)
-        kmat = np.array([[kernel(ca, cb) for cb in coords] for ca in coords])
-        diag = np.diag(kmat)
-        sd = np.sqrt(np.maximum(diag[:, None] + diag[None, :] - 2.0 * kmat, 0.0))
+            labels = tuple(f"x{i}" for i in range(kmat.shape[0]))
+        if pairs is None:
+            pairs = [(labels[a], labels[b]) for a, b in zip(*np.triu_indices(len(labels), 1))]
         col = {lb: k for k, lb in enumerate(labels)}
-        pairs = sorted(_pair_key(labels[a], labels[b])
-                       for a, b in zip(*np.triu_indices(len(labels), 1)))
+        pairs = sorted({_pair_key(a, b) for a, b in pairs})
+        a, b = (np.array([col[pr[j]] for pr in pairs], dtype=np.intp) for j in (0, 1))
+        p_grid = tuple(float(p) for p in p_grid)
+        diag = np.diag(kmat)
         point_sd = np.sqrt(np.maximum(diag, 0.0))
-        pair_sd = np.array([sd[col[a], col[b]] for a, b in pairs])
+        pair_sd = np.sqrt(np.maximum(diag[a] + diag[b] - 2.0 * kmat[a, b], 0.0))
         base = np.array([gaussian_lp_norm(p) for p in p_grid])[:, None, None]
         point_norms = np.repeat(base * point_sd, m, axis=1)
         pair_norms = np.repeat(base * pair_sd, m, axis=1)

@@ -235,11 +235,16 @@ def gaussian_lp_norm(p, scale: float = 1.0):
     """|scale * Z|_p for standard normal Z, from the absolute-moment formula.
 
     E|Z|**p = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi), so the norm is
-    sqrt(2) * (Gamma((p+1)/2)/sqrt(pi))**(1/p).  Accepts scalars or arrays.
+    sqrt(2) * (Gamma((p+1)/2)/sqrt(pi))**(1/p).  From p = 1e300 on, where
+    log Gamma((p+1)/2) overflows, Stirling's formula gives sqrt((p+1)/e) to
+    double precision.  Accepts scalars or arrays.
     """
     p = np.asarray(p, dtype=float)
-    log_gamma = np.array([math.lgamma(h) for h in ((p + 1.0) / 2.0).ravel().tolist()])
-    val = scale * math.sqrt(2.0) * np.exp((log_gamma.reshape(p.shape) - 0.5 * math.log(math.pi)) / p)
+    q = np.minimum(p, 1e300)
+    log_gamma = np.array([math.lgamma(h) for h in ((q + 1.0) / 2.0).ravel().tolist()])
+    val = np.where(p < 1e300, scale * math.sqrt(2.0) * np.exp(
+        (log_gamma.reshape(p.shape) - 0.5 * math.log(math.pi)) / q),
+        scale * np.sqrt((np.maximum(p, 1e300) + 1.0) / math.e))
     return float(val) if val.ndim == 0 else val
 
 

@@ -266,6 +266,17 @@ class MartingaleFieldModel:
             return np.diag(amp ** 2)
         return None
 
+    def exact_moment_field(self, pairs, p_grid, m: int) -> PairwiseMomentField | None:
+        """The moment field of indices 1..m that `estimate_moment_curves`
+        estimates, when known in closed form: an i.i.d. Gaussian field has
+        Gaussian point and increment norms, the same at every index."""
+        if self.kind != "iid_gaussian_field" or self.bias != 0.0 or self.growth != 0.0:
+            return None
+        if m > self.horizon:
+            raise HorizonExceeded(f"i_max = {m} beyond horizon {self.horizon}")
+        return PairwiseMomentField.from_gaussian_kernel(self._kernel, p_grid, m,
+                                                        self.labels, pairs)
+
     def dominating_tail(self) -> TailFunction:
         """A tail function dominating every one-sided tail of xi_i(x).
 

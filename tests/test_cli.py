@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, schema errors, reproducibility, export."""
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from uclt import simulate
 from uclt.cli import _Schema, _validate_model, main
 from uclt.simulate import KINDS, MD_FAMILY_LEVEL
 
@@ -154,11 +156,16 @@ class TestCheckTheorem:
         assert not (tmp_path / "run").exists()
 
     # |z|**2000 overflows a double for |z| > 1.43: found in the simulated
-    # moments, after the config is read, and still blamed on config.p_grid
+    # moments, after the config is read, and still blamed on config.p_grid.
+    # A Gaussian model's moments are exact and finite at p = 2000, so the
+    # overflowing grid runs on a garch_like model, whose moments are simulated
     @pytest.mark.parametrize("p_grid", [[3, 2], [0.5, 2], [2, 2], [2, float("inf")], [2, 2000]],
                              ids=["descending", "below-one", "repeated", "infinite", "overflowing"])
     def test_bad_p_grid_key_path(self, tmp_path, capsys, p_grid):
-        cfg = write_cfg(tmp_path / "c.json", theorem_cfg(p_grid=p_grid))
+        doc = theorem_cfg(p_grid=p_grid)
+        if p_grid == [2, 2000]:
+            doc["model"]["kind"] = "garch_like"
+        cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
         assert "config.p_grid: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -250,6 +257,80 @@ class TestCheckTheorem:
 
     def test_missing_config(self, tmp_path):
         assert main(["check-theorem", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+def readme_theorem_cfg():
+    """The check-theorem config of the README, its first JSON block."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return json.loads(fh.read().split("```json", 1)[1].split("```", 1)[0])
+
+
+def estimator_must_not_run(*args, **kwargs):
+    raise AssertionError("estimate_moment_curves reached for a Gaussian model's exact field")
+
+
+class TestExactMomentField:
+    def test_gaussian_field_not_simulated(self, monkeypatch):
+        monkeypatch.setattr("uclt.cli.estimate_moment_curves", estimator_must_not_run)
+        code, err, made = run_quiet("check-theorem", theorem_cfg())
+        assert (code, made) == (0, True), err
+        # the exact norms stay finite at every finite order
+        code, err, made = run_quiet("check-theorem", theorem_cfg(p_grid=[2, 1e307]))
+        assert (code, made) == (0, True), err
+
+    @pytest.mark.parametrize("change", [
+        {"growth": 0.3}, {"bias": 0.1}, {"kind": "garch_like"},
+        {"kind": "weibull_field", "kernel": None, "K": 1.0, "q": 2.0, "amplitude_slope": 0.5},
+        {"kind": "bounded_sign", "kernel": None, "amplitude_slope": 0.5},
+    ], ids=["gaussian-growth", "gaussian-bias", "garch", "weibull", "sign"])
+    def test_other_models_simulated(self, monkeypatch, change):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return simulate.estimate_moment_curves(*args, **kwargs)
+
+        monkeypatch.setattr("uclt.cli.estimate_moment_curves", counted)
+        doc = theorem_cfg()
+        doc["model"] = {k: v for k, v in {**doc["model"], **change}.items() if v is not None}
+        code, err, made = run_quiet("check-theorem", doc)
+        assert code in (0, 2) and made, err
+        assert calls == [doc["model"]["kind"]]
+
+    def test_readme_config_draws_only_the_clt(self, tmp_path, monkeypatch):
+        draws = []
+        generate = simulate._generate
+
+        def counted(*args, **kwargs):
+            paths = generate(*args, **kwargs)
+            draws.append(paths.size)
+            return paths
+
+        monkeypatch.setattr("uclt.simulate._generate", counted)
+        monkeypatch.setattr("uclt.cli.estimate_moment_curves", estimator_must_not_run)
+        cfg = write_cfg(tmp_path / "c.json", readme_theorem_cfg())
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert sum(draws) == 2000 * (16 + 64) * 9      # the CLT's R * (n_small + n_large) * points
+
+    def test_garch_tree_frozen(self, tmp_path):
+        # sha256 of c10's check-theorem tree at the commit before the exact
+        # Gaussian field: the Monte Carlo moment path keeps its bytes
+        doc = {"seed": 20260808, "replications": 1000,
+               "model": {"kind": "garch_like", "name": "garch",
+                         "x_points": {"grid_1d": {"n": 4, "low": 0.1, "high": 1.0}},
+                         "kernel": {"name": "rbf", "length_scale": 0.5}, "horizon": 16},
+               "p_grid": [2, 3, 4], "n_grid": [1, 2, 4, 8, 16],
+               "entropy": {"nodes": 8}, "integral": {"nodes": 80},
+               "subq_level": {"q": 1.0}, "clt": {"n_pair": [4, 16], "replications": 300}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        h = hashlib.sha256()
+        for name, data in sorted(read_tree(tmp_path / "run").items()):
+            h.update(name.encode())
+            h.update(data)
+        assert h.hexdigest() == "f9d04a278d3480bc0f30c94f76c4da23629ae4e54e0b1718daa95030a801c1a7"
 
 
 class TestModelBlock:
@@ -951,7 +1032,11 @@ class TestReproducibility:
         assert (out / "field_csv" / "index_0016.csv").exists()
 
     def test_seed_override_changes_hashed_outputs(self, tmp_path):
-        cfg = write_cfg(tmp_path / "c.json", theorem_cfg())
+        # a Gaussian model's sigma2 is exact, the same at every seed; a
+        # garch_like model's is simulated, so it shows that --seed reaches the draws
+        doc = theorem_cfg()
+        doc["model"]["kind"] = "garch_like"
+        cfg = write_cfg(tmp_path / "c.json", doc)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["check-theorem", "--config", cfg, "--out", str(out1)])
         main(["check-theorem", "--config", cfg, "--out", str(out2), "--seed", "99"])

@@ -28,7 +28,7 @@ P_GRID = (2.0, 3.0, 4.0, 6.0)
 def brownian_field(m=8, npts=5):
     coords = np.linspace(0.2, 1.0, npts)
     return PairwiseMomentField.from_gaussian_kernel(
-        coords, lambda a, b: min(a[0], b[0]), P_GRID, m=m), coords
+        np.minimum.outer(coords, coords), P_GRID, m=m), coords
 
 
 def analytic_field(labels, point_norms, point_var, pairs=(), pair_norms=None):
@@ -406,8 +406,9 @@ class TestColumnarField:
 
     def test_analytic_csv_bytes_frozen(self, tmp_path):
         # sha256 of the tree written at the commit before the columnar field
+        coords = np.linspace(0.2, 1.0, 4)
         field = PairwiseMomentField.from_gaussian_kernel(
-            np.linspace(0.2, 1.0, 4), lambda a, b: min(a[0], b[0]), P_GRID, m=3)
+            np.minimum.outer(coords, coords), P_GRID, m=3)
         field.to_csv_dir(tmp_path / "f")
         assert tree_digest(tmp_path / "f") == \
             "21350c6258fbb4867b6e60bb703e01f6071473bd410649ec16005f55191b095f"

@@ -144,6 +144,16 @@ class TestMomentCurve:
         assert gaussian_lp_norm(4) == pytest.approx(3 ** 0.25)
         assert gaussian_lp_norm(6) == pytest.approx(15 ** (1 / 6))
 
+    def test_gaussian_norm_at_huge_orders(self):
+        # past p = 1e300 log Gamma((p+1)/2) overflows; the norm stays finite
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for p in (1e299, 1e300, 1e307, 1.7e308):
+                q = mpmath.mpf(p)
+                exact = mpmath.sqrt(2) * mpmath.exp(
+                    (mpmath.loggamma((q + 1) / 2) - mpmath.log(mpmath.pi) / 2) / q)
+                assert gaussian_lp_norm(p) == pytest.approx(float(exact), rel=1e-13)
+
     def test_lyapunov_enforced(self):
         with pytest.raises(ValueError):
             MomentCurve.analytic([2, 3], [1.0, 0.5])

@@ -609,6 +609,41 @@ class TestCovariance:
         assert np.all(np.abs(field.point_var - l2 * l2) <= 3.0 * se * np.maximum(2.0 * l2, 1.0) + 1e-9)
 
 
+class TestExactMomentField:
+    P = (2.0, 3.0, 4.5)
+
+    def test_gaussian_norms_at_every_index(self):
+        m = MartingaleFieldModel("rbf", "iid_gaussian_field", grid_coords(4),
+                                 {"kernel": {"name": "rbf", "length_scale": 0.5}},
+                                 horizon=8, seed=3)
+        field = m.exact_moment_field([("x3", "x1"), ("x0", "x2"), ("x1", "x0")], self.P, 6)
+        K, base = m.analytic_covariance(), gaussian_lp_norm(np.array(self.P))
+        assert field.pairs == (("x0", "x1"), ("x0", "x2"), ("x1", "x3")) and field.m == 6
+        for i in range(1, 7):
+            for k, x in enumerate(m.labels):
+                assert field.point_curve(i, x).norms == pytest.approx(
+                    math.sqrt(K[k, k]) * base, rel=1e-14)
+                assert field.variance(i, x) == pytest.approx(K[k, k], rel=1e-14)
+            for x1, x2 in field.pairs:
+                a, b = m.labels.index(x1), m.labels.index(x2)
+                assert field.pair_curve(i, x1, x2).norms == pytest.approx(
+                    math.sqrt(K[a, a] + K[b, b] - 2.0 * K[a, b]) * base, rel=1e-14)
+        assert not field.point_se.any() and not field.pair_se.any()
+        assert field.provenance == {"kind": "analytic"}
+        assert field.point_curve(1, "x0").stderr is None
+        with pytest.raises(HorizonExceeded):
+            m.exact_moment_field([], self.P, 9)
+
+    @pytest.mark.parametrize("model", [
+        MartingaleFieldModel("g", "iid_gaussian_field", grid_coords(3), {}, horizon=8, seed=1,
+                             growth=0.3),
+        MartingaleFieldModel("b", "iid_gaussian_field", grid_coords(3), {}, horizon=8, seed=1,
+                             bias=0.1),
+        *ALL_KINDS[1:]], ids=["growth", "bias", "weibull", "garch", "sign"])
+    def test_none_without_a_closed_form(self, model):
+        assert model.exact_moment_field([("x0", "x1")], self.P, 4) is None
+
+
 class TestCltDiagnostic:
     def test_identical_distributions_small_ks(self):
         m = white_gaussian(npts=4, horizon=64)
