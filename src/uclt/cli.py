@@ -40,7 +40,6 @@ from .psi import DEFAULT_P_CAP, PsiFunction
 from .simulate import (
     KERNELS,
     KINDS,
-    MD_FAMILY_LEVEL,
     MartingaleFieldModel,
     SimulationReport,
     _check_two_chunks,
@@ -48,8 +47,8 @@ from .simulate import (
     default_model_suite,
     estimate_moment_curves,
     grid_coords,
-    holm_rejections,
-    martingale_difference_check,
+    holm_marked,
+    martingale_difference_reader,
     osekowski_reader,
     resolve_threads,
     run_readers,
@@ -479,7 +478,7 @@ def run_inequalities(cfg: dict, args) -> int:
     run_all = None if any(key in cfg for key in _INEQUALITY_BLOCKS) else {}
 
     # the path checks: output table -> (report check, each model's reader, row
-    # keys in the table, the row key that passes)
+    # keys in the table, the row key that passes); md_property has neither
     checks = {}
     ose = s.sub("osekowski", default=run_all)
     if ose is not None:
@@ -520,7 +519,7 @@ def run_inequalities(cfg: dict, args) -> int:
         checks["tail_bounds"] = ("tail_domination", readers,
                                  ("n", "x", "empirical", "bound", "se"), "ok")
     slope = s.sub("weibull_slope", default=run_all)
-    slope_spec = None
+    qs = []     # no slope check
     if slope is not None:
         qs = slope.get("q_values", float, many=True, positive=True, minimum=MIN_SHAPE,
                        default=[1.0, 2.0])
@@ -531,19 +530,19 @@ def run_inequalities(cfg: dict, args) -> int:
         tol = slope.get("tol", float, default=0.05, positive=True)
         if not xhi > xlo:
             raise ConfigError("config.weibull_slope: need x_hi > x_lo")
-        slope_spec = (qs, kk, xlo, xhi, pts, tol)
         slope.finish()
     mdc = s.sub("md_check", default=run_all)
-    mdc_spec = None
     if mdc is not None:
         ids = mdc.get("indices", int, many=True, positive=True, maximum=horizon, default=[2, 16])
-        mdc_spec = (ids, mdc.get("replications", int, default=reps, positive=True))
+        r3 = mdc.get("replications", int, default=reps, positive=True)
         mdc.finish()
+        checks["md_property"] = ("md_property", [martingale_difference_reader(m, ids, R=r3)
+                                                 for m in models], None, None)
     s.finish()
 
     reports: list[SimulationReport] = []
     tables = {key: [] for key in checks}
-    slope_rows, md_rows = [], []
+    slope_rows = []
     all_ok = True
 
     for i, model in enumerate(models):
@@ -553,34 +552,23 @@ def run_inequalities(cfg: dict, args) -> int:
             raise ConfigError(f"config.osekowski.p_grid: {exc}") from None
         for (key, (check, readers, fields, ok)), rows in zip(checks.items(), results):
             reports.append(SimulationReport(model.name, model.seed, readers[i].R, check, rows))
-            tables[key] += [[model.name] + [r[f] for f in fields] for r in rows]
-            all_ok &= all(r[ok] for r in rows)
-        if mdc_spec is not None:
-            ids, r3 = mdc_spec
-            rows = martingale_difference_check(model, ids, R=r3, threads=threads)
-            reports.append(SimulationReport(model.name, model.seed, r3, "md_property", rows))
-            md_rows += rows
-    # one Holm family over every model's rows: a correct run fails with
-    # probability at most MD_FAMILY_LEVEL however many models it has
-    rejected = holm_rejections([r["p_value"] for r in md_rows], MD_FAMILY_LEVEL)
-    for row, rej in zip(md_rows, rejected):
-        row["ok"] = not rej
-    all_ok &= not any(rejected)
+            tables[key] += [[model.name] + [r[f] for f in fields] for r in rows] if fields else rows
+            all_ok &= ok is None or all(r[ok] for r in rows)
+    # one Holm family over every model's md_check rows: a correct run fails
+    # with probability at most MD_FAMILY_LEVEL however many models it has
+    all_ok &= all(r["ok"] for r in holm_marked(tables.pop("md_property", [])))
 
-    if slope_spec is not None:
-        qs, kk, xlo, xhi, pts, tol = slope_spec
-        for q in qs:
-            tail = TailFunction.closed_weibull(kk, q)
-            xs = np.geomspace(xlo, xhi, pts)
-            ws = [w_operator(tail, float(x)) for x in xs]
-            logneg = np.log([-math.log(w) for w in ws])
-            fit = float(np.polyfit(np.log(xs), logneg, 1)[0])
-            need = 2.0 * q / (2.0 + q) - tol
-            ok = fit >= need
-            slope_rows.append([q, fit, need, ok])
-            reports.append(SimulationReport("weibull-transform", 0, 0, "decay_slope",
-                                            [{"q": q, "slope": fit, "required": need, "ok": ok}]))
-            all_ok &= ok
+    for q in qs:
+        tail = TailFunction.closed_weibull(kk, q)
+        xs = np.geomspace(xlo, xhi, pts)
+        logneg = np.log([-math.log(w_operator(tail, float(x))) for x in xs])
+        fit = float(np.polyfit(np.log(xs), logneg, 1)[0])
+        need = 2.0 * q / (2.0 + q) - tol
+        ok = fit >= need
+        slope_rows.append([q, fit, need, ok])
+        reports.append(SimulationReport("weibull-transform", 0, 0, "decay_slope",
+                                        [{"q": q, "slope": fit, "required": need, "ok": ok}]))
+        all_ok &= ok
 
     outputs = {key: _table(key, rows) for key, rows in tables.items()}
     if slope_rows:

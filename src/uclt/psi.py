@@ -384,7 +384,7 @@ def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarra
     z², sqrt|z| when 2p is odd, |z| when floor(p) is odd, and z² once more
     for each further whole pair (z²·|z| at p = 3, z²·z² at 4, z⁴·z² at 6,
     z⁶·z² at 8, z²·sqrt|z| at 2.5).  Such products may differ from `**` in
-    the last bits; other p use `**`.
+    the last bits; other p, and p above `DEFAULT_P_CAP` (p/2 products), use `**`.
 
     Rows are reduced, and pair differences formed, in slabs of `_SLAB_BUDGET`
     values in `_scratch` buffers laid out like z.  Each order's running sum is
@@ -412,7 +412,7 @@ def _abs_power_sums(z: np.ndarray, p_grid, starts=None, pairs=None) -> np.ndarra
         made = None                 # made: (rest, whole) of the product v holds
         for j, p in enumerate(p_grid):
             twice = 2.0 * p
-            if p < 2.0 or not twice.is_integer():
+            if not 2.0 <= p <= DEFAULT_P_CAP or not twice.is_integer():
                 v, made = np.power(ab, p, out=bb), None
             else:
                 whole, rest = divmod(int(twice), 4)     # rest counts half orders: 0..3

@@ -7,7 +7,7 @@ are byte-identical for a given (model, seed, R) no matter how many worker
 threads run the chunks.  Chunk workers return partials, which the engine
 puts in chunk order.
 
-Chunks hold only the grid columns their reducer reads: `osekowski_check`
+Chunks hold only the grid columns their readers read: `osekowski_check`
 its point or its pair's two points, `tail_domination_check`,
 `weighted_tail_domination_check` and `martingale_difference_check` their
 point, `eta_increment_curves` the points of its pairs.  `simulate_eta`,
@@ -28,10 +28,9 @@ to m would.
 
 `tail_domination_check` reads eta_n at every n from one pass; there
 ``iid_gaussian_field`` and unmodulated ``bounded_sign`` without growth draw
-it from its closed law (`_closed_sums`), the other reducers read paths.
-It and `osekowski_check` each run one `Reader` through `run_readers`, where
-readers on one model with the same R and columns and no closed law share a
-pass sized for the largest of their n.
+it from its closed law (`_closed_sums`), the other readers read paths.
+Every pass starts in `run_readers`, the engine's one caller, where readers
+of one model share a pass when they can; a check alone runs its reader alone.
 
 Shipped model kinds, with their parameters and defaults in `KINDS`:
 
@@ -338,13 +337,15 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """`threads`, else UCLT_THREADS (ConfigError unless a whole number >= 1), else 1."""
+    """`threads`, else UCLT_THREADS, else 1: a whole number >= 1 (ValueError, ConfigError)."""
     if threads is None:
         env = os.environ.get("UCLT_THREADS", "").strip()
         if env and not (env.isdecimal() and int(env) >= 1):
             raise ConfigError(f"UCLT_THREADS: must be a whole number >= 1, got {env!r}")
         threads = int(env) if env else 1
-    return max(1, int(threads))
+    elif not (threads >= 1 and float(threads).is_integer()):
+        raise ValueError(f"threads must be a whole number >= 1, got {threads!r}")
+    return int(threads)
 
 
 def _correlate(z: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -487,17 +488,19 @@ Reader = namedtuple("Reader", "R n cols read finish draw", defaults=[None])
 
 def run_readers(model: MartingaleFieldModel, readers: list[Reader],
                 threads: int | None = None) -> list:
-    """Each reader's result, in order: from one engine pass, sized (chunk spans
-    too) for the largest of their n, when all have the same R and columns and
-    none has a draw, else from a pass each."""
-    if len(readers) != 1 and (any(r.draw for r in readers)
-                              or len({(r.R, r.cols) for r in readers}) != 1):
-        return [run_readers(model, [r], threads)[0] for r in readers]
-    first = readers[0]
-    parts = _run_chunks(model, max(r.n for r in readers), first.R,
-                        lambda ci, start, data: [r.read(data) for r in readers],
-                        threads, first.cols, first.draw)
-    return [r.finish([part[k] for part in parts]) for k, r in enumerate(readers)]
+    """Each reader's result, in order.  Readers with the same R and columns and
+    no draw share one engine pass, sized (chunk spans too) for the largest of
+    their n; any other has a pass of its own, in the order of first readers."""
+    groups, results = {}, {}
+    for k, r in enumerate(readers):
+        groups.setdefault((r.R, r.cols) if r.draw is None else k, []).append(k)
+    for ks in groups.values():
+        group = [readers[k] for k in ks]
+        parts = _run_chunks(model, max(r.n for r in group), group[0].R,
+                            lambda ci, start, data: [r.read(data) for r in group],
+                            threads, group[0].cols, group[0].draw)
+        results.update((k, readers[k].finish([p[j] for p in parts])) for j, k in enumerate(ks))
+    return [results[k] for k in range(len(readers))]
 
 
 def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ...]):
@@ -589,20 +592,23 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
     function z of the past; tested with z in {1, tanh(previous value),
     tanh(normalized running sum)} at one grid point.  Each row reports the
     sample mean of xi_i * z, its standard error, the two-sided normal
-    p-value of mean / se, and `ok`: not rejected by Holm's step-down rule
-    over all rows at family level MD_FAMILY_LEVEL, the level of a single
-    3-se test.
+    p-value of mean / se, and `ok` (`holm_marked`): not rejected by Holm's
+    step-down rule over all rows at MD_FAMILY_LEVEL, that of one 3-se test.
     """
+    reader = martingale_difference_reader(model, indices, x_index, R)
+    return holm_marked(run_readers(model, [reader], threads)[0])
+
+
+def martingale_difference_reader(model: MartingaleFieldModel, indices, x_index: int = 0,
+                                 R: int = 20000) -> Reader:
+    """`martingale_difference_check`'s reader, whose rows have no `ok` (`holm_marked`)."""
     indices = sorted(set(int(i) for i in indices))
-    n = max(indices)
     if min(indices) < 1:
         raise ValueError("indices are 1-based")
     names = ("const", "tanh(prev)", "tanh(runsum)")
 
-    def worker(ci, start, paths):
-        """Sums of v and v**2 for v = xi_i * z, one row per (index, regressor)."""
-        xs = paths[:, :, 0]
-        sums = []
+    def read(paths):
+        xs, sums = paths[:, :, 0], []
         for i in indices:
             xi = xs[:, i - 1]
             prev = xs[:, i - 2] if i >= 2 else np.zeros_like(xi)
@@ -612,16 +618,22 @@ def martingale_difference_check(model: MartingaleFieldModel, indices, x_index: i
                 sums.append((v.sum(), (v * v).sum()))
         return np.array(sums)
 
-    moments = sum(_run_chunks(model, n, R, worker, threads, _columns(model, [x_index]))) / R
-    rows = []
-    for (i, nm), (m1, m2) in zip([(i, nm) for i in indices for nm in names], moments):
-        mean = float(m1)
-        se = math.sqrt(max(float(m2) - mean * mean, 0.0) / R)
-        pval = math.erfc(abs(mean) / (se * math.sqrt(2.0))) if se > 0 \
-            else float(abs(mean) <= 1e-15)
-        rows.append({"index": i, "regressor": nm, "mean": mean, "se": se, "p_value": pval})
-    rejected = holm_rejections([r["p_value"] for r in rows], MD_FAMILY_LEVEL)
-    for row, rej in zip(rows, rejected):
+    def finish(parts):
+        rows = []
+        for (i, nm), (m1, m2) in zip([(i, nm) for i in indices for nm in names], sum(parts) / R):
+            mean = float(m1)
+            se = math.sqrt(max(float(m2) - mean * mean, 0.0) / R)
+            pval = math.erfc(abs(mean) / (se * math.sqrt(2.0))) if se > 0 \
+                else float(abs(mean) <= 1e-15)
+            rows.append({"index": i, "regressor": nm, "mean": mean, "se": se, "p_value": pval})
+        return rows
+
+    return Reader(R, max(indices), _columns(model, [x_index]), read, finish)
+
+
+def holm_marked(rows: list[dict]) -> list[dict]:
+    """`rows`, each with `ok`: its `p_value` not rejected by Holm at MD_FAMILY_LEVEL."""
+    for row, rej in zip(rows, holm_rejections([r["p_value"] for r in rows], MD_FAMILY_LEVEL)):
         row["ok"] = not rej
     return rows
 
@@ -657,7 +669,7 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
 
     Norm estimates are debiased by a delete-a-group jackknife with the engine
     chunks as groups, which also supplies the standard errors.  `pairs` is a
-    list of (label, label) tuples.  Integer and half-integer orders p >= 2
+    list of (label, label) tuples.  Whole and half-whole orders 2 <= p <= 1024
     are raised by multiplication in `psi._abs_power_sums`, which forms pair
     differences and adds rows in chunk order whatever its slab size (a fixed
     float budget).  Raises `OrderOverflow` if an order takes a simulated
@@ -676,25 +688,26 @@ def estimate_moment_curves(model: MartingaleFieldModel, pairs, p_grid, R: int, *
 
     orders = p_grid if 2.0 in p_grid else p_grid + (2.0,)   # the squares are order 2's row
 
-    def worker(ci, start, paths):
+    def read(paths):
         with np.errstate(over="ignore"):  # an overflowing order is reported below
             sums = _abs_power_sums(paths, orders)
             return (sums[:len(p_grid)], paths.sum(axis=0), sums[orders.index(2.0)],
                     _abs_power_sums(paths, p_grid, pairs=(first, second)), paths.shape[0])
 
-    parts = _run_chunks(model, m, R, worker, threads)
-    counts = np.array([p[4] for p in parts], dtype=float)
-    with np.errstate(invalid="ignore"):
-        point_norms, point_se = _jackknife(np.stack([p[0] for p in parts]), counts, p_grid)
-        pair_norms, pair_se = _jackknife(np.stack([p[3] for p in parts]), counts, p_grid)
-    _check_orders_finite(p_grid, point_norms, pair_norms)
-    mean = np.stack([p[1] for p in parts]).sum(axis=0) / R
-    ssq = np.stack([p[2] for p in parts]).sum(axis=0)
-    var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)
-    return PairwiseMomentField(
-        labels, m, p_grid, pairs, point_norms, point_se, pair_norms, pair_se, var,
-        meta={"model": model.name, "seed": model.seed, "replications": R},
-        provenance={"kind": "monte_carlo", "seed": model.seed, "replications": R})
+    def finish(parts):
+        point, total, ssq, pair, counts = (np.stack([p[j] for p in parts]) for j in range(5))
+        with np.errstate(invalid="ignore"):
+            point_norms, point_se = _jackknife(point, counts, p_grid)
+            pair_norms, pair_se = _jackknife(pair, counts, p_grid)
+        _check_orders_finite(p_grid, point_norms, pair_norms)
+        mean, ssq = total.sum(axis=0) / R, ssq.sum(axis=0)
+        var = np.maximum((ssq - R * mean ** 2) / (R - 1), 0.0)
+        return PairwiseMomentField(
+            labels, m, p_grid, pairs, point_norms, point_se, pair_norms, pair_se, var,
+            meta={"model": model.name, "seed": model.seed, "replications": R},
+            provenance={"kind": "monte_carlo", "seed": model.seed, "replications": R})
+
+    return run_readers(model, [Reader(R, m, None, read, finish)], threads)[0]
 
 
 # -- inequality checks --------------------------------------------------------
@@ -885,11 +898,10 @@ def weighted_tail_domination_check(model: MartingaleFieldModel, tail: TailFuncti
     if not 0 < norm < math.inf:
         raise ValueError(f"weights must have a positive finite norm, got {weights!r}")
     b = b / math.sqrt(norm)
-    if tail is None:
-        tail = model.dominating_tail()
-    sums = np.concatenate(_run_chunks(model, b.size, R, lambda ci, start, paths: paths[:, :, 0] @ b,
-                                      threads, _columns(model, [x_index])))
-    return _tail_rows(_tail_bounds(tail, x_values), b.size, sums)
+    bounds = _tail_bounds(model.dominating_tail() if tail is None else tail, x_values)
+    reader = Reader(R, b.size, _columns(model, [x_index]), lambda paths: paths[:, :, 0] @ b,
+                    lambda parts: _tail_rows(bounds, b.size, np.concatenate(parts)))
+    return run_readers(model, [reader], threads)[0]
 
 
 def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,

@@ -170,6 +170,18 @@ class TestCheckTheorem:
         assert "config.p_grid: " in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_huge_order_rejected_within_seconds(self, tmp_path, capsys):
+        # p = 1e7 raised by about p/2 multiplications per chunk ran for hours;
+        # above DEFAULT_P_CAP it is one power, which overflows at once
+        doc = theorem_cfg(p_grid=[2, 1e7])
+        doc["model"]["kind"] = "garch_like"
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        t0 = time.time()
+        assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 1
+        assert time.time() - t0 < 10.0
+        assert "config.p_grid: order p = 1e+07" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("change,path", [
         ({"n_grid": [0.5, 2]}, "config.n_grid: "),
         ({"n_grid": [1, 32]}, "config.n_grid: "),
@@ -394,11 +406,12 @@ class TestInequalities:
         pval = math.erfc(3.1 / math.sqrt(2.0))
         assert MD_FAMILY_LEVEL / 2 < pval <= MD_FAMILY_LEVEL
 
-        def one_row(model, indices, R, threads):
-            return [{"index": 2, "regressor": "const", "mean": 3.1, "se": 1.0,
-                     "p_value": pval, "ok": False}]
+        def one_row(model, indices, R):
+            return simulate.Reader(R, 2, (0,), lambda paths: None, lambda parts: [
+                {"index": 2, "regressor": "const", "mean": 3.1, "se": 1.0,
+                 "p_value": pval, "ok": False}])
 
-        monkeypatch.setattr("uclt.cli.martingale_difference_check", one_row)
+        monkeypatch.setattr("uclt.cli.martingale_difference_reader", one_row)
         doc = {"seed": 3, "replications": 500,
                "models": [{"kind": "bounded_sign", "name": f"b{i}",
                            "x_points": {"grid_1d": {"n": 2}}, "horizon": 16}
@@ -578,6 +591,20 @@ class TestInequalities:
                           ("bounded-sign", 256, 20000, (0,), False),
                           ("garch-like", 256, 20000, (0,), False),
                           ("capped-weibull", 256, 20000, (0,), False)]
+
+    def test_default_run_four_passes(self, tmp_path, monkeypatch):
+        # md_check joins each model's path pass: the Gaussian's checks without
+        # a closed law, its tail's closed law, and one pass for each other model
+        passes = self.count_passes(monkeypatch)
+        cfg = write_cfg(tmp_path / "c.json", {"seed": 7})
+        assert main(["inequalities", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        assert passes == [("iid-gaussian-rbf", 64, 20000, (0,), False),
+                          ("iid-gaussian-rbf", 256, 20000, (0,), True),
+                          ("bounded-sign", 256, 20000, (0,), False),
+                          ("garch-like", 256, 20000, (0,), False)]
+        rep = json.loads((tmp_path / "run" / "inequalities.json").read_text())
+        assert [r["check"] for r in rep["reports"]][:3] == ["osekowski", "tail_domination",
+                                                            "md_property"]
 
     @pytest.mark.parametrize("change,want", [
         ({}, [(256, 2000, (0,))]),

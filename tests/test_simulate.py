@@ -30,12 +30,15 @@ from uclt.simulate import (
     estimate_moment_curves,
     eta_increment_curves,
     grid_coords,
+    holm_marked,
     holm_rejections,
     ks_gaussian,
     ks_two_sample,
     martingale_difference_check,
+    martingale_difference_reader,
     osekowski_check,
     osekowski_reader,
+    resolve_threads,
     run_readers,
     simulate_eta,
     tail_domination_check,
@@ -717,6 +720,14 @@ class TestConfigAndReports:
         b = simulate_eta(m, 8, 2000)
         assert (a == b).all()
 
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, math.nan, math.inf])
+    def test_bad_explicit_thread_count_rejected(self, threads):
+        # these once ran on 1, 1 and 2 threads without a word
+        with pytest.raises(ValueError, match="threads must be a whole number >= 1"):
+            resolve_threads(threads)
+        with pytest.raises(ValueError, match="threads must be a whole number >= 1"):
+            osekowski_check(white_gaussian(), [2.0], [8], 2000, threads=threads)
+
     def test_report_json_deterministic(self):
         rows = osekowski_check(white_gaussian(), [2.0], [8], 2000, threads=1)
         rows4 = osekowski_check(white_gaussian(), [2.0], [8], 2000, threads=4)
@@ -1355,6 +1366,35 @@ class TestSharedPass:
     def test_thread_invariant(self, model):
         assert repr(run_readers(model, self.readers(model), threads=1)) == \
             repr(run_readers(model, self.readers(model), threads=2))
+
+    @pytest.mark.parametrize("model", SHARED_PASS_MODELS, ids=lambda m: m.kind)
+    def test_md_reader_joins_the_path_pass(self, monkeypatch, model):
+        # the md_check reader (to n = 16) joins the pass of the readers without
+        # a closed law; its rows are a standalone check's where the kind draws
+        # step-major, and another stream where it draws row-major
+        md = martingale_difference_reader(model, [2, 16], R=self.R)
+        alone = martingale_difference_check(model, [2, 16], R=self.R)
+        want = run_readers(model, self.readers(model))
+        passes = self.count_passes(monkeypatch)
+        *got, rows = run_readers(model, self.readers(model) + [md])
+        assert got == want
+        assert all("ok" not in row for row in rows)
+        assert (holm_marked(rows) == alone) == (model.kind in ("bounded_sign", "garch_like"))
+        assert [r["index"] for r in rows] == [r["index"] for r in alone]
+        closed = model.kind == "iid_gaussian_field"
+        assert [p[1:] for p in passes] == ([(64, self.R, (0,), False), (256, self.R, (0,), True)]
+                                          if closed else [(256, self.R, (0,), False)])
+
+    def test_results_in_reader_order_around_a_closed_law(self, monkeypatch):
+        # a reader with a draw between two that share: two passes, the shared
+        # one first, and each result in its reader's place
+        model = SHARED_PASS_MODELS[0]
+        ose, tail = self.readers(model)
+        md = martingale_difference_reader(model, [2], R=self.R)
+        want = run_readers(model, [ose, tail]) + run_readers(model, [ose, md])[1:]
+        passes = self.count_passes(monkeypatch)
+        assert run_readers(model, [ose, tail, md]) == want
+        assert [p[1:] for p in passes] == [(64, self.R, (0,), False), (256, self.R, (0,), True)]
 
 
 def on_fresh_thread(fn):
