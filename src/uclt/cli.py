@@ -199,7 +199,7 @@ def _validate_model(block: _Schema, default_seed: int) -> MartingaleFieldModel:
               "seed": block.get("seed", int, default=default_seed, minimum=0),
               "bias": block.get("bias", float, default=0.0),
               "growth": block.get("growth", float, default=0.0)}
-    params = {key: block.get(key) for key in KINDS[kind] if key in block.cfg}
+    params = {key: block.get(key) for key in KINDS[kind].params if key in block.cfg}
     block.finish()
     kernel = block.sub("kernel")
     if kernel is not None:

@@ -12,36 +12,21 @@ its point or its pair's two points, `tail_domination_check`,
 `weighted_tail_domination_check` and `martingale_difference_check` their
 point, `eta_increment_curves` the points of its pairs.  `simulate_eta`,
 `covariance_estimate`, `estimate_moment_curves` and `clt_diagnostic` draw
-every column.  A projected draw has the full law's marginal; it reuses the
-full-width variates for ``weibull_field`` and shared-sign ``bounded_sign``,
-and is a different stream for the Gaussian-driven kinds and for
-independent-sign ``bounded_sign``, which draw only the columns asked for.
+every column.  A projected draw has the full law's marginal; whether it
+reuses the full-width variates is said at each kind's law.  Signs come 64
+to a raw SFC64 word (`_signs`).  A step-major chunk's first m steps are the
+same at any n >= m when the chunk spans agree, so a shared pass reads the
+rows a pass to m would.
 
-A chunk's variates: ``iid_gaussian_field`` draws its normals row-major,
-(count, n, k); ``garch_like`` draws them step-major, (n, count, k);
-``weibull_field`` draws E ~ Exp(1) for its radial part K E**(1/q), then its
-signs, each (count, n); ``bounded_sign`` draws its signs step-major, (n,
-count, 1) when shared, else (n, count, k).  Signs come 64 to a raw SFC64
-word (`_signs`).  A step-major chunk's first m steps are the same at any
-n >= m when the chunk spans agree, so a shared pass reads the rows a pass
-to m would.
+`tail_domination_check` reads eta_n at every n from one pass; there a law
+with closed sums (`Law.sums`) draws them from it, the other readers read
+paths.  Every pass starts in `run_readers`, the engine's one caller, where
+readers of one model share a pass when they can; a check alone runs its
+reader alone.
 
-`tail_domination_check` reads eta_n at every n from one pass; there
-``iid_gaussian_field`` and unmodulated ``bounded_sign`` without growth draw
-it from its closed law (`_closed_sums`), the other readers read paths.
-Every pass starts in `run_readers`, the engine's one caller, where readers
-of one model share a pass when they can; a check alone runs its reader alone.
-
-Shipped model kinds, with their parameters and defaults in `KINDS`:
-
-* ``iid_gaussian_field``  — i.i.d. Gaussian fields with a covariance kernel,
-* ``weibull_field``       — i.i.d. symmetric stretched-exponential variables
-                            times a spatial amplitude profile, optionally
-                            capped (``cap`` > 0, or null for no cap),
-* ``garch_like``          — xi_i(x) = sigma_i(x) * eps_i(x) with sigma_i a
-                            bounded function of past draws (dependent m.d.),
-* ``bounded_sign``        — xi_i(x) = +-a_i(x) with an optional
-                            past-dependent bounded amplitude (dependent m.d.).
+Each shipped model kind is a `Kind` in `KINDS`: its parameters with their
+defaults, and the builder of its `Law`, whose docstring describes the kind
+(``iid_gaussian_field``, ``weibull_field``, ``garch_like``, ``bounded_sign``).
 
 `checked_params` reads a kind's parameters (`KINDS`) and its kernel's
 (`KERNELS`): a bad one raises ValueError naming it.  All kinds accept ``bias``
@@ -73,17 +58,6 @@ OSEKOWSKI_CONSTANT = 15.5879
 
 #: Sharp constant of the analogous inequality for independent summands.
 ROSENTHAL_CONSTANT = 0.6535
-
-#: Each model kind's parameters and their defaults (``...``: required).  All
-#: but ``kernel`` and ``cross`` are finite numbers; a null ``cap`` means no cap.
-KINDS = {
-    "iid_gaussian_field": {"kernel": {"name": "white"}},
-    "weibull_field": {"K": ..., "q": ..., "cap": None, "amplitude_slope": 0.0},
-    "garch_like": {"kernel": {"name": "white"}, "vol_amp": 0.45, "memory": 0.7,
-                   "vol_lo": 0.5, "vol_hi": 2.0},
-    "bounded_sign": {"base": 1.0, "modulation": 0.0, "amplitude_slope": 0.0,
-                     "cross": "shared"},
-}
 
 #: Each covariance kernel's parameters and their defaults, all finite numbers.
 KERNELS = {"white": {"variance": 1.0}, "rbf": {"variance": 1.0, "length_scale": 0.5},
@@ -128,11 +102,11 @@ def ks_two_sample_critical(n1: int, n2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# covariance kernels
+# covariance kernels and model kinds
 # ---------------------------------------------------------------------------
 
 def checked_params(table: dict, given: dict, owner: str) -> dict:
-    """`given` over the defaults of `table`, a `KINDS` or `KERNELS` entry, numbers as
+    """`given` over the defaults of `table`, a `Kind.params` or `KERNELS` entry, numbers as
     floats; ValueError naming a bad key.  Strings, objects and null caps are the caller's."""
     p = check_keys(table, given, owner)
     for key, val in p.items():
@@ -175,6 +149,169 @@ def _cholesky(kmat: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(kmat + jitter * np.eye(kmat.shape[0]))
 
 
+#: A model's law without growth and bias: `paths(n, rng, count, cols)`, a chunk
+#: (count, n, len(cols)) on the grid columns `cols`; `tail()`, a dominating tail;
+#: where closed forms are known, else None, `covariance()` of the normalized sums
+#: and `sums(ns, cols)`, a `draw(rng, count)` of S_n at the ascending array `ns`;
+#: `gaussian`, an i.i.d. Gaussian field, whose moment field is exact.
+Law = namedtuple("Law", "paths tail covariance sums gaussian", defaults=[None, None, False])
+
+#: A model kind: its parameters and their defaults (``...``: required; all but
+#: ``kernel`` and ``cross`` are finite numbers, a null ``cap`` means no cap), and
+#: `law(model, p)`, which checks the parameters `p` and builds the model's `Law`.
+Kind = namedtuple("Kind", "params law")
+
+
+def _amplitude(model, p: dict) -> np.ndarray:
+    """The spatial profile a(x) = 1 + amplitude_slope * x on the first coordinate, > 0."""
+    amp = 1.0 + p["amplitude_slope"] * model._coord_array[:, 0]
+    if np.any(amp <= 0):
+        raise ValueError(f"amplitude_slope = {p['amplitude_slope']} makes the amplitude "
+                         f"profile 1 + amplitude_slope * x nonpositive on the grid")
+    return amp
+
+
+def _kernel_sd(model) -> float:
+    model._chol(tuple(range(model.npoints)))  # so that a bad kernel spec fails here
+    return math.sqrt(float(np.max(np.diag(model._kernel))))
+
+
+def _gaussian_law(model, p: dict) -> Law:
+    """``iid_gaussian_field``: xi_i ~ N(0, K) i.i.d. for the kernel's matrix K.  Normals
+    are drawn row-major, (count, n, k); a projected draw is a different stream.  S_n
+    has independent increments N(0, sum i**(2 growth) K) between consecutive n."""
+    smax = _kernel_sd(model)
+
+    def paths(n, rng, count, cols):
+        k = len(cols)
+        z = rng.standard_normal(out=np.empty((count, n, 1)) if k == 1 else _scratch("draws", (count, n, k)))
+        return _correlate(z, model._chol(cols))
+
+    def sums(ns, cols):
+        power = np.cumsum(np.arange(1.0, ns[-1] + 1) ** (2 * model.growth))
+        sd = np.sqrt(np.diff(power[ns - 1], prepend=0.0))[:, None, None]
+        chol = model._chol(cols)
+        return lambda rng, count: np.cumsum(
+            _correlate(rng.standard_normal((len(ns), count, len(cols))), chol) * sd, axis=0)
+
+    return Law(paths, lambda: TailFunction.closed_weibull(smax * math.sqrt(2.0), 2.0),
+               lambda: model._kernel.copy(), sums, gaussian=True)
+
+
+def _weibull_law(model, p: dict) -> Law:
+    """``weibull_field``: xi_i(x) = a(x) s K E**(1/q) i.i.d., E ~ Exp(1), s a fair
+    sign and a(x) the profile (`_amplitude`), the radial part capped at ``cap``
+    unless null.  E, then the signs, are drawn (count, n) for all columns, so a
+    projected draw reuses the full-width variates."""
+    amp = _amplitude(model, p)
+
+    def paths(n, rng, count, cols):
+        k = len(cols)
+        radial = rng.standard_exponential(out=np.empty((count, n, 1)) if k == 1
+                                          else _scratch("draws", (count, n, 1)))
+        radial **= 1.0 / p["q"]
+        radial *= p["K"]
+        if p["cap"] is not None:
+            np.minimum(radial, p["cap"], out=radial)
+        radial *= _signs(rng, (count, n, 1))
+        return np.multiply(radial, amp[list(cols)], out=radial if k == 1 else None)
+
+    def covariance():
+        try:
+            second = p["K"] * p["K"] * math.gamma(1.0 + 2.0 / p["q"])
+        except OverflowError:  # Gamma(1 + 2/q) beyond float range
+            second = math.inf
+        return second * np.outer(amp, amp)
+
+    return Law(paths, lambda: TailFunction.closed_weibull(p["K"] * float(np.max(amp)), p["q"]),
+               covariance if p["cap"] is None else None)
+
+
+def _garch_law(model, p: dict) -> Law:
+    """``garch_like``: xi_i(x) = sigma_i(x) eps_i(x), eps_i ~ N(0, K) i.i.d., with the
+    volatility sigma_i = clip(1 + vol_amp tanh(h_i), vol_lo, vol_hi) of the state h_1 = 0,
+    h_{i+1} = memory h_i + (1 - memory) eps_i at x, bounded for ``memory`` in [0, 1].
+    Normals are drawn step-major, (n, count, k); a projected draw is a different stream."""
+    amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
+    if not 0.0 < lo <= hi:
+        raise ValueError(f"vol_lo and vol_hi need 0 < vol_lo <= vol_hi, got {lo} and {hi}")
+    if not 0.0 <= mem <= 1.0:
+        raise ValueError(f"memory must lie in [0, 1], got {mem}")
+    smax = _kernel_sd(model)
+    # sigma lies in [1 - |amp|, 1 + |amp|]: the clip binds only where [lo, hi] cuts in
+    clip = not lo <= 1.0 - abs(amp) <= 1.0 + abs(amp) <= hi
+
+    def paths(n, rng, count, cols):
+        k = len(cols)
+        # one draw for all steps gives the variates of one draw per step
+        steps = _correlate(rng.standard_normal(out=_scratch("draws", (n, count, k))), model._chol(cols))
+        state, sigma, new = np.zeros((count, k)), np.empty((count, k)), np.empty((count, k))
+        for i in range(n):   # sigma = clip(1 + amp tanh(state)), state = mem state + (1 - mem) eps
+            np.tanh(state, out=sigma)
+            sigma *= amp
+            sigma += 1.0
+            if clip:
+                np.minimum(np.maximum(sigma, lo, out=sigma), hi, out=sigma)
+            state *= mem
+            state += np.multiply(steps[i], 1.0 - mem, out=new)
+            steps[i] *= sigma
+        return steps.transpose(1, 0, 2).copy()
+
+    return Law(paths, lambda: TailFunction.closed_weibull(hi * smax * math.sqrt(2.0), 2.0))
+
+
+def _sign_law(model, p: dict) -> Law:
+    """``bounded_sign``: xi_i(x) = s_i a0(x) (1 + modulation tanh(S_{i-1}(x) / sqrt(max(i - 1,
+    1)))), fair signs s_i and a0 = base a(x) (`_amplitude`).  Signs are drawn step-major, (n,
+    count, 1) when ``cross`` is shared, reused by a projected draw, else (n, count, k).
+    Unmodulated without growth, S_n - S_m = a0 (2 Binomial(n - m, 1/2) - n + m)."""
+    if p["cross"] not in ("shared", "independent"):
+        raise ValueError(f"cross must be shared or independent, got {p['cross']!r}")
+    mod, amp = p["modulation"], _amplitude(model, p)
+    a0, shared = p["base"] * amp, p["cross"] == "shared"
+
+    def paths(n, rng, count, cols):
+        k, a = len(cols), a0[list(cols)]
+        signs = _signs(rng, (n, count, 1 if shared else k))
+        steps = signs if signs.shape[2] == k else _scratch("draws", (n, count, k))
+        if mod == 0.0:
+            np.multiply(signs, a, out=steps)
+        else:
+            running, ampl = np.zeros((count, k)), np.empty((count, k))
+            for i in range(n):   # ampl = a (1 + mod tanh(running / sqrt(max(i, 1))))
+                np.tanh(np.divide(running, math.sqrt(max(i, 1)), out=ampl), out=ampl)
+                ampl *= mod
+                ampl += 1.0
+                ampl *= a
+                running += np.multiply(signs[i], ampl, out=steps[i])
+        return steps.transpose(1, 0, 2).copy()
+
+    def sums(ns, cols):
+        steps, a = np.diff(ns, prepend=0)[:, None, None], a0[list(cols)]
+        width = 1 if shared else len(cols)
+
+        def draw(rng, count):
+            heads = np.cumsum(rng.binomial(steps, 0.5, (len(ns), count, width)), axis=0)
+            return (2 * heads - ns[:, None, None]) * a
+        return draw
+
+    # the modulation factor 1 + m tanh(.) lies strictly inside 1 -+ |m|
+    cutoff = p["base"] * float(np.max(amp)) * (1.0 + abs(mod))
+    return Law(paths, lambda: TailFunction.step(cutoff),
+               None if mod else (lambda: np.outer(a0, a0) if shared else np.diag(a0 ** 2)),
+               None if mod or model.growth else sums)
+
+
+KINDS = {
+    "iid_gaussian_field": Kind({"kernel": {"name": "white"}}, _gaussian_law),
+    "weibull_field": Kind({"K": ..., "q": ..., "cap": None, "amplitude_slope": 0.0}, _weibull_law),
+    "garch_like": Kind({"kernel": {"name": "white"}, "vol_amp": 0.45, "memory": 0.7,
+                        "vol_lo": 0.5, "vol_hi": 2.0}, _garch_law),
+    "bounded_sign": Kind({"base": 1.0, "modulation": 0.0, "amplitude_slope": 0.0,
+                          "cross": "shared"}, _sign_law),
+}
+
+
 # ---------------------------------------------------------------------------
 # the model
 # ---------------------------------------------------------------------------
@@ -201,22 +338,17 @@ class MartingaleFieldModel:
             raise ValueError("need at least one coordinate")
         finite("bias", self.bias)
         finite("growth", self.growth)
-        p = self.p
-        if "cross" in p and p["cross"] not in ("shared", "independent"):
-            raise ValueError(f"cross must be shared or independent, got {p['cross']!r}")
-        if "vol_lo" in p and not 0.0 < p["vol_lo"] <= p["vol_hi"]:
-            raise ValueError(f"vol_lo and vol_hi need 0 < vol_lo <= vol_hi, "
-                             f"got {p['vol_lo']} and {p['vol_hi']}")
-        if "amplitude_slope" in p and np.any(self._amplitude <= 0):
-            raise ValueError(f"amplitude_slope = {p['amplitude_slope']} makes the amplitude "
-                             f"profile 1 + amplitude_slope * x nonpositive on the grid")
-        if "kernel" in p:
-            self._chol(tuple(range(self.npoints)))  # so that a bad kernel spec fails here
+        self.law  # built here, so that a bad parameter fails here
 
     @cached_property
     def p(self) -> dict:
         """`params` over the kind's `KINDS` defaults, read by `checked_params`."""
-        return checked_params(KINDS[self.kind], self.params, self.kind)
+        return checked_params(KINDS[self.kind].params, self.params, self.kind)
+
+    @cached_property
+    def law(self) -> Law:
+        """The model's `Law`, built by its kind at construction; threads only read it."""
+        return KINDS[self.kind].law(self, self.p)
 
     @property
     def npoints(self) -> int:
@@ -238,38 +370,19 @@ class MartingaleFieldModel:
         """Cholesky factor of the kernel restricted to the grid columns `cols`."""
         return _cholesky(self._kernel[np.ix_(cols, cols)])
 
-    @cached_property
-    def _amplitude(self) -> np.ndarray:
-        """The spatial profile 1 + amplitude_slope * x on the first coordinate."""
-        return 1.0 + self.p["amplitude_slope"] * self._coord_array[:, 0]
-
     # -- analytic companions -------------------------------------------------
 
     def analytic_covariance(self) -> np.ndarray | None:
         """Covariance of the normalized sums when known in closed form."""
-        if self.bias != 0.0 or self.growth != 0.0:
+        if self.bias != 0.0 or self.growth != 0.0 or self.law.covariance is None:
             return None
-        if self.kind == "iid_gaussian_field":
-            return self._kernel.copy()
-        p = self.p
-        if self.kind == "weibull_field" and p["cap"] is None:
-            try:
-                second = p["K"] * p["K"] * math.gamma(1.0 + 2.0 / p["q"])
-            except OverflowError:  # Gamma(1 + 2/q) beyond float range
-                second = math.inf
-            return second * np.outer(self._amplitude, self._amplitude)
-        if self.kind == "bounded_sign" and p["modulation"] == 0.0:
-            amp = p["base"] * self._amplitude
-            if p["cross"] == "shared":
-                return np.outer(amp, amp)
-            return np.diag(amp ** 2)
-        return None
+        return self.law.covariance()
 
     def exact_moment_field(self, pairs, p_grid, m: int) -> PairwiseMomentField | None:
         """The moment field of indices 1..m that `estimate_moment_curves`
         estimates, when known in closed form: an i.i.d. Gaussian field has
         Gaussian point and increment norms, the same at every index."""
-        if self.kind != "iid_gaussian_field" or self.bias != 0.0 or self.growth != 0.0:
+        if not self.law.gaussian or self.bias != 0.0 or self.growth != 0.0:
             return None
         if m > self.horizon:
             raise HorizonExceeded(f"i_max = {m} beyond horizon {self.horizon}")
@@ -282,16 +395,7 @@ class MartingaleFieldModel:
         Ignores `growth`; with growth > 0 no fixed dominating tail exists and
         callers should not rely on this.
         """
-        p = self.p
-        if self.kind in ("iid_gaussian_field", "garch_like"):
-            vol = p["vol_hi"] if self.kind == "garch_like" else 1.0
-            smax = math.sqrt(float(np.max(np.diag(self._kernel))))
-            return TailFunction.closed_weibull(vol * smax * math.sqrt(2.0), 2.0)
-        if self.kind == "weibull_field":
-            return TailFunction.closed_weibull(p["K"] * float(np.max(self._amplitude)), p["q"])
-        # the modulation factor 1 + m tanh(.) lies strictly inside 1 -+ |m|
-        cutoff = p["base"] * float(np.max(self._amplitude)) * (1.0 + abs(p["modulation"]))
-        return TailFunction.step(cutoff)
+        return self.law.tail()
 
     def to_dict(self) -> dict:
         return {"name": self.name, "kind": self.kind,
@@ -369,62 +473,11 @@ def _generate(model: MartingaleFieldModel, n: int, rng: np.random.Generator,
     """One chunk of paths with shape (count, n, len(cols)), on the sorted
     distinct grid columns `cols`, all of them when None.
 
-    Each kind's law on `cols` is the full law's marginal: the Gaussian-driven
-    kinds use the Cholesky factor of K[cols, cols] (the garch volatility at
-    x depends on eps at x only), and sign and Weibull amplitudes are per
-    column.  Which kinds keep their full-width variates: module docstring.
-    Intermediates go to this thread's `_scratch` buffers; the paths are a
-    fresh array (one column's Gaussian or Weibull draw, made in place).
+    The model's law (`Law.paths`) draws them with the full law's marginal on
+    `cols`, intermediates in this thread's `_scratch` buffers and the paths a
+    fresh array (one column's may be drawn in place); then growth and bias apply.
     """
-    if cols is None:
-        cols = tuple(range(model.npoints))
-    k = len(cols)
-    p = model.p
-    if model.kind == "iid_gaussian_field":
-        z = rng.standard_normal(out=np.empty((count, n, 1)) if k == 1 else _scratch("draws", (count, n, k)))
-        paths = _correlate(z, model._chol(cols))
-    elif model.kind == "weibull_field":   # K E**(1/q), E ~ Exp(1): Weibull
-        radial = rng.standard_exponential(out=np.empty((count, n, 1)) if k == 1
-                                          else _scratch("draws", (count, n, 1)))
-        radial **= 1.0 / p["q"]
-        radial *= p["K"]
-        if p["cap"] is not None:
-            np.minimum(radial, p["cap"], out=radial)
-        radial *= _signs(rng, (count, n, 1))
-        paths = np.multiply(radial, model._amplitude[list(cols)], out=radial if k == 1 else None)
-    elif model.kind == "garch_like":
-        # one draw for all steps gives the variates of one draw per step
-        amp, mem, lo, hi = p["vol_amp"], p["memory"], p["vol_lo"], p["vol_hi"]
-        # sigma lies in [1 - |amp|, 1 + |amp|]: the clip binds only where [lo, hi] cuts in
-        clip = not lo <= 1.0 - abs(amp) <= 1.0 + abs(amp) <= hi
-        steps = _correlate(rng.standard_normal(out=_scratch("draws", (n, count, k))), model._chol(cols))
-        state, sigma, new = np.zeros((count, k)), np.empty((count, k)), np.empty((count, k))
-        for i in range(n):   # sigma = clip(1 + amp tanh(state)), state = mem state + (1 - mem) eps
-            np.tanh(state, out=sigma)
-            sigma *= amp
-            sigma += 1.0
-            if clip:
-                np.minimum(np.maximum(sigma, lo, out=sigma), hi, out=sigma)
-            state *= mem
-            state += np.multiply(steps[i], 1.0 - mem, out=new)
-            steps[i] *= sigma
-        paths = steps.transpose(1, 0, 2).copy()
-    else:  # bounded_sign, signs step-major: a chunk's first m steps are the same at any n >= m
-        mod = p["modulation"]
-        a0 = p["base"] * model._amplitude[list(cols)]
-        signs = _signs(rng, (n, count, 1 if p["cross"] == "shared" else k))
-        steps = signs if signs.shape[2] == k else _scratch("draws", (n, count, k))
-        if mod == 0.0:
-            np.multiply(signs, a0, out=steps)
-        else:
-            running, ampl = np.zeros((count, k)), np.empty((count, k))
-            for i in range(n):   # ampl = a0 (1 + mod tanh(running / sqrt(max(i, 1))))
-                np.tanh(np.divide(running, math.sqrt(max(i, 1)), out=ampl), out=ampl)
-                ampl *= mod
-                ampl += 1.0
-                ampl *= a0
-                running += np.multiply(signs[i], ampl, out=steps[i])
-        paths = steps.transpose(1, 0, 2).copy()
+    paths = model.law.paths(n, rng, count, tuple(range(model.npoints)) if cols is None else cols)
     if model.growth != 0.0:
         paths *= (np.arange(1, n + 1) ** model.growth)[None, :, None]
     if model.bias != 0.0:
@@ -503,48 +556,21 @@ def run_readers(model: MartingaleFieldModel, readers: list[Reader],
     return [results[k] for k in range(len(readers))]
 
 
-def _closed_sums(model: MartingaleFieldModel, ns: list[int], cols: tuple[int, ...]):
-    """`draw(rng, count)` of S_n = sum_{i<=n} xi_i for the ascending `ns`, shape
-    (len(ns), count, len(cols)), from the exact law, or None.  The increments
-    between consecutive n are independent: N(0, sum i**(2 growth) K[cols,
-    cols]) for `iid_gaussian_field`, a0 (2 Binomial(n - n_prev, 1/2) - n +
-    n_prev) for unmodulated `bounded_sign` without growth, with one count per
-    row for shared signs and per column otherwise."""
-    p, ns = model.p, np.array(ns)
-    drift = (model.bias * ns)[:, None, None]
-    if model.kind == "iid_gaussian_field":
-        power = np.cumsum(np.arange(1.0, ns[-1] + 1) ** (2 * model.growth))
-        sd = np.sqrt(np.diff(power[ns - 1], prepend=0.0))[:, None, None]
-        chol = model._chol(cols)
-
-        def draw(rng, count):
-            z = _correlate(rng.standard_normal((len(ns), count, len(cols))), chol)
-            return np.cumsum(z * sd, axis=0) + drift
-        return draw
-    if model.kind == "bounded_sign" and p["modulation"] == 0.0 and model.growth == 0.0:
-        a0 = p["base"] * model._amplitude[list(cols)]
-        steps = np.diff(ns, prepend=0)[:, None, None]
-        width = 1 if p["cross"] == "shared" else len(cols)
-
-        def draw(rng, count):
-            heads = np.cumsum(rng.binomial(steps, 0.5, (len(ns), count, width)), axis=0)
-            return (2 * heads - ns[:, None, None]) * a0 + drift
-        return draw
-    return None
-
-
 def _sums_reader(model: MartingaleFieldModel, n_values, R: int, cols: tuple[int, ...],
                  closed_law: bool = True) -> Reader:
-    """`_partial_sums`' reader: the closed law of the sums (`_closed_sums`) when
-    asked for and known, else paths summed in blocks between consecutive n."""
+    """`_partial_sums`' reader: the closed law of the sums (`Law.sums`) plus the
+    bias when asked for and known, else paths summed in blocks between
+    consecutive n."""
     ns = [int(n) for n in n_values]
-    draw = _closed_sums(model, ns, cols) if closed_law else None
+    draw = model.law.sums(np.array(ns), cols) if closed_law and model.law.sums else None
     scale = np.array([1.0 / math.sqrt(n) for n in ns])[:, None, None]
+    drift = model.bias * np.array(ns)[:, None, None]
 
     def read(data):
         if draw is None:
             data = np.cumsum([data[:, lo:n].sum(axis=1) for lo, n in zip([0] + ns, ns)], axis=0)
-        return data * scale
+            return data * scale
+        return (data + drift) * scale
 
     return Reader(R, ns[-1], cols, read, lambda parts: np.concatenate(parts, axis=1), draw)
 

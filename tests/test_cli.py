@@ -453,6 +453,7 @@ class TestInequalities:
         ({"kind": "bounded_sign", "seed": "7"}, "config.models[0].seed"),
         ({"kind": "bounded_sign", "bias": "0.1"}, "config.models[0].bias"),
         ({"kind": "bounded_sign", "name": 5}, "config.models[0].name"),
+        ({"kind": "garch_like", "memory": 5.0}, "config.models[0]: memory must lie in [0, 1]"),
     ])
     def test_bad_model_parameter_key_path(self, tmp_path, capsys, params, path):
         doc = {"seed": 3, "replications": 500,
@@ -715,7 +716,7 @@ def mutated_model(draw, kind):
     one of another kind's keys added."""
     block = dict(FULL_MODELS[kind])
     own = sorted(block)
-    foreign = sorted({k for table in KINDS.values() for k in table} - set(own))
+    foreign = sorted({k for kind in KINDS.values() for k in kind.params} - set(own))
     how = draw(st.sampled_from(["drop", "bad", "foreign"]))
     if how == "drop":
         del block[draw(st.sampled_from(own))]
@@ -729,7 +730,7 @@ def mutated_model(draw, kind):
 class TestMutatedModels:
     def test_full_models_cover_the_table(self):
         assert {k: set(v) for k, v in FULL_MODELS.items()} == \
-            {k: set(v) for k, v in KINDS.items()}
+            {k: set(v.params) for k, v in KINDS.items()}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_mutated_block_exits_cleanly(self, kind):

@@ -26,6 +26,7 @@ from uclt.simulate import (
     _partial_sums,
     _run_chunks,
     _signs,
+    _sums_reader,
     equicontinuity_check,
     estimate_moment_curves,
     eta_increment_curves,
@@ -739,8 +740,8 @@ class TestConfigAndReports:
 class TestKindsTable:
     @pytest.mark.parametrize("model", ALL_KINDS, ids=lambda m: m.kind)
     def test_parameters_resolve_over_the_defaults(self, model):
-        assert set(model.p) == set(KINDS[model.kind])
-        for key, default in KINDS[model.kind].items():
+        assert set(model.p) == set(KINDS[model.kind].params)
+        for key, default in KINDS[model.kind].params.items():
             want = model.params.get(key, default)
             assert model.p[key] == want
             if key not in ("kernel", "cross", "cap"):
@@ -768,6 +769,9 @@ class TestKindsTable:
          "length_scale must be > 0"),
         ("iid_gaussian_field", {"kernel": 5}, "kernel must be an object"),
         ("garch_like", {"kernel": "rbf"}, "kernel must be an object"),
+        # a memory outside [0, 1] once made the volatility state overflow
+        ("garch_like", {"memory": 5.0}, r"memory must lie in \[0, 1\], got 5.0"),
+        ("garch_like", {"memory": -0.5}, r"memory must lie in \[0, 1\], got -0.5"),
     ])
     def test_rejected_at_construction(self, kind, params, match):
         with pytest.raises(ValueError, match=match):
@@ -786,6 +790,73 @@ class TestKindsTable:
         assert cutoff == 1.5
         top = float(np.abs(_generate(m, 64, _chunk_rng(m.seed, 0), 200)).max())
         assert 1.0 < top <= cutoff
+
+
+def closed_form_model(name, kind, params, **shift):
+    return MartingaleFieldModel(name, kind, grid_coords(3), params, horizon=16, seed=1, **shift)
+
+
+RBF3 = np.exp(-0.5 * np.subtract.outer([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]) ** 2 / 0.25)
+SLOPE_HALF = np.array([1.0, 1.25, 1.5])   # 1 + 0.5 x on the 3-point grid
+
+
+def weibull_tail(K, q):
+    return {"form": "closed_weibull", "K": K, "q": q}
+
+
+def step_tail(cutoff):
+    return {"form": "tabulated", "x_grid": [0.0, cutoff], "values": [1.0, 0.0]}
+
+
+# (model, analytic covariance or None, dominating tail, closed-law sums, exact moment field)
+CLOSED_FORMS = [
+    (closed_form_model("gauss", "iid_gaussian_field", {"kernel": {"name": "rbf"}}),
+     RBF3, weibull_tail(math.sqrt(2.0), 2.0), True, True),
+    (closed_form_model("gauss-bias", "iid_gaussian_field", {"kernel": {"name": "rbf"}}, bias=0.1),
+     None, weibull_tail(math.sqrt(2.0), 2.0), True, False),
+    (closed_form_model("gauss-growth", "iid_gaussian_field", {"kernel": {"name": "rbf"}},
+                       growth=0.3),
+     None, weibull_tail(math.sqrt(2.0), 2.0), True, False),
+    (closed_form_model("weibull-uncapped", "weibull_field",
+                       {"K": 1.0, "q": 1.5, "amplitude_slope": 0.5}),
+     math.gamma(1.0 + 2.0 / 1.5) * np.outer(SLOPE_HALF, SLOPE_HALF), weibull_tail(1.5, 1.5),
+     False, False),
+    (closed_form_model("weibull-capped", "weibull_field", {"K": 2.0, "q": 2.0, "cap": 4.0}),
+     None, weibull_tail(2.0, 2.0), False, False),
+    (closed_form_model("garch", "garch_like",
+                       {"kernel": {"name": "brownian", "variance": 2.0}, "vol_hi": 1.5}),
+     None, weibull_tail(1.5 * math.sqrt(2.0) * math.sqrt(2.0), 2.0), False, False),
+    (closed_form_model("sign-shared", "bounded_sign", {"amplitude_slope": 0.5}),
+     np.outer(SLOPE_HALF, SLOPE_HALF), step_tail(1.5), True, False),
+    (closed_form_model("sign-independent", "bounded_sign", {"base": 2.0, "cross": "independent"}),
+     4.0 * np.eye(3), step_tail(2.0), True, False),
+    (closed_form_model("sign-shared-modulated", "bounded_sign",
+                       {"modulation": 0.25, "amplitude_slope": 0.5}),
+     None, step_tail(1.875), False, False),
+    (closed_form_model("sign-independent-modulated", "bounded_sign",
+                       {"modulation": -0.5, "cross": "independent"}),
+     None, step_tail(1.5), False, False),
+    (closed_form_model("sign-bias", "bounded_sign", {}, bias=0.05),
+     None, step_tail(1.0), True, False),
+    (closed_form_model("sign-growth", "bounded_sign", {}, growth=0.25),
+     None, step_tail(1.0), False, False),
+]
+
+
+@pytest.mark.parametrize("model,covariance,tail,closed_sums,exact_field", CLOSED_FORMS,
+                         ids=[case[0].name for case in CLOSED_FORMS])
+def test_closed_forms_of_each_kind(model, covariance, tail, closed_sums, exact_field):
+    """Each kind's closed forms on its variants: the covariance of the
+    normalized sums, the dominating tail, whether the sums have a closed law
+    and whether the moment field is exact."""
+    got = model.analytic_covariance()
+    if covariance is None:
+        assert got is None
+    else:
+        np.testing.assert_allclose(got, covariance, rtol=1e-14, atol=0.0)
+    assert model.dominating_tail().to_dict() == tail
+    assert (_sums_reader(model, [4, 16], 100, (0, 2)).draw is not None) == closed_sums
+    assert (model.exact_moment_field([("x0", "x1")], (2.0,), 4) is not None) == exact_field
 
 
 def garch_reference(model, n, rng, count, cols):
@@ -1254,12 +1325,17 @@ class TestChunkResults:
             with pytest.raises(ValueError, match="need at least one replication"):
                 run()
 
-    @pytest.mark.parametrize("kind", ["garch_like", "iid_gaussian_field"])
+    PASS_PARAMS = {"garch_like": {"kernel": {"name": "rbf", "length_scale": 0.5}},
+                   "iid_gaussian_field": {"kernel": {"name": "rbf", "length_scale": 0.5}},
+                   "weibull_field": {"K": 1.0, "q": 2.0, "cap": 4.0, "amplitude_slope": 0.5},
+                   "bounded_sign": {"cross": "independent", "amplitude_slope": 0.5}}
+
+    @pytest.mark.parametrize("kind", list(PASS_PARAMS))
     def test_a_pass_leaves_the_model_unchanged(self, kind):
-        # whatever a pass needs of the model is made at construction; chunk
-        # workers on other threads read it and write nothing to it
-        model = MartingaleFieldModel("m", kind, grid_coords(3),
-                                     {"kernel": {"name": "rbf", "length_scale": 0.5}},
+        # whatever a pass needs of the model, its law included, is made at
+        # construction; chunk workers on other threads read it and write
+        # nothing to it
+        model = MartingaleFieldModel("m", kind, grid_coords(3), self.PASS_PARAMS[kind],
                                      horizon=16, seed=5)
         before = copy.deepcopy(vars(model))
         osekowski_check(model, [2.0], [16], 300, x_index=1, threads=2)
