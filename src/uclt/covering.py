@@ -16,6 +16,7 @@ import csv
 import itertools
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ EXACT_SEARCH_CAP = 20
 #: Largest point count for which the triangle inequality is fully checked.
 _TRIANGLE_CHECK_CAP = 128
 
-#: Radii, and at most as many pairs, whose grown balls the greedy covering
-#: sweep checks together, at most twice as many balls per pass.
+#: Radii, holding at most twice as many pairs, whose grown balls the greedy
+#: covering sweep checks together, in slices of at most twice as many balls; a
+#: pass's first slice is twice as wide as the last pass needed to reach its hit.
 _REPLAY_BLOCK = 32
 
 
@@ -157,6 +159,10 @@ def diameter(space: FiniteMetricSpace) -> float:
     return float(np.max(space.dist))
 
 
+class _Run(tuple):
+    """(U, left, pick, gain), with the caches `us`, `ints` and `keys` (see `_resume`)."""
+
+
 def _resume(balls: np.ndarray, run, s: int, m: int, after: int, cap: int):
     """Run the max-gain greedy on the packed balls (words, n) from step s of
     the reference run, rewriting the run in place.
@@ -166,28 +172,28 @@ def _resume(balls: np.ndarray, run, s: int, m: int, after: int, cap: int):
     the center whose ball covers the most uncovered points, breaking ties
     toward the lowest index.  Gains never grow, so the run goes one gain
     level at a time: one pass over every ball finds the largest gain g, and
-    the centers of gain g, in index order, are picked while they still
-    cover g uncovered points (checked on Python integers); the rest of the
-    level has fallen below g.  Once the run provably needs `cap` or more
+    the centers of gain g, in index order, are picked while they still cover
+    g uncovered points, checked on Python integers: U's columns `run.us` and
+    the balls `run.ints`, a ball read again from `balls` once the sweep has
+    dropped it (None) as it grew.  Once the run provably needs `cap` or more
     balls, or its best gain is 1, the count is known and it stops.  Once the
-    uncovered set equals the reference's at a step after `after`, the
-    reference tail holds from there on and is kept.  The new uncovered sets
-    are written to U at return.  Returns (steps, size), with size None when
-    the old tail was kept.
+    uncovered set equals the reference's at a step after `after`, the old
+    tail is kept.  The new steps and their flag thresholds (`run.keys`) are
+    written at return.  Returns (steps, size), size None if the tail was kept.
     """
     U, left, pick, gain = run
-    width = 8 * U.shape[0]
-    packed, now = balls.T.tobytes(), U[:, s]
-    u = int.from_bytes(now.tobytes(), "little")
-    rest, k, us = int(left[s]), s, []
+    us, ints, width, now = run.us, run.ints, 8 * U.shape[0], U[:, s]
+    u, rest, k, taken, rests = us[s], int(left[s]), s, [], []
     while True:
-        gains = np.bitwise_count(balls & now[:, None]).sum(axis=0, dtype=np.int32)
+        gains = np.add.reduce(np.bitwise_count(balls & now[:, None]), axis=0, dtype=np.int32)
         g = int(gains[gains.argmax()])
         for x in (gains == g).nonzero()[0].tolist():
-            ball = int.from_bytes(packed[width * x:width * (x + 1)], "little")
+            ball = ints[x]
+            if ball is None:
+                ball = ints[x] = int.from_bytes(balls[:, x].tobytes(), "little")
             if (ball & u).bit_count() < g:
                 continue
-            pick[k], gain[k] = x, g
+            taken.append((x, g))
             u &= ~ball
             rest -= g
             k += 1
@@ -195,71 +201,88 @@ def _resume(balls: np.ndarray, run, s: int, m: int, after: int, cap: int):
             total = k + -(-rest // g)
             if rest == 0 or g == 1 or total >= cap:
                 done = k, min(total, cap)
-            elif (after < k < m and rest == left[k]
-                  and u == int.from_bytes(U[:, k].tobytes(), "little")):
+            elif after < k < m and u == us[k]:
                 done = m, None
             else:
-                us.append(u)
-                left[k] = rest
+                us[k] = u
+                rests.append(rest)
                 continue
-            if us:
-                U[:, s + 1:k] = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in us),
-                                              dtype=np.uint64).reshape(k - s - 1, -1).T
+            pick[s:k], gain[s:k] = zip(*taken)
+            left[s + 1:k], run.keys[s:k] = rests, _keys(taken, U.shape[1], done[1] is not None)
+            U[:, s + 1:k] = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in us[s + 1:k]),
+                                          dtype=np.uint64).reshape(-1, U.shape[0]).T
             return done
         now = np.frombuffer(u.to_bytes(width, "little"), dtype=np.uint64)
 
 
-def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.ndarray:
+def _keys(taken: list, n: int, last: bool) -> list:
+    """Flag thresholds (`_flags`) of (pick, gain) steps; at the run's `last` step, center 0's key."""
+    keys = [g * (n + 1) + n - x for x, g in taken]
+    keys[-1] += taken[-1][0] if last else 0
+    return keys
+
+
+def _flags(cols: np.ndarray, c: int, d: int, off: np.ndarray, U: np.ndarray, keys: np.ndarray):
+    """(d - c, m) flags: where ball c..d-1 of `cols`, keyed gain * (n + 1) + `off` (n - center),
+    exceeds the thresholds `keys` of steps j < m with uncovered sets U (words, n)."""
+    count = np.bitwise_count(cols[:, c:d, None] & U[:, None, :keys.size])
+    key = np.add.reduce(count, axis=0, dtype=keys.dtype)
+    key *= U.shape[1] + 1
+    key += off[c:d, None]
+    return key > keys
+
+
+def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool, order=None) -> np.ndarray:
     """Greedy cover size at each of the ascending radii, replaying one run.
 
     Closed balls are bitsets of uint64 words, one column per center, grown
-    in place as each radius's pairs arrive.  A reference greedy run is kept:
-    per step, the uncovered set, the pick and its gain.  Unchanged balls keep
-    their gains, so at a new radius only a ball that grew can alter the run,
-    and it does at the first step where it covers more uncovered points than
-    the pick, or as many at a lower index.  The last step's tie is exempt: it
-    changes the pick but not the count.  The grown balls of a block of radii
-    are checked against every step, 2 * _REPLAY_BLOCK balls per pass, which
-    bounds the pass's memory where many pairs tie.  Radii with no such
-    step keep the reference count; at the first one that has one the greedy
-    resumes from that step (see `_resume`), and the rest of the block is
-    checked against the new run.
-
-    With `running_min` the result is the running minimum of the sizes; a run
-    that cannot lower it stops early, and the sweep stops once it reaches 1.
+    in place as each radius's pairs arrive, in the order of one stable
+    argsort of the distances (`order`, if the caller has it; it is
+    overwritten).  A reference greedy run is kept: per step, the uncovered
+    set, the pick and its gain.  At a new radius only a grown ball can alter
+    the run, at the first step where it covers more uncovered points than
+    the pick, or as many at a lower index (but for a tie at the last step,
+    which changes the pick, not the count): where its key exceeds the step's
+    threshold (`_flags`).  The grown balls of a block of radii are checked in
+    slices (see _REPLAY_BLOCK), which bounds the memory where many pairs tie.
+    Radii with no such step keep the reference count; at the first one that
+    has one the greedy resumes from that step (`_resume`), and the rest of
+    the block is checked against the new run.  With `running_min` the result
+    is the running minimum of the sizes; a run that cannot lower it stops
+    early, and the sweep stops once it reaches 1.
     """
     n = dist.shape[0]
     words = -(-n // 64)
-    # each (center, member) entry arrives at the first radius that reaches it
-    index = np.int32 if n * n < 2**31 else np.int64   # keys too: an int key would convert first
-    first = np.searchsorted(radii, dist.ravel()).astype(index)
-    order = np.argsort(first, kind="stable").astype(index)
-    first = first[order]
-    center, member = np.divmod(order, index(n))
-    del order
+    index = np.int32 if n * n < 2**31 else np.int64
+    order = np.argsort(dist, axis=None, kind="stable").astype(index) if order is None else order
+    # radius r's pairs are order[ends[r - 1]:ends[r]], the distances in (radii[r - 1], radii[r]]
+    ends = np.searchsorted(dist.take(order), radii, side="right")
+    bounds = np.concatenate(([0], ends, [n * n]))
+    first = np.repeat(np.arange(radii.size + 1, dtype=index), bounds[1:] - bounds[:-1])
+    ends = ends.tolist()
+    member = order % index(n)
     word, bit = member // 64, np.left_shift(np.uint64(1), (member % 64).astype(np.uint8))
     del member
+    center = np.floor_divide(order, n, out=order)
     balls = np.zeros((words, n), dtype=np.uint64)
-    run = (np.zeros((words, n), dtype=np.uint64), np.zeros(n + 1, dtype=np.int64),
-           np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    run = _Run((np.zeros((words, n), dtype=np.uint64), np.zeros(n + 1, dtype=np.int64),
+                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)))
     U, left, pick, gain = run
-    U[:, 0] = np.packbits(np.arange(64 * words) < n, bitorder="little").view(np.uint64)
-    left[0] = n
-    sizes = np.empty(radii.size, dtype=np.int64)
-    stop = first.searchsorted(index(1))
-    np.bitwise_or.at(balls, (word[:stop], center[:stop]), bit[:stop])
+    run.us, run.ints = [(1 << n) - 1] + [None] * n, np.empty(n, dtype=object)
+    run.keys = np.empty(n, dtype=np.int32 if (n + 1) ** 2 < 2**31 else np.int64)  # no overflow
+    U[:, 0], left[0] = np.frombuffer(run.us[0].to_bytes(8 * words, "little"), dtype=np.uint64), n
+    np.bitwise_or.at(balls, (word[:ends[0]], center[:ends[0]]), bit[:ends[0]])
     m, size = _resume(balls, run, 0, 0, -1, n + 1)
-    sizes[0] = size
+    sizes = np.full(radii.size, size)
     cap = size if running_min else n + 1
-    level = 1
+    level, width = 1, 2 * _REPLAY_BLOCK
     while level < radii.size and cap > 1:
         # a block is _REPLAY_BLOCK radii, or fewer so that it holds no more than
-        # _REPLAY_BLOCK pairs; where many pairs tie it is one radius
-        lo = first.searchsorted(index(level))
-        cut = first[lo + 2 * _REPLAY_BLOCK] if lo + 2 * _REPLAY_BLOCK < first.size else radii.size
-        end = min(level + _REPLAY_BLOCK, max(level + 1, int(cut)))
-        hi = first.searchsorted(index(end))
-        # one column per grown ball and radius, ordered by radius, then center
+        # 2 * _REPLAY_BLOCK pairs; where many pairs tie it is one radius
+        lo = ends[level - 1]
+        end = min(level + _REPLAY_BLOCK, max(level + 1, bisect_right(ends, lo + 2 * _REPLAY_BLOCK)))
+        hi = ends[end - 1]
+        # one column per grown ball and distance, ordered by distance, then center
         key = first[lo:hi].astype(np.int64) * n + center[lo:hi]
         fresh = key != np.concatenate(([-1], key[:-1]))
         col_level, col_center = np.divmod(key[fresh], n)
@@ -272,32 +295,31 @@ def _replay_sweep(dist: np.ndarray, radii: np.ndarray, running_min: bool) -> np.
         while carry.size:
             cols[:, by_center[carry]] |= cols[:, by_center[carry - 1]]
             carry = carry[1:][carry[1:] - carry[:-1] == 1]
+        off, col_level = (n - col_center).astype(run.keys.dtype), col_level.tolist()
         while level < end and cap > 1:
-            # flag the steps where a grown ball would change the pick, at most
-            # 2 * _REPLAY_BLOCK columns at a time, up to the first flagged
-            # column's radius
-            a = c = int(col_level.searchsorted(level))
-            b, hit = col_level.size, None
+            # flag the steps where a grown ball would change the pick, up to
+            # the first flagged column's radius
+            a = c = bisect_left(col_level, level)
+            b, hit = len(col_level), None
             while c < b:
-                d = min(c + 2 * _REPLAY_BLOCK, b)
-                gains = np.bitwise_count(cols[:, c:d, None] & U[:, None, :m]).sum(axis=0, dtype=np.int32)
-                flags = gains > gain[:m]
-                flags[:, :-1] |= ((gains[:, :-1] == gain[:m - 1])
-                                  & (col_center[c:d, None] < pick[:m - 1]))
+                d, width = min(c + width, b), 2 * _REPLAY_BLOCK
+                flags = _flags(cols, c, d, off, U, run.keys[:m])
                 if hit is not None:
                     steps |= flags.any(axis=0)
                 elif (hits := flags.any(axis=1).nonzero()[0]).size:
                     hit = c + int(hits[0])
-                    b = int(col_level.searchsorted(col_level[hit], side="right"))
+                    b = bisect_right(col_level, col_level[hit])
                     steps = flags[hits[0]:b - c].any(axis=0)
                 c = d
-            diverge = end if hit is None else int(col_level[hit])
+            diverge = end if hit is None else col_level[hit]
             sizes[level:diverge] = min(size, cap)
             # grow the balls up to the diverging radius, or the block's last one
             np.bitwise_or.at(balls, (slice(None), col_center[a:b]), cols[:, a:b])
+            run.ints[col_center[a:b]] = None
             if diverge == end:
                 level = end
                 break
+            width = min(2 * (b - a), 2 * _REPLAY_BLOCK)
             s, after = int(steps.argmax()), m - 1 - int(steps[::-1].argmax())
             m, resized = _resume(balls, run, s, m, after, cap)
             size = size if resized is None else resized
@@ -342,11 +364,14 @@ def covering_numbers_greedy(space: FiniteMetricSpace, eps_values) -> np.ndarray:
     if eps.size == 0:
         return np.zeros(0, dtype=np.int64)
     dist = np.asarray(space.dist, dtype=float)
-    # the distinct distances up to the largest radius, ascending (np.unique
-    # would import numpy.ma, which nothing else loads)
-    d = np.sort(dist[(dist > 0) & (dist <= eps.max())])
+    # the distinct distances up to the largest radius, ascending, from the
+    # sweep's own sort (np.unique would import numpy.ma, which nothing else loads)
+    order = np.argsort(dist, axis=None, kind="stable").astype(np.int32 if n * n < 2**31 else np.int64)
+    d = dist.take(order)
+    d = d[d.searchsorted(0.0, side="right"):d.searchsorted(eps.max(), side="right")]
     levels = np.concatenate(([0.0], d[:1], d[1:][d[1:] > d[:-1]]))
-    curve = _replay_sweep(dist, levels, running_min=True)
+    del d  # the sweep needs the memory
+    curve = _replay_sweep(dist, levels, running_min=True, order=order)
     return curve[np.searchsorted(levels, eps, side="right") - 1]
 
 

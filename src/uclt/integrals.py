@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,13 +90,17 @@ class EntropyProfile:
     def entropy_at(self, eps: float) -> float:
         """H at an arbitrary radius: closed form for models, log-radius
         interpolation for measured profiles (held constant below the grid)."""
-        if eps >= self.diameter:
-            return 0.0
-        if self.model is not None:
-            return self.model.entropy_at(eps)
-        xs = np.log(np.asarray(self.eps_grid)[::-1])
-        ys = np.asarray(self.h_values)[::-1]
-        return float(np.interp(math.log(eps), xs, ys, left=ys[0], right=ys[-1]))
+        return float(self.entropies([eps])[0])
+
+    def entropies(self, eps) -> np.ndarray:
+        """`entropy_at` at each radius, with one interpolation on the cached log grid."""
+        hs = (np.array([self.model.entropy_at(float(e)) for e in eps]) if self.model is not None
+              else np.interp([math.log(e) for e in eps], *self._log_grid))
+        return np.where(np.asarray(eps) >= self.diameter, 0.0, hs)
+
+    @cached_property
+    def _log_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.log(np.asarray(self.eps_grid)[::-1]), np.asarray(self.h_values)[::-1]
 
 
 def measure_profile(space: FiniteMetricSpace, eps_grid=None, mode: str = "greedy",
@@ -179,7 +184,7 @@ def _log_integrand(profile: EntropyProfile, eps: np.ndarray, *, psi: PsiFunction
     """(H, log integrand) at the radii `eps` for exactly one of the three
     integrals.  The chaining integrand takes one lower-transform call for
     all radii."""
-    hs = np.array([profile.entropy_at(float(e)) for e in eps])
+    hs = profile.entropies(eps)
     if psi is not None:
         return hs, psi_lower_star(psi, math.log(2.0) + hs)
     if power is not None:

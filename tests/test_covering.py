@@ -425,6 +425,100 @@ class TestGainLevels:
         assert list(_greedy_sizes(s.dist, levels)) == [plain_greedy(s, t) for t in levels]
 
 
+def random_bitsets(rng, n, count, density):
+    """`count` random subsets of n points as (words, count) uint64 bitsets."""
+    words = -(-n // 64)
+    bits = (rng.random((count, 64 * words)) < density) & (np.arange(64 * words) < n)
+    return np.packbits(bits, axis=1, bitorder="little").view(np.uint64).T.copy()
+
+
+def flagged_sweep(monkeypatch, space, running_min):
+    """The sweep over every distance level, checked against `plain_greedy`,
+    recording in order each flag slice, as (its block's columns, its first
+    column, its end), and each greedy re-run, as (the balls whose cached
+    integer it found dropped, the balls cached when it returned)."""
+    d = space.dist
+    radii = np.concatenate(([0.0], np.unique(d[d > 0])))
+    events = []
+    flags, resume = covering._flags, covering._resume
+
+    def recorded_flags(cols, c, end, off, U, keys):
+        events.append(("flags", cols, c, end))
+        return flags(cols, c, end, off, U, keys)
+
+    def recorded_resume(balls, run, s, m, after, cap):
+        dropped = {x for x, v in enumerate(run.ints) if v is None}
+        out = resume(balls, run, s, m, after, cap)
+        events.append(("resume", dropped, {x for x, v in enumerate(run.ints) if v is not None}))
+        return out
+
+    monkeypatch.setattr(covering, "_flags", recorded_flags)
+    monkeypatch.setattr(covering, "_resume", recorded_resume)
+    sizes = covering._replay_sweep(d, radii, running_min)
+    monkeypatch.undo()
+    raw = [plain_greedy(space, t) for t in radii]
+    assert list(sizes) == (list(np.minimum.accumulate(raw)) if running_min else raw)
+    return events
+
+
+class TestFlagSlices:
+    """The flag pass compares each grown ball's key, gain * (n + 1) + n -
+    center, with one threshold per step, and sizes each pass's first slice
+    from the pass before; the greedy re-runs read balls from a cache of
+    Python integers that growth empties."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 65, 130])
+    def test_folded_threshold_equals_two_compare_rule(self, n, dtype):
+        # the rule it replaced: flag a larger gain, or the pick's gain at a
+        # lower index, except a tie at the run's last step
+        rng = np.random.default_rng(53 + n)
+        for _ in range(40):
+            m, w = int(rng.integers(1, n + 1)), int(rng.integers(1, 20))
+            density = rng.uniform(0.05, 1.0)
+            cols, U = random_bitsets(rng, n, w, density), random_bitsets(rng, n, n, density)
+            counts = np.bitwise_count(cols[:, :, None] & U[:, None, :m]).sum(axis=0).astype(np.int64)
+            centers = rng.integers(0, n, w)
+            # gains at or next to a ball's count, so that ties are common
+            gain = np.clip(counts[rng.integers(0, w, m), np.arange(m)] + rng.integers(-1, 2, m), 0, n)
+            pick, last = rng.integers(0, n, m), bool(rng.integers(0, 2))
+            old = (counts > gain) | ((counts == gain) & (centers[:, None] < pick))
+            if last:
+                old[:, -1] = counts[:, -1] > gain[-1]
+            taken = list(zip(pick.tolist(), gain.tolist()))
+            keys = np.array(covering._keys(taken, n, last), dtype=dtype)
+            got = covering._flags(cols, 0, w, (n - centers).astype(dtype), U, keys)
+            assert got.shape == (w, m) and np.array_equal(got, old)
+
+    @pytest.mark.parametrize("running_min", [False, True], ids=["raw", "running-min"])
+    def test_first_slice_narrower_than_a_block_after_an_early_hit(self, monkeypatch, running_min):
+        events = flagged_sweep(monkeypatch, GAIN_LEVEL_SPACES["random65"](), running_min)
+        # right after a re-run, a first slice narrower than 2 * _REPLAY_BLOCK
+        # whose pass went on to the next slice of the same block
+        assert any(a[0] == "resume" and b[0] == c[0] == "flags"
+                   and b[3] - b[2] < 2 * covering._REPLAY_BLOCK and c[1] is b[1] and c[2] == b[3]
+                   for a, b, c in zip(events, events[1:], events[2:]))
+
+    @pytest.mark.parametrize("running_min", [False, True], ids=["raw", "running-min"])
+    def test_resume_over_columns_already_counted(self, monkeypatch, running_min):
+        events = flagged_sweep(monkeypatch, GAIN_LEVEL_SPACES["random130"](), running_min)
+        # the slice before a re-run reached past where the next pass starts,
+        # so those columns are counted again against the new run
+        assert any(a[0] == "flags" and b[0] == "resume" and c[0] == "flags"
+                   and c[1] is a[1] and c[2] < a[3]
+                   for a, b, c in zip(events, events[1:], events[2:]))
+
+    @pytest.mark.parametrize("space", ["repeated", "sup_grid"])
+    def test_cached_ball_dropped_by_growth_and_read_again(self, monkeypatch, space):
+        resumes = [e[1:] for e in flagged_sweep(monkeypatch, GAIN_LEVEL_SPACES[space](), True)
+                   if e[0] == "resume"]
+        # a ball cached after one re-run, dropped by the time of a later one,
+        # and cached again when that one returned
+        assert any(cached & dropped & again
+                   for i, (_, cached) in enumerate(resumes)
+                   for dropped, again in resumes[i + 1:])
+
+
 class TestEntropy:
     def test_zero_at_diameter(self):
         s = FiniteMetricSpace.grid_1d(7)

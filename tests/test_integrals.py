@@ -49,6 +49,29 @@ class TestProfiles:
         model = holder_profile(2, 1.0, 3.0, 1.0)
         assert model.entropy_at(1.5) == 0.0
 
+    def test_entropies_equal_one_interpolation_per_radius(self):
+        # the array call interpolates once on the cached log grid; each value
+        # must be bit for bit the per-radius interpolation on a fresh grid
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            k, diam = int(rng.integers(1, 40)), float(rng.uniform(0.1, 10.0))
+            grid = tuple(np.sort(rng.uniform(1e-4, 1.0, k) * diam)[::-1])
+            hs = tuple(np.sort(rng.exponential(2.0, k)))
+            try:
+                prof = EntropyProfile(grid, hs, diam, "greedy")
+            except ValueError:  # a repeated radius
+                continue
+            eps = np.concatenate((np.geomspace(1e-6 * diam, 2 * diam, 400), grid, [diam]))
+            xs, ys = np.log(np.asarray(grid)[::-1]), np.asarray(hs)[::-1]
+            want = [0.0 if e >= diam else float(np.interp(math.log(e), xs, ys, left=ys[0], right=ys[-1]))
+                    for e in eps]
+            assert prof.entropies(eps).tolist() == want
+            assert [prof.entropy_at(float(e)) for e in eps[::37]] == want[::37]
+        model = holder_profile(2, 0.5, 3.0, 1.0)
+        eps = np.geomspace(1e-9, 2.0, 50)
+        assert model.entropies(eps).tolist() == [
+            0.0 if e >= 1.0 else model.model.entropy_at(float(e)) for e in eps]
+
 
 class TestEntropyIntegral:
     def test_flat_entropy_constant_integrand(self):
