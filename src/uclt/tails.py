@@ -10,8 +10,8 @@ bounds the tail of every normalized partial sum at x > 1 uniformly in the
 number of summands, where M2(T, v) = -integral over (v, inf) of y**2 dT(y)
 is the truncated second moment carried by the tail.  Since T is
 nonincreasing its differential is nonpositive, so M2 >= 0 and the bracket
-is a sum of two nonnegative terms minimized over the split point v.  The
-forms of T and their keys are the table `FORMS` (`TailFunction.from_dict`).
+is a sum of two nonnegative terms minimized over the split point v, exactly
+for each form of T.  The forms of T and their keys are the table `FORMS`.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gridopt import log_grid, minimize_rows
 from .errors import UcltError, check_keys, finite
 
 #: Each form's keys, all required, and what each holds: a number or a list of them.
@@ -29,18 +28,12 @@ FORMS = {"closed_weibull": {"K": float, "q": float},
          "tabulated": {"x_grid": tuple, "values": tuple}, "degenerate_zero": {}}
 _FIELDS = {"K": "scale", "q": "shape"}  # the fields that K and q fill
 
-#: The split points v that `w_operator` scans span [V_SPAN[0] * x, V_SPAN[1] * x].
-V_SPAN = (1e-4, 1e4)
-
 #: Most terms `_upper_gamma_q` takes of its series or continued fraction.
 Q_MAX_TERMS = 10_000
 # the unit roundoff of a double, 2**-53
 _UNIT = 2.0 ** -53
 # Gamma(s) is a finite double below s = 171.62
 _GAMMA_FINITE = 171.0
-# Q(s, x) is a finite sum for whole s; `_upper_gamma_q` takes it for s = 2 and
-# 3, the shapes q = 2 (Gaussian-type tails) and q = 1 that the commands use
-_WHOLE_S_MAX = 3.0
 #: Least shape q of a closed_weibull tail.  Q(s, x) with s = 1 + 2/q needs
 #: the most terms near x = s, where it stays within `Q_MAX_TERMS` up to
 #: s = 1.7e6 (measured over x = s +- 3 sqrt(s)); this q keeps s near 1e6.
@@ -66,9 +59,10 @@ class TailFunction:
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown tail form {self.form!r}")
-        if self.form == "closed_weibull":
-            if not (self.scale and self.scale > 0 and self.shape and self.shape >= MIN_SHAPE):
-                raise ValueError(f"closed_weibull needs K > 0 and q >= {MIN_SHAPE:g}")
+        for key, kind in FORMS[self.form].items():
+            finite(key, self.to_dict()[key], kind is tuple)
+        if self.form == "closed_weibull" and not (self.scale > 0 and self.shape >= MIN_SHAPE):
+            raise ValueError(f"closed_weibull needs K > 0 and q >= {MIN_SHAPE:g}")
         elif self.form == "tabulated":
             xs = np.asarray(self.x_grid, dtype=float)
             vs = np.asarray(self.values, dtype=float)
@@ -195,10 +189,8 @@ def _gamma_prefix(s: float, x: float) -> float:
 def _upper_gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(s, x) for s >= 1, x >= 0.
 
-    For whole s up to `_WHOLE_S_MAX` and x < 700, Q is the finite sum
-    e**-x (1 + x + ... + x**(s-1)/(s-1)!).  Otherwise, below x = s,
-    Q = 1 - P with P = x**s e**-x / Gamma(s + 1) times the power series sum
-    over n of x**n / ((s + 1) ... (s + n)); from x = s on, Q is
+    Below x = s, Q = 1 - P with P = x**s e**-x / Gamma(s + 1) times the power
+    series sum over n of x**n / ((s + 1) ... (s + n)); from x = s on, Q is
     x**s e**-x / Gamma(s) times Legendre's continued fraction
     1/(x + 1 - s - 1 (1 - s)/(x + 3 - s - 2 (2 - s)/(x + 5 - s - ...))).
     The series stops at the first term below 2**-53 of its sum; the fraction
@@ -208,12 +200,6 @@ def _upper_gamma_q(s: float, x: float) -> float:
     """
     if x <= 0.0:
         return 1.0
-    if s.is_integer() and s <= _WHOLE_S_MAX and x < 700.0:
-        term = total = 1.0  # e**-x (1 + x + ... + x**(s-1)/(s-1)!)
-        for k in range(1, int(s)):
-            term *= x / k
-            total += term
-        return math.exp(-x) * total
     if x < s:
         prefix = _gamma_prefix(s, x)
         n, term, total = 0, 1.0, 1.0
@@ -243,7 +229,7 @@ def _upper_gamma_q(s: float, x: float) -> float:
                     f"did not converge in {Q_MAX_TERMS} terms")
 
 
-def tail_second_moment(T: TailFunction, v):
+def tail_second_moment(T: TailFunction, v: float) -> float:
     """Second moment carried above v: -integral over (v, inf) of y**2 dT(y).
 
     For closed_weibull(K, q) the substitution t = (y/K)**q gives
@@ -251,29 +237,20 @@ def tail_second_moment(T: TailFunction, v):
     upper incomplete gamma function (`_upper_gamma_q`).  The product is
     formed directly while Gamma(s) is finite and in log space above, and
     comes back as +inf only beyond float range.  Pure-jump shapes sum y**2
-    over jumps strictly above v.  A scalar v gives a float, an array of
-    split points the array of their moments, each computed as the scalar.
+    times the mass over jumps strictly above v, correctly rounded.
     """
-    v = np.maximum(np.asarray(v, dtype=float), 0.0)
-    if T.form == "degenerate_zero":
-        m2 = np.zeros_like(v)
-    elif T.form == "tabulated":
-        x, mass = np.array(T.jumps()).T
-        m2 = np.where(x > v[..., None], x * x * mass, 0.0).sum(axis=-1)
-    else:
-        m2 = np.array([_weibull_moment(T.scale, T.shape, y)
-                       for y in v.ravel().tolist()]).reshape(v.shape)
-    return float(m2) if m2.ndim == 0 else m2
-
-
-def _weibull_moment(K: float, q: float, v: float) -> float:
-    """K**2 Gamma(s) Q(s, (v/K)**q) with s = 1 + 2/q, at one split point v >= 0."""
+    if math.isnan(v):
+        raise ValueError(f"v must be a number, got {v!r}")
+    v = max(v, 0.0)
+    if T.form != "closed_weibull":
+        return math.fsum(y * y * mass for y, mass in T.jumps() if y > v)
+    K, q = T.scale, T.shape
     s = 1.0 + 2.0 / q
     try:
-        x = (v / K) ** q
+        z = (v / K) ** q
     except OverflowError:  # beyond float range, where Q is 0
         return 0.0
-    upper = _upper_gamma_q(s, x)
+    upper = _upper_gamma_q(s, z)
     if upper == 0.0:
         return 0.0
     if s < _GAMMA_FINITE:
@@ -284,22 +261,57 @@ def _weibull_moment(K: float, q: float, v: float) -> float:
         return math.inf
 
 
-def w_operator(T: TailFunction, x: float, *, nodes: int = 512) -> float:
+def _bisect(test, lo: float, hi: float) -> float:
+    """Where `test` turns from false at lo to true at hi, to a few ulps of u."""
+    tol = 4.0 * _UNIT * (1.0 + abs(lo) + abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
+def w_operator(T: TailFunction, x: float) -> float:
     """The uniform-sum tail transform min(1, inf_v [Gaussian term + tail term]).
 
-    The infimum over the split point v is taken on a log-spaced grid of
-    `nodes` nodes spanning `V_SPAN` times x with golden-section refinement;
-    the scan evaluates the whole grid in one call.
+    The infimum over the split point v is exact.  For the pure-jump forms M2
+    is constant between jumps while the Gaussian term rises, so it is the
+    least of M2(0+) and the bracket at each jump.  For closed_weibull(K, q)
+    the bracket rises in u = log v exactly where h(u) = log(x**2/4q)
+    + q log K - (x/v)**2/8 - (q+4) u + (v/K)**q > 0, and h' is convex with
+    its least value at e**((q+2) u0) = x**2 K**q/(2 q**2), so the infimum is
+    at one of h's rising zeros, at most one left of u0 and one right of it.
     """
-    if x <= 0:
-        raise ValueError("x must be positive")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be finite and positive, got {x!r}")
+    if T.form != "closed_weibull":
+        terms = [y * y * mass for y, mass in T.jumps()]  # M2(x_j) sums those past j
+        return min([1.0, math.fsum(terms)]
+                   + [math.exp(-(x / y) * (x / y) / 8.0) + math.fsum(terms[j + 1:])
+                      for j, (y, _) in enumerate(T.jumps()) if y > 0.0])
+    K, q = T.scale, T.shape
+    l8, lk, q4 = 2.0 * math.log(x) - math.log(8.0), math.log(K), q + 4.0
+    c = l8 + math.log(2.0 / q) + q * lk  # h(u) = c - q4 u - e**a + e**b
 
-    def objective(v: np.ndarray, rows) -> np.ndarray:
-        return np.exp(-x * x / (8.0 * v * v)) + tail_second_moment(T, v)
+    def rises(u):  # h(u) > 0, from the logs a and b of (x/v)**2/8 and (v/K)**q
+        a, b = l8 - 2.0 * u, q * (u - lk)
+        return b > a if max(a, b) > 700.0 else c - q4 * u - math.exp(a) + math.exp(b) > 0.0
 
-    grid = log_grid(V_SPAN[0] * x, V_SPAN[1] * x, nodes)
-    _, best = minimize_rows(objective, grid, 1)
-    return min(1.0, float(best[0]))
+    def steep(u):  # h'(u) > 0, called only where both terms are below q + 4
+        return 2.0 * math.exp(l8 - 2.0 * u) + q * math.exp(q * (u - lk)) > q4
+
+    u0 = u1 = u2 = (l8 + q * lk + 2.0 * math.log(2.0 / q)) / (q + 2.0)  # h rises elsewhere
+    if q * (u0 - lk) + math.log(q * (q + 2.0) / (2.0 * q4)) < 0.0:  # h falls on [u1, u2]
+        u1 = _bisect(lambda u: not steep(u), 0.5 * (l8 + math.log(2.0 / q4)), u0)
+        u2 = _bisect(steep, u0, lk + math.log(q4 / q) / q)
+    best = 1.0
+    for end, step in ((u1, -1.0), (u2, 1.0)):
+        if rises(end) != (step > 0.0):  # h has a zero on this piece
+            while rises(end + step) != (step > 0.0):
+                step *= 2.0
+            u = _bisect(rises, min(end, end + step), max(end, end + step))
+            v = math.exp(min(max(u, -745.0), 709.78))  # kept in float range
+            best = min(best, math.exp(-(x / v) * (x / v) / 8.0) + tail_second_moment(T, v))
+    return best
 
 
 def uniform_sum_tail_bound(T: TailFunction, x: float) -> float:

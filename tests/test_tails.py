@@ -1,11 +1,11 @@
 """Tail functions and the uniform-sum tail transform."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma, gammaincc, gammaln
 
-from uclt._gridopt import log_grid, minimize_rows
 from uclt.errors import UcltError
 
 from uclt.tails import (
@@ -78,13 +78,49 @@ def scalar_second_moment(T, v):
         return math.inf
 
 
-def scalar_w(T, x, nodes=512):
-    """The transform with one scalar objective call per scan node and golden step."""
-    def objective(v):
-        return math.exp(-x * x / (8.0 * v * v)) + scalar_second_moment(T, v)
-    def one_row(vs, rows):
-        return np.array([objective(float(v)) for v in np.ravel(vs)]).reshape(np.shape(vs))
-    return min(1.0, float(minimize_rows(one_row, log_grid(1e-4 * x, 1e4 * x, nodes), 1)[1][0]))
+def exact_minima(T, x):
+    """(v, bracket) at each local minimum over v of the transform's bracket,
+    to 40 digits at the doubles T and x.  Pure-jump forms: every jump above
+    0, and v -> 0+ (as v = 0).  closed_weibull(K, q): the bracket's
+    v-derivative is x**2/(4 v**3) e**(-x**2/8v**2) - q K (v/K)**(q+1)
+    e**(-(v/K)**q), so its sign is that of the log ratio d(u) of the two
+    terms at v = e**u.  d is scanned in double precision over a u range
+    wide enough for both terms (steps of 1e-3), and each - to + change is
+    refined in mpmath."""
+    import mpmath
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if T.form != "closed_weibull":
+            jumps = [(mpmath.mpf(y), mpmath.mpf(m)) for y, m in T.jumps()]
+            m2 = lambda v: mpmath.fsum(y * y * m for y, m in jumps if y > v)
+            return [(0, m2(0))] + [(y, mpmath.exp(-x * x / (8 * y * y)) + m2(y))
+                                   for y, _ in jumps if y > 0]
+        K, q = mpmath.mpf(T.scale), mpmath.mpf(T.shape)
+        s = 1 + 2 / q
+
+        def d(u):
+            v = mpmath.exp(u)
+            return (mpmath.log(x * x / 4) - 3 * u - x * x / (8 * v * v)
+                    - mpmath.log(q * K) - (q + 1) * (u - mpmath.log(K)) + (v / K) ** q)
+        xf, lk, qf = float(x), math.log(T.scale), T.shape
+        us = np.arange(min(math.log(xf), lk) - 12.0,
+                       max(math.log(xf), lk) + 12.0 + math.log(2000.0) / qf, 1e-3)
+        with np.errstate(all="ignore"):
+            ds = (math.log(xf * xf / 4) - 3 * us - xf * xf * np.exp(-2 * us) / 8
+                  - math.log(qf * T.scale) - (qf + 1) * (us - lk) + np.exp(qf * (us - lk)))
+        out = []
+        for i in np.flatnonzero((ds[:-1] <= 0) & (ds[1:] > 0)):
+            v = mpmath.exp(mpmath.findroot(d, (us[i], us[i + 1]), solver="anderson"))
+            m2 = K * K * mpmath.gamma(s) * mpmath.gammainc(s, (v / K) ** q, mpmath.inf,
+                                                            regularized=True)
+            out.append((v, mpmath.exp(-x * x / (8 * v * v)) + m2))
+        return out
+
+
+def exact_w(T, x):
+    """W[T](x) to 40 digits: the least of 1 and the brackets of `exact_minima`."""
+    import mpmath
+    return min([mpmath.mpf(1)] + [f for _, f in exact_minima(T, x)])
 
 
 TAILS = [TailFunction.closed_weibull(1.0, 2.0), TailFunction.closed_weibull(2.0, 0.5),
@@ -112,6 +148,17 @@ class TestTailFunction:
         T = TailFunction.tabulated([0.0, 0.5, 2.0], [1.0, 0.25, 0.0])
         assert T.value(0.7) == 0.25
         assert T.value(5.0) == 0.0
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda: TailFunction.closed_weibull(math.inf, 2.0), "K must be a finite number"),
+        (lambda: TailFunction.closed_weibull(1.0, math.inf), "q must be a finite number"),
+        (lambda: TailFunction.closed_weibull(math.nan, 2.0), "K must be a finite number"),
+        (lambda: TailFunction.tabulated([0.0, math.nan], [1.0, 0.0]), "x_grid must be a list"),
+        (lambda: TailFunction.tabulated([0.0, 1.0], [1.0, math.nan]), "values must be a list"),
+    ], ids=["K-inf", "q-inf", "K-nan", "x_grid-nan", "values-nan"])
+    def test_rejects_non_finite_parameters(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_json_roundtrip(self):
         for T in (TailFunction.closed_weibull(2.0, 0.5), TailFunction.step(3.0),
@@ -182,6 +229,12 @@ class TestSecondMoment:
         assert tail_second_moment(T, 1.0) == pytest.approx(1.2)  # strictly above v
         assert tail_second_moment(T, 5.0) == 0.0
 
+    @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
+    def test_rejects_nan_v(self, T):
+        with pytest.raises(ValueError, match="v must be a number"):
+            tail_second_moment(T, math.nan)
+        assert tail_second_moment(T, math.inf) == 0.0
+
     def test_nonincreasing_and_continuous_in_v(self):
         T = TailFunction.closed_weibull(1.0, 1.0)
         vs = np.linspace(0, 8, 200)
@@ -192,35 +245,30 @@ class TestSecondMoment:
 
 class TestVectorizedTransform:
     @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
-    def test_array_moments_match_scalar_calls(self, T):
+    def test_moments_match_oracles(self, T):
         vs = np.concatenate(([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(1e-4, 1e4, 97)))
-        got = tail_second_moment(T, vs)
-        assert isinstance(got, np.ndarray) and got.shape == vs.shape
         if T.form == "closed_weibull":
             pytest.importorskip("mpmath")
-        for v, m in zip(vs, got):
-            one = tail_second_moment(T, float(v))
-            assert isinstance(one, float)
-            assert m == one or abs(m - one) <= 1e-15 * abs(one)
-            ref = scalar_second_moment(T, float(v))
+        for v in vs.tolist():
+            m = tail_second_moment(T, v)
+            assert isinstance(m, float)
+            ref = scalar_second_moment(T, v)
             if T.form == "closed_weibull":
                 # no further from the exact moment than scipy's formula, or 4 ulp
-                exact = exact_second_moment(T, float(v))
+                exact = exact_second_moment(T, v)
                 assert ulp_error(m, exact) <= max(ulp_error(ref, exact), 4.0)
             else:
                 assert m == ref or abs(m - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
-    def test_array_moments_are_their_scalar_calls(self, T):
-        vs = np.concatenate(([-1.0, 0.0, 0.5, 1.0, 2.0, 4.0], np.geomspace(1e-4, 1e4, 97)))
-        assert tail_second_moment(T, vs).tolist() == [tail_second_moment(T, float(v)) for v in vs]
-
-    @pytest.mark.parametrize("T", TAILS, ids=lambda T: T.to_json())
     def test_transform_matches_scalar_objective(self, T):
+        pytest.importorskip("mpmath")
         for x in (0.3, 1.5, 2.0, 6.0, 40.0):
-            ref = scalar_w(T, x)
-            got = w_operator(T, x)
-            assert got == ref or abs(got - ref) <= 1e-14 * abs(ref)
+            got, exact = w_operator(T, x), exact_w(T, x)
+            if T.form == "closed_weibull":
+                assert got == float(exact) or abs(got - float(exact)) <= 1e-12 * float(exact)
+            else:
+                assert ulp_error(got, exact) <= 1.0
 
 
 # the Weibull shapes q of the accuracy checks, s = 1 + 2/q
@@ -240,8 +288,8 @@ class TestUpperGammaQ:
     @pytest.mark.parametrize("q", GAMMA_QS)
     def test_no_less_accurate_than_scipy(self, q):
         # both branches (the series below x = s, the continued fraction from
-        # s on; the finite sum for whole s <= 3), either side of s and of
-        # s + 1, Q subnormal and Q below the least subnormal
+        # s on), either side of s and of s + 1, Q subnormal and Q below the
+        # least subnormal
         pytest.importorskip("mpmath")
         s = 1.0 + 2.0 / q
         xs = [0.0, s / 2.0, math.nextafter(s, 0.0), s, s + 1.0,
@@ -320,16 +368,57 @@ class TestWOperator:
         ws = [w_operator(T, float(x)) for x in xs]
         assert all(a >= b - 1e-12 for a, b in zip(ws, ws[1:]))
 
-    def test_stable_under_grid_refinement(self):
-        T = TailFunction.closed_weibull(1, 1)
-        for x in (3.0, 10.0, 40.0):
-            a = w_operator(T, x, nodes=512)
-            b = w_operator(T, x, nodes=1024)
-            assert abs(a - b) <= 1e-6 * max(a, 1e-300)
+    @pytest.mark.parametrize("K", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("q", [0.05, 0.7, 1.0, 1.5, 2.0, 5.0])
+    def test_weibull_against_mpmath(self, K, q):
+        # 1e-12 relative of the exact infimum rounded to a double; 0.0 where
+        # that underflows (q = 5 at x = 1e3)
+        pytest.importorskip("mpmath")
+        T = TailFunction.closed_weibull(K, q)
+        for x in (1.5, 3.0, 10.0, 40.0, 1e3):
+            got, exact = w_operator(T, x), float(exact_w(T, x))
+            assert got == exact or abs(got - exact) <= 1e-12 * exact, (x, got, exact)
+
+    @pytest.mark.parametrize("T", [T for T in TAILS if T.form != "closed_weibull"],
+                             ids=lambda T: T.to_json())
+    def test_jump_forms_against_mpmath(self, T):
+        pytest.importorskip("mpmath")
+        for x in (1.5, 3.0, 10.0, 40.0, 1e3):
+            assert ulp_error(w_operator(T, x), exact_w(T, x)) <= 1.0, x
+
+    def test_two_local_minima(self):
+        # the bracket has a local minimum near v = 0.0291 and the least one
+        # near v = 3010.8, beyond 1e4 x = 3000
+        pytest.importorskip("mpmath")
+        T = TailFunction.closed_weibull(2.0, 0.5)
+        (v1, f1), (v2, f2) = exact_minima(T, 0.3)
+        assert float(v1) == pytest.approx(0.0291, rel=1e-2) and float(f1) == pytest.approx(96.0, rel=1e-2)
+        assert float(v2) == pytest.approx(3010.8, rel=1e-4) and float(f2) == 0.99999999890114068
+        assert w_operator(T, 0.3) == pytest.approx(0.99999999890114068, rel=1e-12)
+
+    @pytest.mark.parametrize("T", TAILS + [TailFunction.closed_weibull(K, q) for K in (1e-3, 1e3)
+                                           for q in (0.05, 0.7, 2.0, 20.0)],
+                             ids=lambda T: T.to_json())
+    def test_extreme_x(self, T):
+        xs = [1e-200, 1e-9, 0.3, 1.5, 10.0, 1e3, 1e8, 1e150, 1e200]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ws = [w_operator(T, x) for x in xs]
+        assert all(0.0 <= w <= 1.0 for w in ws)
+        assert all(a >= b for a, b in zip(ws, ws[1:])), ws
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(ValueError):
             w_operator(TailFunction.step(1.0), 0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, x):
+        for T in (TailFunction.step(1.0), TailFunction.closed_weibull(1.0, 2.0)):
+            with pytest.raises(ValueError, match="x must be finite and positive"):
+                w_operator(T, x)
+        if not x <= 1.0:  # nan and inf pass the x > 1 check
+            with pytest.raises(ValueError, match="x must be finite and positive"):
+                uniform_sum_tail_bound(TailFunction.step(1.0), x)
 
 
 class TestLemmaBound:
