@@ -1,18 +1,22 @@
-"""One-dimensional extremization: coarse log-spaced grid plus golden-section refinement.
+"""One-dimensional minimization by scan: a log-spaced grid plus golden-section refinement.
 
-All sup/inf computations in the toolkit are extremizations of smooth scalar
-functions over an interval, so a dense grid scan followed by one stage of
-golden-section refinement around the best node is accurate and predictable.
-The refinement stops at the fixed relative width `TOL`.
+The scan serves the extremizations that have no closed form: the conjugate
+`psi.young_fenchel` of an arbitrary callable, and the ``method="grid"``
+reference of `psi.psi_lower_star` that checks the exact transform.  It scans
+`NODES` log-spaced nodes and refines between the neighbours of the best node
+by golden section, to the fixed relative width `TOL`.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Node count of the scan.
+NODES = 512
 
 #: Relative bracket width at which golden-section refinement stops.
 TOL = 1e-9
@@ -27,70 +31,41 @@ def log_grid(lo: float, hi: float, nodes: int) -> np.ndarray:
     return np.geomspace(lo, hi, nodes)
 
 
-def golden_minimize(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section minima on the brackets [a[k], b[k]], advanced together.
-
-    `f(points, rows)` returns the objective of bracket ``rows[j]`` at
-    ``points[j]``.  Each bracket follows the one-bracket iteration exactly
-    (same updates, ties go left, stop once b - a <= TOL * max(|a|, |b|, 1)),
-    so its result does not depend on the other brackets.  Returns the
-    arrays (argmin, min).
-    """
-    a = np.array(a, dtype=float, ndmin=1)
-    b = np.array(b, dtype=float, ndmin=1)
-    a, b = np.where(b < a, b, a), np.where(b < a, a, b)
+def golden(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Golden-section minimum of f on the bracket [a, b] (either order): ties
+    go left, and it stops once b - a <= TOL * max(|a|, |b|, 1).  Returns
+    (argmin, min)."""
+    if b < a:
+        a, b = b, a
     step = _INVPHI * (b - a)
     c, d = b - step, a + step
-    rows = np.arange(a.size)
-    fc, fd = f(c, rows), f(d, rows)
-    width = TOL * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-    best_x, best_v = np.empty(a.size), np.empty(a.size)
-    while True:
-        run = (b - a) > width
-        if not run.all():
-            # brackets that stopped report their better interior point
-            stop = ~run
-            left = fc[stop] <= fd[stop]
-            best_x[rows[stop]] = np.where(left, c[stop], d[stop])
-            best_v[rows[stop]] = np.where(left, fc[stop], fd[stop])
-            a, b, c, d, fc, fd, width, rows = (
-                v[run] for v in (a, b, c, d, fc, fd, width, rows))
-        if not rows.size:
-            return best_x, best_v
-        # left: b, d, fd = d, c, fc and a new c; right: a, c, fc = c, d, fd and a new d
-        left = fc <= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        step = _INVPHI * (b - a)
-        c, d = np.where(left, b - step, d), np.where(left, c, a + step)
-        vals = f(np.where(left, c, d), rows)
-        fc, fd = np.where(left, vals, fd), np.where(left, fc, vals)
+    fc, fd = f(c), f(d)
+    width = TOL * max(abs(a), abs(b), 1.0)
+    while (b - a) > width:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
-def minimize_rows(f: Callable[[np.ndarray, np.ndarray], np.ndarray], grid: Sequence[float],
-                  nrows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum of each of `nrows` objectives over one grid, each refined
-    between the neighbours of its best node.
+def minimize(f: Callable, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of f over [lo, hi]: the best of `NODES` log-spaced nodes,
+    refined by `golden` between its neighbours when that finds a lower value.
 
-    `f(points, rows)` evaluates objective ``rows`` at ``points`` with numpy
-    broadcasting: the scan passes a (1, nodes) grid against (nrows, 1) row
-    numbers, the refinement two equal-length 1-D arrays.  Infinite or nan
-    grid values are ignored; a row with nothing finite gets (+inf at its
-    best node).  Returns the arrays (argmin, min).
+    f maps the array of nodes to their values and a float to its value.
+    Infinite or nan node values are ignored; with nothing finite the result
+    is (lo, +inf).  Returns (argmin, min).
     """
-    grid = np.asarray(grid, dtype=float)
-    rows = np.arange(nrows)
-    vals = f(grid[None, :], rows[:, None])
+    grid = log_grid(lo, hi, NODES)
+    vals = f(grid)
     vals = np.where(np.isnan(vals), np.inf, vals)
-    i = np.argmin(vals, axis=1)
-    best_x, best_v = grid[i], vals[rows, i]
-    best_v[~np.isfinite(best_v)] = np.inf
-    a = grid[np.maximum(i - 1, 0)]
-    b = grid[np.minimum(i + 1, grid.size - 1)]
-    todo = rows[np.isfinite(best_v) & (b > a)]
-    if todo.size:
-        x, v = golden_minimize(lambda p, k: f(p, todo[k]), a[todo], b[todo])
-        better = v < best_v[todo]
-        best_x[todo[better]] = x[better]
-        best_v[todo[better]] = v[better]
-    return best_x, best_v
+    i = int(np.argmin(vals))
+    if not math.isfinite(vals[i]):
+        return float(grid[0]), math.inf
+    x, v = golden(f, float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)]))
+    return (float(x), float(v)) if v < vals[i] else (float(grid[i]), float(vals[i]))

@@ -35,7 +35,7 @@ import numpy as np
 from . import covering as cov
 from . import integrals as integ
 from .distances import PairwiseMomentField, distance_matrix, natural_function, sigma_squared
-from .errors import ConfigError, MissingRun, OrderOverflow, UcltError
+from .errors import ConfigError, EmptyDomain, MissingRun, OrderOverflow, UcltError
 from .psi import DEFAULT_P_CAP, PsiFunction
 from .simulate import (
     KERNELS,
@@ -231,8 +231,9 @@ def _validate_psi(block: _Schema | None) -> PsiFunction | str:
 def _check_psi_orders(psi: PsiFunction | str, p_grid: list[float]) -> None:
     """ConfigError unless the generating function has orders to work on: the
     natural one is tabulated on `p_grid`, so it needs two orders above 1; any
-    other must be finite at an order of `p_grid`, and at one order or on an
-    interval of orders above 1 (where its lower transform is taken)."""
+    other must be finite at an order of `p_grid`, and its piece table (where
+    its lower transform is taken) must hold one order or an interval of orders
+    above 1."""
     if psi == "natural":
         if len(p_grid) < 2 or p_grid[0] <= 1.0:
             raise ConfigError(f"config.p_grid: the natural generating function needs at "
@@ -240,10 +241,11 @@ def _check_psi_orders(psi: PsiFunction | str, p_grid: list[float]) -> None:
         return
     if not np.isfinite(psi.value_array(np.array(p_grid))).any():
         raise ConfigError(f"config.psi: infinite at every order of config.p_grid {p_grid}")
-    kind, *ends = psi.finite_region()
-    if kind == "interval" and not ends[1] > max(ends[0], 1.0):
+    try:
+        psi.pieces()
+    except EmptyDomain:
         raise ConfigError(f"config.psi: finite on no interval of orders above 1 and "
-                          f"up to {DEFAULT_P_CAP:g}")
+                          f"up to {DEFAULT_P_CAP:g}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ The module also provides the transforms built on top of psi:
 * the restricted convex conjugate ``g*(y) = sup_{x >= 2} (x*y - g(x))``,
 * the exponential tail bound and the matching Orlicz-type N-function.
 
-Conventions: ``c/inf == 0`` when a weight is infinite, and every sup/inf over
-a continuum is a log-spaced grid scan of `DEFAULT_NODES` nodes with
-golden-section refinement to `_gridopt.TOL`, on orders up to `DEFAULT_P_CAP`.
-These resolutions are fixed.
+Conventions: ``c/inf == 0`` when a weight is infinite, and orders stop at
+`DEFAULT_P_CAP`.  On each piece of `PsiFunction.pieces`, log psi is linear in
+t = log p plus one ``t - log t`` per rescaling, so the lower transform and the
+conjugate of ``p * log psi(p)`` are exact, piece by piece (Rockafellar,
+*Convex Analysis*, 1970; Lucet, 1997).  Only `young_fenchel` and the
+``method="grid"`` reference of `psi_lower_star` scan (`_gridopt.minimize`).
 """
 from __future__ import annotations
 
@@ -25,11 +27,12 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._gridopt import log_grid, minimize_rows
+from . import _gridopt
+from .tails import _bisect
 from .errors import (EmptyDomain, EmptySupportOverlap, InvalidSupport, MissingData, check_keys,
                      finite)
 
@@ -38,9 +41,6 @@ INF = math.inf
 #: Grid cap standing in for an unbounded support endpoint.  Reported values
 #: obtained under this truncation are labelled as such by callers.
 DEFAULT_P_CAP = 1024.0
-
-#: Node count of every 1-D extremization scan.
-DEFAULT_NODES = 512
 
 #: Monte Carlo margin, in standard errors, of every statistical assertion.
 SE_MARGIN = 3.0
@@ -56,6 +56,37 @@ _SLAB_BUDGET = 16 * 64 * 45
 FORMS = {"closed_power": {"q": float}, "degenerate": {"r": float},
          "tabulated": {"grid": tuple, "values": tuple},
          "scaled": {"factor": float, "base": dict}, "rosenthal": {"base": dict}}
+
+
+class Pieces(NamedTuple):
+    """psi in t = log p: log psi(e**t) = ell[i] + b[i]*(t - t[i]) + c*(t - log t)
+    on [t[i], t[i+1]].  One node and no piece is a point shape, finite at p[0]
+    alone, where log psi is ell[0]."""
+
+    p: np.ndarray       # node orders, ascending
+    ell: np.ndarray     # log psi at the nodes, less the c term
+    b: np.ndarray       # slope of each piece
+    c: int = 0          # rosenthal wrappers around the pieces
+
+    def node_log_psi(self) -> np.ndarray:
+        """log psi at the nodes (+inf at p = 1 when c > 0)."""
+        t = np.log(self.p)
+        with np.errstate(divide="ignore"):
+            return self.ell + self.c * (t - np.log(t)) if self.c else self.ell
+
+    def clip(self, lo: float, hi: float) -> "Pieces":
+        """The table on the orders [lo, hi], with a node added where an end
+        cuts a piece.  Raises EmptyDomain when no interval of orders is left."""
+        p = self.p
+        lo, hi = max(lo, p[0]), min(hi, p[-1])
+        if not hi > lo:
+            raise EmptyDomain(f"psi is finite on no interval of orders in [{lo:g}, {hi:g}]")
+        i = int(np.searchsorted(p, lo, "right")) - 1     # lo lies on piece i
+        j = int(np.searchsorted(p, hi))                  # hi lies on piece j - 1
+        b = self.b[i:j]
+        ends = (self.ell[i] + b[0] * math.log(lo / p[i]), self.ell[j] + b[-1] * math.log(hi / p[j]))
+        return Pieces(np.concatenate(([lo], p[i + 1:j], [hi])),
+                      np.concatenate((ends[:1], self.ell[i + 1:j], ends[1:])), b, self.c)
 
 
 @dataclass(frozen=True)
@@ -175,25 +206,26 @@ class PsiFunction:
             out[safe] = (ps[safe] / np.log(ps[safe])) * base[safe]
         return out
 
-    def finite_region(self):
-        """Where psi is finite: ("point", r) or ("interval", lo, hi).
-
-        Interval endpoints are open in principle; callers scan just inside.
-        An unbounded upper endpoint is truncated at `DEFAULT_P_CAP`.
-        """
-        if self.form == "degenerate":
-            return ("point", self.r)
-        if self.form in ("scaled", "rosenthal"):
-            kind, *rest = self.base.finite_region()
-            if kind == "point":
-                return (kind, *rest)
-            lo, hi = rest
-            return ("interval", max(lo, self.support_low),
-                    min(hi, self.support_high, DEFAULT_P_CAP))
-        if self.form == "tabulated":
-            return ("interval", self.grid[0], self.grid[-1])
+    def pieces(self) -> Pieces:
+        """Where psi is finite, as a `Pieces` table clipped to the support and
+        to `DEFAULT_P_CAP` (an open end holds the limit of log psi), or the
+        point of a degenerate base.  EmptyDomain when no interval is left."""
         hi = min(self.support_high, DEFAULT_P_CAP)
-        return ("interval", self.support_low, hi)
+        if self.form == "degenerate":
+            return Pieces(np.array([self.r]), np.zeros(1), np.empty(0))
+        if self.form == "closed_power":
+            p = np.array([self.support_low, hi])
+            table = Pieces(p, np.log(p) / self.q, np.array([1.0 / self.q]))
+        elif self.form == "tabulated":
+            p, ell = np.array(self.grid), np.log(self.values)
+            table = Pieces(p, ell, np.diff(ell) / np.diff(np.log(p)))
+        else:
+            table = self.base.pieces()
+            if not table.b.size:        # a point, where log psi takes the wrapper in
+                return table._replace(ell=np.array([math.log(self.value(table.p[0]))]))
+            table = table._replace(c=table.c + 1) if self.form == "rosenthal" else \
+                table._replace(ell=table.ell + math.log(self.factor))
+        return table.clip(self.support_low, hi)
 
     # -- serialization ------------------------------------------------------
 
@@ -530,122 +562,134 @@ def rosenthal_transform(psi: PsiFunction) -> PsiFunction:
                        support_high=psi.support_high, base=psi)
 
 
-def _closed_power_lower_star(psi: PsiFunction, x: np.ndarray) -> np.ndarray:
-    """Exact lower transform of p**(1/q): interior stationary point p = q*x,
-    clamped to the finite region [lo, hi]."""
-    _, lo, hi = psi.finite_region()
-    if not hi > lo:
-        raise EmptyDomain(f"psi is finite at no order in [{lo:g}, {hi:g}]")
-    q = psi.q
-    p_star = q * x
-    clamped = np.clip(p_star, lo, hi)
-    with np.errstate(divide="ignore"):
-        return np.where((p_star > lo) & (p_star < hi), (1.0 / q) * (1.0 + np.log(p_star)),
-                        x / clamped + np.log(clamped) / q)
-
-
 def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto"):
     """inf over y in (0, 1) with 1/y in the support of [x*y + log psi(1/y)].
 
-    In the substitution p = 1/y this is inf over admissible p of
-    x/p + log psi(p).  The feasible p must exceed 1 (so that y < 1); for a
-    degenerate shape the domain is the single point r and the value is
-    x/r + log psi(r) exactly.  `method` is "auto" (closed form for the pure
-    power shape, grid otherwise), "grid", or "closed".
+    With p = 1/y = e**t this is the inf over the orders where psi is finite of
+    F(t) = x*e**(-t) + log psi(e**t).  Methods "auto" and "closed" (the pure
+    power shape only) take it exactly from `PsiFunction.pieces`: on a piece F
+    is convex and F' increasing and concave, so F is least at a node or at
+    t = log(x/b) (c = 0), else where Newton steps from the left end stop
+    rising.  "grid" is the scan reference (`_gridopt.minimize` of psi's
+    values).  A point shape gives x/r + log psi(r) under every method.
 
-    `x` is a scalar (the result is a float) or a 1-D array (the result is an
-    array of the same length).  The distinct entries of an array share one
-    grid scan and one batched golden-section refinement; every entry gets
-    exactly the value a scalar call with it would give.
+    `x` is a finite nonnegative scalar (the result is a float) or 1-D array
+    (an array of its length); every entry gets exactly the value a scalar
+    call gives.  Raises EmptyDomain when psi has no finite order.
     """
+    if method == "closed" and psi.form != "closed_power":
+        raise ValueError("closed form only available for the pure power shape")
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError("x must be a scalar or a 1-D array")
-    if np.any(xs < 0):
-        raise ValueError("x must be nonnegative")
+    bad = xs[~(xs >= 0.0) | np.isinf(xs)]
+    if bad.size:
+        raise ValueError(f"x must be finite and nonnegative, got {float(bad[0])!r}")
+    table = psi.pieces()
     uniq, where = np.unique(xs, return_inverse=True)
-    vals = _lower_star(psi, uniq, method)[where.reshape(xs.shape)]
+    if method == "grid" and table.b.size:
+        vals = np.array([_gridopt.minimize(lambda p, x=x: x / p + np.log(psi.value_array(p)),
+                                           table.p[0], table.p[-1])[1] for x in uniq.tolist()])
+    else:
+        vals = _exact_lower_star(table, uniq[:, None])
+    vals = vals[where.reshape(xs.shape)]
     return float(vals) if xs.ndim == 0 else vals
 
 
-def _lower_star(psi: PsiFunction, xs: np.ndarray, method: str) -> np.ndarray:
-    """The lower transform at each entry of the 1-D array `xs`."""
-    if method == "closed" and psi.form != "closed_power":
-        raise ValueError("closed form only available for the pure power shape")
-    if method in ("auto", "closed") and psi.form == "closed_power":
-        return _closed_power_lower_star(psi, xs)
-    return _minimize_over_region(psi, lambda p, log_psi, k: xs[k] / p + log_psi,
-                                 xs.size, 1.0, INF)
-
-
-def _minimize_over_region(psi: PsiFunction, f, nrows: int, low: float,
-                          high: float) -> np.ndarray:
-    """Minimum of each of `nrows` objectives f(p, log psi(p), rows) over the
-    orders p in [low, high] where psi is finite: at the one order of a point
-    region (with `math.log`), else on a log grid nudged just inside the open
-    support (tabulated grid endpoints are admissible) with golden-section
-    refinement.  Raises EmptyDomain when there is no such order."""
-    kind, *ends = psi.finite_region()
-    lo, hi = (ends[0], ends[0]) if kind == "point" else (max(ends[0], low), min(ends[1], high))
-    if not (low <= lo <= hi <= high and (kind == "point" or hi > lo)):
-        raise EmptyDomain(f"psi is finite at no order in [{low:g}, {high:g}]")
-    if kind == "point":
-        return f(np.full(nrows, lo), math.log(psi.value(lo)), np.arange(nrows))
-    if psi.form != "tabulated":
-        lo = lo * (1.0 + 1e-9)
-        if math.isfinite(psi.support_high) and hi >= psi.support_high:
-            hi = hi * (1.0 - 1e-12)
-    return minimize_rows(lambda p, k: f(p, np.log(psi.value_array(p)), k),
-                         log_grid(lo, hi, DEFAULT_NODES), nrows)[1]
+def _exact_lower_star(table: Pieces, x: np.ndarray) -> np.ndarray:
+    """The least node value and stationary value of each (n, 1) row of x."""
+    best = (x / table.p + table.node_log_psi()).min(axis=1)
+    t, b, c = np.log(table.p), table.b, table.c
+    if not b.size:
+        return best
+    if c == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.log(x / b)
+    else:   # F' <= 0 at the start, and concave: no step passes the root
+        s = np.maximum(t[:-1], c / (np.abs(b) + c + x))
+        while True:
+            e = x * np.exp(-s)
+            step = s - (b + c - c / s - e) / (e + c / s / s)
+            rise = (step > s) & (s < t[1:])
+            if not rise.any():
+                break
+            s = np.where(rise, step, s)
+    inside = (s > t[:-1]) & (s < t[1:])
+    s = np.where(inside, s, t[1:])
+    vals = x * np.exp(-s) + table.ell[:-1] + b * (s - t[:-1]) + c * (s - np.log(s))
+    return np.minimum(best, np.where(inside, vals, INF).min(axis=1))
 
 
 def young_fenchel(g, y: float) -> float:
     """Restricted convex conjugate sup over x in [2, DEFAULT_P_CAP] of x*y - g(x).
 
-    This is the conjugate with domain clipped to x >= 2, evaluated on a
-    log-spaced grid with golden-section refinement; points where g is
-    infinite do not contribute. Returns -inf if g is infinite everywhere
-    on the scan range (extended-real semantics, no exceptions).
+    This is the conjugate with domain clipped to x >= 2, evaluated by the
+    scan `_gridopt.minimize`; points where g is infinite do not contribute.
+    Returns -inf if g is infinite everywhere on the scan range
+    (extended-real semantics, no exceptions).
     """
-    def negated(points, rows):
+    def negated(points):
         gv = np.array([g(float(x)) for x in np.ravel(points)]).reshape(np.shape(points))
         return np.where(np.isinf(gv), INF, gv - points * y)
 
-    _, val = minimize_rows(negated, log_grid(2.0, DEFAULT_P_CAP, DEFAULT_NODES), 1)
-    return -float(val[0])
+    return -_gridopt.minimize(negated, 2.0, DEFAULT_P_CAP)[1]
 
 
 def psi_bar_conjugate(psi: PsiFunction, y: float) -> float:
-    """Conjugate of p * log psi(p), restricted to the orders p in
-    [2, DEFAULT_P_CAP] where psi is finite.
+    """sup of p * (y - log psi(p)) over the orders p in [2, DEFAULT_P_CAP]
+    where psi is finite (-inf if none): the conjugate of p * log psi(p).
 
-    Degenerate shapes contribute a single point; interval shapes are scanned
-    like :func:`young_fenchel`.  Returns -inf when the finite region misses
-    [2, DEFAULT_P_CAP] entirely.
+    Exact per piece of `PsiFunction.pieces`: with ell = log psi in t = log p,
+    the derivative of e**t * (y - ell) is e**t * k, k = y - ell - ell', so
+    the sup is at a node or at a zero of k.  With c = 0, k is linear; else
+    k' = 0 is a quadratic in 1/t, which cuts the piece into at most three
+    monotone parts, each bisected.  Raises ValueError unless y is finite.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y!r}")
     try:
-        val = _minimize_over_region(psi, lambda p, log_psi, k: p * log_psi - p * y,
-                                    1, 2.0, DEFAULT_P_CAP)
+        table = psi.pieces()
+        table = table.clip(2.0, DEFAULT_P_CAP) if table.b.size else table
     except EmptyDomain:
         return -INF
-    return -float(val[0])
+    if not 2.0 <= table.p[0] <= DEFAULT_P_CAP:      # a point outside the orders
+        return -INF
+    best = float(np.max(table.p * (y - table.node_log_psi())))
+    c, t = table.c, np.log(table.p).tolist()
+    for t0, t1, l0, b in zip(t, t[1:], table.ell.tolist(), table.b.tolist()):
+        def ell(s):
+            return l0 + b * (s - t0) + c * (s - math.log(s))
+
+        def k(s):   # y - ell(s) - ell'(s)
+            return y - l0 - b * (s - t0 + 1.0) - c * (s - math.log(s) + 1.0 - 1.0 / s)
+
+        if c == 0:
+            zeros = [t0 + (y - l0 - b) / b] if b else []
+        else:       # k' = 0 where u*u - u + (b + c)/c = 0, u = 1/t
+            r = math.sqrt(max(1.0 - 4.0 * (b + c) / c, 0.0))
+            cuts = {1.0 / u for u in ((1.0 + r) / 2.0, (1.0 - r) / 2.0) if u > 1.0 / t1}
+            ends = [t0, *sorted(e for e in cuts if e > t0), t1]
+            zeros = [_bisect(lambda s, neg=k(lo) < 0.0: (k(s) < 0.0) != neg, lo, hi)
+                     for lo, hi in zip(ends, ends[1:]) if (k(lo) < 0.0) != (k(hi) < 0.0)]
+        best = max([best] + [math.exp(s) * (y - ell(s)) for s in zeros if t0 < s < t1])
+    return best
 
 
 def gls_tail_bound(psi: PsiFunction, gls_norm_value: float, u: float) -> float:
     """Exponential tail bound min(1, 2 exp(-conj(log(u / norm)))).
 
     `conj` is the restricted conjugate of p * log psi(p).  The bound is a
-    probability: it clamps to 1 whenever u <= norm, and the truncation of an
-    unbounded support at `DEFAULT_P_CAP` only weakens (never invalidates) it.
+    probability: it clamps to 1 whenever u <= norm (and at every conj < 0, so
+    exp cannot overflow), and the truncation of an unbounded support at
+    `DEFAULT_P_CAP` only weakens (never invalidates) it.  Raises ValueError
+    unless u and the norm are finite and positive.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
-    if gls_norm_value <= 0:
-        raise ValueError("norm value must be positive")
-    star = psi_bar_conjugate(psi, math.log(u / gls_norm_value))
-    if star == -INF:
-        return 1.0
-    return min(1.0, 2.0 * math.exp(-star))
+    if not (math.isfinite(u) and u > 0):
+        raise ValueError(f"u must be finite and positive, got {u!r}")
+    if not (math.isfinite(gls_norm_value) and gls_norm_value > 0):
+        raise ValueError(f"norm value must be finite and positive, got {gls_norm_value!r}")
+    star = psi_bar_conjugate(psi, math.log(u) - math.log(gls_norm_value))
+    return 1.0 if star < 0.0 else min(1.0, 2.0 * math.exp(-star))
 
 
 def orlicz_n_function(psi: PsiFunction, u: float) -> float:
@@ -660,7 +704,10 @@ def orlicz_n_function(psi: PsiFunction, u: float) -> float:
 def log_orlicz_n_function(psi: PsiFunction, u: float) -> float:
     """log N(u) of the N-function N(u) = exp(conj(log |u|)) for |u| > e**2
     and C * u**2 below, with C fixed by continuity at |u| = e**2 (the
-    stitching constant is otherwise free); -inf at u = 0."""
+    stitching constant is otherwise free); -inf at u = 0.  Raises ValueError
+    unless u is finite."""
+    if not math.isfinite(u):
+        raise ValueError(f"u must be finite, got {u!r}")
     au = abs(u)
     if au == 0.0:
         return -INF

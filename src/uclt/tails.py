@@ -246,8 +246,9 @@ def tail_second_moment(T: TailFunction, v: float) -> float:
         return math.fsum(y * y * mass for y, mass in T.jumps() if y > v)
     K, q = T.scale, T.shape
     s = 1.0 + 2.0 / q
-    try:
-        z = (v / K) ** q
+    ratio = v / K
+    try:  # through logs where v/K overflows though (v/K)**q may not
+        z = ratio ** q if math.isfinite(ratio) else math.exp(q * (math.log(v) - math.log(K)))
     except OverflowError:  # beyond float range, where Q is 0
         return 0.0
     upper = _upper_gamma_q(s, z)
@@ -262,7 +263,7 @@ def tail_second_moment(T: TailFunction, v: float) -> float:
 
 
 def _bisect(test, lo: float, hi: float) -> float:
-    """Where `test` turns from false at lo to true at hi, to a few ulps of u."""
+    """Where `test` turns from false at lo to true at hi, to a few ulps."""
     tol = 4.0 * _UNIT * (1.0 + abs(lo) + abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -326,8 +326,10 @@ class TestExactMomentField:
         assert sum(draws) == 2000 * (16 + 64) * 9      # the CLT's R * (n_small + n_large) * points
 
     def test_garch_tree_frozen(self, tmp_path):
-        # sha256 of c10's check-theorem tree at the commit before the exact
-        # Gaussian field: the Monte Carlo moment path keeps its bytes
+        # sha256 of c10's check-theorem tree: the Monte Carlo moment path keeps
+        # the bytes it had before the exact Gaussian field; only the exact lower
+        # transform moved the integrand column of entropy_trace.csv and the
+        # moment-level value of verdict.json
         doc = {"seed": 20260808, "replications": 1000,
                "model": {"kind": "garch_like", "name": "garch",
                          "x_points": {"grid_1d": {"n": 4, "low": 0.1, "high": 1.0}},
@@ -342,7 +344,7 @@ class TestExactMomentField:
         for name, data in sorted(read_tree(tmp_path / "run").items()):
             h.update(name.encode())
             h.update(data)
-        assert h.hexdigest() == "f9d04a278d3480bc0f30c94f76c4da23629ae4e54e0b1718daa95030a801c1a7"
+        assert h.hexdigest() == "e2e37196790930a8350ae1161c418cd445db7866bb43d60b237bfdffb2b98ee3"
 
 
 class TestModelBlock:

@@ -1,10 +1,12 @@
-"""Values of the transforms at their fixed resolution, pinned bit for bit.
+"""Values of the transforms, pinned bit for bit.
 
-Every sup or inf over a continuum is a scan of `psi.DEFAULT_NODES` log-spaced
-nodes refined by golden section to `_gridopt.TOL`, on orders up to
-`psi.DEFAULT_P_CAP`; `w_operator`'s infimum over split points is exact, with
-no scan.  The values are pinned as `float.hex` strings, so a change of
-resolution, of the scan or of the arithmetic shows as a changed value.  They
+The lower transform, the conjugate of p * log psi(p), the tail bound and the
+Orlicz functions are exact, piece by piece in t = log p, on orders up to
+`psi.DEFAULT_P_CAP`, and `w_operator`'s infimum over split points is exact.
+Only `young_fenchel` and the ``method="grid"`` reference of `psi_lower_star`
+scan `_gridopt.NODES` log-spaced nodes refined by golden section to
+`_gridopt.TOL`.  The values are pinned as `float.hex` strings, so a change of
+method, of the scan or of the arithmetic shows as a changed value.  They
 compare with ``==``, so +0.0 and -0.0 count as equal.  `orlicz_n_function`
 is exp of `log_orlicz_n_function`; below e**2 its pins are the direct
 C * u**2 values, which it matches to 1e-13 relative.
@@ -30,7 +32,7 @@ from test_tails import TAILS
 
 TAB = PsiFunction.tabulated([2.0, 2.5, 3.0, 4.0, 6.0, 8.0], [1.0, 1.1, 1.25, 1.4, 1.7, 2.0])
 
-# shapes whose lower transform is a grid scan, or a point through a wrapper
+# piecewise shapes, with and without a rescaling term, and points through a wrapper
 LOWER_SHAPES = {
     "tabulated": TAB,
     "rosenthal-tabulated": rosenthal_transform(TAB),
@@ -45,11 +47,34 @@ LOWER = {
         "0x1.306913489a6d6p+0", "0x1.e8b90bfbe8e7cp+1", "0x1.318b90bfbe8e8p+5",
     ],
     "rosenthal-tabulated": [
-        "0x1.0f420a40b9069p+0", "0x1.33fc043386f56p+0", "0x1.7fbfeffe7cb29p+0",
+        "0x1.0f420a40b9069p+0", "0x1.33fc043386f56p+0", "0x1.7fbfeffe7814cp+0",
+        "0x1.301096ef38896p+1", "0x1.4a9760a8fb2efp+2", "0x1.3c52ec151f65ep+5",
+    ],
+    "scaled": [
+        "0x1.810b375dce91ep-1", "0x1.cdd8042a9b5ebp-1", "0x1.40859baee748fp+0",
+        "0x1.f1f7b3a6b9187p+0", "0x1.6e44dd96e00e1p+1", "0x1.06a6c9bebe810p+2",
+    ],
+    "scaled-degenerate": [
+        "0x1.62e42fefa39efp-1", "0x1.894a96560a055p-1", "0x1.e2e42fefa39efp-1",
+        "0x1.b17217f7d1cf8p+0", "0x1.bc5c85fdf473ep+2", "0x1.2ec5c85fdf474p+6",
+    ],
+    "rosenthal-degenerate": [
+        "0x1.012b22f2f08e8p+0", "0x1.1ac4bc8c8a282p+0", "0x1.5680784845e3dp+0",
+        "0x1.2b403c2422f1ep+1", "0x1.2ad00f0908bc8p+3", "0x1.9404ac8bcbc24p+6",
+    ],
+}
+# the same shapes under the scan reference, method="grid"
+LOWER_SCAN = {
+    "tabulated": [
+        "0x0.0p+0", "0x1.3333333333333p-3", "0x1.fa46c4dde16f3p-2",
+        "0x1.306913489a6d6p+0", "0x1.e8b90bfbe8e7cp+1", "0x1.318b90bfbe8e8p+5",
+    ],
+    "rosenthal-tabulated": [
+        "0x1.0f420a40b9069p+0", "0x1.33fc043386f55p+0", "0x1.7fbfeffe7f510p+0",
         "0x1.301096ef38897p+1", "0x1.4a9760a8fb2efp+2", "0x1.3c52ec151f65ep+5",
     ],
     "scaled": [
-        "0x1.810b37621a14ep-1", "0x1.cdd8042d9d073p-1", "0x1.40859baee748ep+0",
+        "0x1.810b375f057f4p-1", "0x1.cdd8042b7504dp-1", "0x1.40859baee748ep+0",
         "0x1.f1f7b3a6b9186p+0", "0x1.6e44dd96e00e0p+1", "0x1.06a6c9bebe810p+2",
     ],
     "scaled-degenerate": [
@@ -74,20 +99,20 @@ CONJ_SHAPES = {
 YS = [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]
 CONJ = {
     "closed-power": [
-        "-0x1.58b90c03d73c1p+1", "-0x1.62e42ffe2ee43p-1", "0x1.3a37a014d043ap-2",
-        "0x1.5bf0a8b14576ap+0", "0x1.415e5bf6fb106p+3", "0x1.28d3899703394p+6",
+        "-0x1.58b90bfbe8e7cp+1", "-0x1.62e42fefa39efp-1", "0x1.3a37a020b8c22p-2",
+        "0x1.5bf0a8b145769p+0", "0x1.415e5bf6fb106p+3", "0x1.28d389970338fp+6",
     ],
     "bounded-power": [
-        "-0x1.3b260803fdfe5p+1", "-0x1.d9303ffd93dabp-2", "0x1.1367e009cd18ap-1",
-        "0x1.3b44325e33e74p+1", "0x1.16659d60203dcp+5", "0x1.5332ceb00f42fp+6",
+        "-0x1.3b2607fd45efdp+1", "-0x1.d9303fea2f7e9p-2", "0x1.1367e00ae840cp-1",
+        "0x1.3b44325e33e75p+1", "0x1.16659d6020dd4p+5", "0x1.5332ceb0106eap+6",
     ],
     "tabulated": [
-        "-0x1.0000000000000p+1", "-0x0.0p+0", "0x1.035f3fa2cb778p+0",
-        "0x1.688c8dba1fd57p+1", "0x1.4e8de8082e308p+3", "0x1.2746f40417184p+4",
+        "-0x1.0000000000000p+1", "0x0.0p+0", "0x1.035f3fa2cb778p+0",
+        "0x1.688c8dba1fd55p+1", "0x1.4e8de8082e308p+3", "0x1.2746f40417184p+4",
     ],
     "scaled": [
-        "-0x1.c0859bb8936d8p+1", "-0x1.810b37688fd51p+0", "-0x1.02166ec888a42p-1",
-        "0x1.fbd322801cc3cp-2", "0x1.1da9354d50f20p+2", "0x1.07d87a4d5832cp+5",
+        "-0x1.c0859baee748fp+1", "-0x1.810b375dce91ep+0", "-0x1.02166ebb9d23cp-1",
+        "0x1.fbd32288c5b88p-2", "0x1.1da9354d50f22p+2", "0x1.07d87a4d58328p+5",
     ],
     "degenerate": [
         "-0x1.0000000000000p+2", "0x0.0p+0", "0x1.0000000000000p+1",
@@ -105,16 +130,16 @@ CONJ = {
 US = [2.0, 10.0, 100.0]
 TAIL_BOUND = {
     "closed-power": [
-        "0x1.0000000000000p+0", "0x1.60e5e7e6699f7p-26", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.60e5e7e669a23p-26", "0x0.0p+0",
     ],
     "bounded-power": [
-        "0x1.7fee0d638bd2dp-1", "0x1.f4b8bf6b97234p-72", "0x1.d45b051d5e51fp-238",
+        "0x1.7fee0d638bd30p-1", "0x1.f4b8bf6b4f9bcp-72", "0x1.d45b051c33d2dp-238",
     ],
     "tabulated": [
-        "0x1.cb72c5ab0a73ap-2", "0x1.5798ee2308c34p-18", "0x1.cd2b297d889a6p-45",
+        "0x1.cb72c5aafa76bp-2", "0x1.5798ee2308c34p-18", "0x1.cd2b297d889a6p-45",
     ],
     "scaled": [
-        "0x1.0000000000000p+0", "0x1.2741b2a9354cap-11", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.2741b2a9354ddp-11", "0x0.0p+0",
     ],
     "degenerate": [
         "0x1.0000000000000p-3", "0x1.a36e2eb1c4326p-13", "0x1.5798ee2308c2fp-26",
@@ -162,19 +187,19 @@ ORLICZ_US = [0.0, 0.5, 3.0, 7.0, 20.0, math.exp(8.0)]
 ORLICZ = {
     "closed-power": [
         "0x0.0p+0", "0x1.a50e9e511b685p+6", "0x1.d9b0721b3ed56p+11",
-        "0x1.425f313618fbep+14", "0x1.1b92525935737p+106", "inf",
+        "0x1.425f313618fbep+14", "0x1.1b925259356aap+106", "inf",
     ],
     "bounded-power": [
-        "0x0.0p+0", "0x1.59f54f426d13ep+42", "0x1.8533f92abab65p+47",
-        "0x1.08dfd0aedb833p+50", "0x1.05c424800ed10p+122", "0x1.02736f781c9bbp+483",
+        "0x0.0p+0", "0x1.59f54f4288057p+42", "0x1.8533f92ad9062p+47",
+        "0x1.08dfd0aef0243p+50", "0x1.05c424805b2fbp+122", "0x1.02736f797dc51p+483",
     ],
     "tabulated": [
         "0x0.0p+0", "0x1.3de1654d37c97p+7", "0x1.659d91f6dec2ap+12",
         "0x1.e6c1231e3d6c7p+14", "0x1.7d783fffffff4p+26", "0x1.425982cf597c9p+84",
     ],
     "scaled": [
-        "0x0.0p+0", "0x1.96ececd2be6d9p-2", "0x1.c9ca8a6d163b4p+3",
-        "0x1.378d655159cbep+6", "0x1.215ae9435679bp+47", "inf",
+        "0x0.0p+0", "0x1.96ececd2be6e6p-2", "0x1.c9ca8a6d163c3p+3",
+        "0x1.378d655159cc8p+6", "0x1.215ae9435672fp+47", "inf",
     ],
     "degenerate": [
         "0x0.0p+0", "0x1.b4c902e273a59p+3", "0x1.eb62233ec21a4p+8",
@@ -188,19 +213,19 @@ ORLICZ = {
 LOG_ORLICZ = {
     "closed-power": [
         "-inf", "0x1.2a03abf20d390p+2", "0x1.07ae05e1af1c9p+3",
-        "0x1.3de826afc479cp+3", "0x1.264db5a531ae4p+6", "0x1.2231620a39bcap+12",
+        "0x1.3de826afc479cp+3", "0x1.264db5a531ae2p+6", "0x1.2231620a39bcap+12",
     ],
     "bounded-power": [
-        "-inf", "0x1.d69cf7c146419p+4", "0x1.07f987dacd40dp+5",
-        "0x1.1588100e52981p+5", "0x1.52584cbe607d1p+6", "0x1.4eccb3ac02bdep+8",
+        "-inf", "0x1.d69cf7c147809p+4", "0x1.07f987dacde05p+5",
+        "0x1.1588100e53379p+5", "0x1.52584cbe61a7dp+6", "0x1.4eccb3ac041bbp+8",
     ],
     "tabulated": [
         "-inf", "0x1.4462c41473794p+2", "0x1.14dd91f2e23cbp+3",
         "0x1.4b17b2c0f799ep+3", "0x1.26bb1bbb55515p+4", "0x1.d3a37a020b8c2p+5",
     ],
     "scaled": [
-        "-inf", "-0x1.d87eb574bfadep-1", "0x1.549112457214bp+1",
-        "0x1.16bccabee3c4cp+2", "0x1.059a6892d6d3cp+5", "0x1.083e3e1d7a246p+12",
+        "-inf", "-0x1.d87eb574bfacep-1", "0x1.549112457214fp+1",
+        "0x1.16bccabee3c4ep+2", "0x1.059a6892d6d39p+5", "0x1.083e3e1d7a246p+12",
     ],
     "degenerate": [
         "-inf", "0x1.4e8de8082e308p+1", "0x1.8c9f53d568186p+2",
@@ -220,8 +245,15 @@ def unhex(values):
 @pytest.mark.parametrize("name", sorted(LOWER))
 def test_lower_star(name):
     psi = LOWER_SHAPES[name]
-    assert psi_lower_star(psi, np.array(XS), method="grid").tolist() == unhex(LOWER[name])
+    assert psi_lower_star(psi, np.array(XS)).tolist() == unhex(LOWER[name])
     assert [psi_lower_star(psi, x) for x in XS] == unhex(LOWER[name])
+
+
+@pytest.mark.parametrize("name", sorted(LOWER_SCAN))
+def test_lower_star_scan(name):
+    psi = LOWER_SHAPES[name]
+    assert psi_lower_star(psi, np.array(XS), method="grid").tolist() == unhex(LOWER_SCAN[name])
+    assert [psi_lower_star(psi, x, method="grid") for x in XS] == unhex(LOWER_SCAN[name])
 
 
 @pytest.mark.parametrize("name", sorted(CONJ))

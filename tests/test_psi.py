@@ -28,10 +28,10 @@ from uclt.psi import (
 
 def dense_lower_star(psi, x, nodes=200001):
     """Independent oracle: brute-force scan of x/p + log psi(p)."""
-    kind, *rest = psi.finite_region()
-    if kind == "point":
-        return x / rest[0] + math.log(psi.value(rest[0]))
-    lo, hi = rest
+    ends = psi.pieces().p
+    if ends.size == 1:
+        return x / ends[0] + math.log(psi.value(ends[0]))
+    lo, hi = ends[0], ends[-1]
     ps = np.geomspace(max(lo, 1.0) * (1 + 1e-12), hi, nodes)
     vals = psi.value_array(ps)
     obj = x / ps + np.log(vals)
@@ -43,6 +43,96 @@ def dense_conjugate(g, y, lo=2.0, hi=DEFAULT_P_CAP, nodes=200001):
     vals = np.array([g(x) for x in xs])
     fin = np.isfinite(vals)
     return float(np.max(xs[fin] * y - vals[fin]))
+
+
+def mp_log_psi(psi, t):
+    """log psi(e**t) in mpmath from the form's definition, for t where psi is
+    finite (the one order of a point shape)."""
+    import mpmath
+    if psi.form == "closed_power":
+        return t / psi.q
+    if psi.form == "degenerate":
+        return mpmath.mpf(0)
+    if psi.form == "tabulated":
+        g = [mpmath.log(p) for p in psi.grid]
+        i = max(0, min(len(g) - 2, sum(1 for v in g[1:-1] if v <= t)))
+        lv = [mpmath.log(v) for v in psi.values[i:i + 2]]
+        return lv[0] + (t - g[i]) / (g[i + 1] - g[i]) * (lv[1] - lv[0])
+    if psi.form == "scaled":
+        return mpmath.log(psi.factor) + mp_log_psi(psi.base, t)
+    return t - mpmath.log(t) + mp_log_psi(psi.base, t)
+
+
+def mp_nodes(psi):
+    """The orders where psi is finite, up to DEFAULT_P_CAP: [r] for a point
+    shape, else the ends and every node of the form between them."""
+    if psi.form == "degenerate":
+        return [psi.r]
+    if psi.form == "closed_power":
+        lo, hi, nodes = psi.support_low, psi.support_high, []
+    elif psi.form == "tabulated":
+        lo, hi, nodes = psi.grid[0], psi.grid[-1], psi.grid
+    else:
+        nodes = mp_nodes(psi.base)
+        if len(nodes) == 1:
+            return nodes
+        lo, hi = max(nodes[0], psi.support_low), min(nodes[-1], psi.support_high)
+    hi = min(hi, DEFAULT_P_CAP)
+    return [lo] + [p for p in nodes if lo < p < hi] + [hi]
+
+
+def mp_golden_max(f, a, b):
+    """Golden-section max of f on [a, b] in mpmath, to a width of 1e-20 in t."""
+    import mpmath
+    r = (mpmath.sqrt(5) - 1) / 2
+    c, d = b - r * (b - a), a + r * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-20:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - r * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + r * (b - a)
+            fd = f(d)
+    return max(fc, fd)
+
+
+def mp_lower_star(psi, x):
+    """inf of x*e**(-t) + log psi(e**t) in mpmath: the least of the node values
+    and of a golden-section search on each piece, where it is convex."""
+    import mpmath
+    with mpmath.workdps(30):
+        ts = [mpmath.log(p) for p in mp_nodes(psi)]
+        F = lambda t: x * mpmath.exp(-t) + mp_log_psi(psi, t)
+        best = min(F(t) for t in ts)
+        for a, b in zip(ts, ts[1:]):
+            best = min(best, -mp_golden_max(lambda t: -F(t), a, b))
+        return best
+
+
+def mp_conjugate(psi, y, samples=64):
+    """sup of e**t * (y - log psi(e**t)) over t in [log 2, log DEFAULT_P_CAP]
+    in mpmath: a scan of each piece, refined around every local maximum."""
+    import mpmath
+    nodes = mp_nodes(psi)
+    lo, hi = max(nodes[0], 2.0), min(nodes[-1], DEFAULT_P_CAP)
+    if hi < lo or hi == lo and len(nodes) > 1:     # no order, or no interval, in [2, cap]
+        return -math.inf
+    nodes = [lo] + [p for p in nodes if lo < p < hi] + [hi] * (hi > lo)
+    with mpmath.workdps(30):
+        h = lambda t: mpmath.exp(t) * (y - mp_log_psi(psi, t))
+        ts = [mpmath.log(p) for p in nodes]
+        best = max(h(t) for t in ts)
+        for a, b in zip(ts, ts[1:]):
+            grid = [a + (b - a) * k / samples for k in range(samples + 1)]
+            hs = [h(t) for t in grid]
+            for k in range(samples + 1):
+                lo, hi = max(k - 1, 0), min(k + 1, samples)
+                if hs[k] >= hs[lo] and hs[k] >= hs[hi]:
+                    best = max(best, mp_golden_max(h, grid[lo], grid[hi]))
+        return best
 
 
 class TestEval:
@@ -361,6 +451,80 @@ class TestBatchedLowerStar:
             psi_lower_star(PsiFunction.closed_power(1), np.array([1.0, -1.0]))
 
 
+TAB = PsiFunction.tabulated([2.0, 2.5, 3.0, 4.0, 6.0, 8.0], [1.0, 1.1, 1.25, 1.4, 1.7, 2.0])
+ORACLE_SHAPES = {
+    "power": PsiFunction.closed_power(2.0),
+    # q*x = x/2 meets both ends of the support (2, 9) over ORACLE_XS
+    "power-both-clamps": PsiFunction.closed_power(0.5, support=(2.0, 9.0)),
+    "tabulated": TAB,
+    "tabulated-decreasing-piece": PsiFunction.tabulated([2.0, 3.0, 4.0, 8.0],
+                                                        [1.5, 1.2, 1.3, 2.0]),
+    "scaled": PsiFunction.closed_power(2.0).scaled(1.5),
+    "rosenthal-tabulated": rosenthal_transform(TAB),
+    "rosenthal-power": rosenthal_transform(PsiFunction.closed_power(2.0)),
+    "rosenthal-degenerate": rosenthal_transform(PsiFunction.degenerate(3.0)),
+    # the left end is t = log 1 = 0, where psi_R is infinite
+    "rosenthal-power-from-one": rosenthal_transform(PsiFunction.closed_power(2.0, (1.0, 8.0))),
+    "rosenthal-rosenthal": rosenthal_transform(rosenthal_transform(TAB)),
+    "rosenthal-decreasing": rosenthal_transform(
+        PsiFunction.tabulated([2.0, 3.0, 9.0], [5.0, 1.0, 0.9])),
+    # k has three monotone parts on the one piece; at y = 2.219 it has three zeros
+    "rosenthal-three-parts": rosenthal_transform(
+        PsiFunction.tabulated([2.0, 50.0], [10.0, 10.0 * 25.0 ** -0.8])),
+}
+ORACLE_XS = [0.0, 0.3, 1.0, 4.0, 25.0, 300.0]
+ORACLE_YS = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.219, 2.25, 3.0]
+
+
+class TestExactTransforms:
+    """Both transforms against mpmath, on every kind of piece."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
+    def test_lower_star_within_two_ulp(self, name):
+        pytest.importorskip("mpmath")
+        psi = ORACLE_SHAPES[name]
+        for x in ORACLE_XS:
+            got, exact = psi_lower_star(psi, x), mp_lower_star(psi, x)
+            if exact == 0:
+                assert got == 0.0, (x, got)
+            else:
+                assert abs(got - exact) <= 2 * math.ulp(float(exact)), (x, got, exact)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SHAPES))
+    def test_conjugate_within_1e14(self, name):
+        pytest.importorskip("mpmath")
+        psi = ORACLE_SHAPES[name]
+        for y in ORACLE_YS:
+            got, exact = psi_bar_conjugate(psi, y), mp_conjugate(psi, y)
+            assert abs(got - exact) <= 1e-14 * max(abs(exact), 1.0), (y, got, exact)
+
+
+class TestNonFiniteArguments:
+    """Each transform names the argument that is not finite."""
+
+    PSI = PsiFunction.closed_power(2.0)
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda psi: psi_lower_star(psi, math.nan), "x"),
+        (lambda psi: psi_lower_star(TAB, math.nan), "x"),
+        (lambda psi: psi_lower_star(psi, math.inf), "x"),
+        (lambda psi: psi_lower_star(TAB, np.array([1.0, math.inf])), "x"),
+        (lambda psi: psi_bar_conjugate(psi, math.inf), "y"),
+        (lambda psi: psi_bar_conjugate(psi, math.nan), "y"),
+        (lambda psi: log_orlicz_n_function(psi, math.inf), "u"),
+        (lambda psi: orlicz_n_function(psi, math.nan), "u"),
+        (lambda psi: gls_tail_bound(psi, 1.0, math.inf), "u"),
+        (lambda psi: gls_tail_bound(psi, 1.0, math.nan), "u"),
+        (lambda psi: gls_tail_bound(psi, math.nan, 2.0), "norm"),
+        (lambda psi: gls_tail_bound(psi, math.inf, 2.0), "norm"),
+    ], ids=["lower-power-nan", "lower-tabulated-nan", "lower-inf", "lower-array-inf",
+            "conjugate-inf", "conjugate-nan", "log-orlicz-inf", "orlicz-nan", "tail-u-inf",
+            "tail-u-nan", "tail-norm-nan", "tail-norm-inf"])
+    def test_raises_naming_the_argument(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name}( value)? must be finite"):
+            call(self.PSI)
+
+
 class TestYoungFenchel:
     def test_interior_maximum(self):
         assert young_fenchel(lambda x: x * x / 2, 4.0) == pytest.approx(8.0, abs=1e-8)
@@ -420,6 +584,10 @@ class TestTailBound:
             emp = float((z > u).mean())
             se = math.sqrt(emp * (1 - emp) / z.size)
             assert emp <= gls_tail_bound(psi, norm, u) + 3 * se
+
+    def test_tiny_u_is_one(self):
+        # conj(log u) is about -1381 at u = 1e-300: exp(1381) would overflow
+        assert gls_tail_bound(PsiFunction.closed_power(2), 1.0, 1e-300) == 1.0
 
     def test_monotone_nonincreasing_and_below_one(self):
         psi = PsiFunction.closed_power(2)

@@ -211,6 +211,13 @@ class TestSecondMoment:
         assert tail_second_moment(T, 0.0) == math.inf
         assert w_operator(T, 2.0) == 1.0
 
+    def test_weibull_ratio_beyond_float_range(self):
+        # v/K overflows a double, (v/K)**q is about 1.003: the moment is
+        # K**2 * Gamma(1e6 + 1) * Q, beyond float range, and W is 1
+        T = TailFunction.closed_weibull(1e-300, 2e-6)
+        assert tail_second_moment(T, 1e308) == math.inf
+        assert w_operator(T, 1.7e308) == 1.0
+
     def test_weibull_against_inverse_cdf_monte_carlo(self):
         # sample Y with P(Y > y) = exp(-y**2) by inverting the tail
         rng = np.random.default_rng(314159)
