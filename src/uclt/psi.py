@@ -575,8 +575,10 @@ def psi_lower_star(psi: PsiFunction, x, *, method: str = "auto"):
 
     `x` is a finite nonnegative scalar (the result is a float) or 1-D array
     (an array of its length); every entry gets exactly the value a scalar
-    call gives.  Raises EmptyDomain when psi has no finite order.
+    call gives.  Raises EmptyDomain when psi has no finite order, ValueError for another method.
     """
+    if method not in ("auto", "closed", "grid"):
+        raise ValueError(f"method must be auto, closed or grid, got {method!r}")
     if method == "closed" and psi.form != "closed_power":
         raise ValueError("closed form only available for the pure power shape")
     xs = np.asarray(x, dtype=float)

@@ -2,10 +2,10 @@
 
 Models generate adapted difference sequences xi_i(x) on a finite coordinate
 grid; the engine draws replications in fixed-size chunks, chunk ci on its
-own SFC64 generator seeded by SeedSequence(seed, spawn_key=(ci,)), so results
-are byte-identical for a given (model, seed, R) no matter how many worker
-threads run the chunks.  Chunk workers return partials, which the engine
-puts in chunk order.
+own SFC64 generator seeded by SeedSequence(seed, spawn_key=(ci,)), or (ci, f)
+for a reader of substream family f > 0, so results are byte-identical for a
+given (model, seed, R) no matter how many worker threads run the chunks.
+Chunk workers return partials, which the engine puts in chunk order.
 
 Chunks hold only the grid columns their readers read: `osekowski_check`
 its point or its pair's two points, `tail_domination_check`,
@@ -18,11 +18,12 @@ to a raw SFC64 word (`_signs`).  A step-major chunk's first m steps are the
 same at any n >= m when the chunk spans agree, so a shared pass reads the
 rows a pass to m would.
 
-`tail_domination_check` reads eta_n at every n from one pass; there a law
-with closed sums (`Law.sums`) draws them from it, the other readers read
-paths.  Every pass starts in `run_readers`, the engine's one caller, where
-readers of one model share a pass when they can; a check alone runs its
-reader alone.
+Every normalized sum eta_n is read by `_sums_reader`, all its n from one
+pass: drawn from the law's closed sums (`Law.sums`) where it has them, else
+summed from paths.  `clt_diagnostic` reads its larger n on substream family
+1, so its two samples share no draw.  Every pass starts in `run_readers`, the
+engine's one caller, where readers of one model share a pass when they can; a
+check alone runs its reader alone.
 
 Each shipped model kind is a `Kind` in `KINDS`: its parameters with their
 defaults, and the builder of its `Law`, whose docstring describes the kind
@@ -435,8 +436,8 @@ def _chunk_spans(R: int, n: int, npts: int):
     return [(ci, start, min(size, R - start)) for ci, start in enumerate(range(0, R, size))]
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+def _chunk_rng(seed: int, chunk_index: int, family: int = 0) -> np.random.Generator:
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index, family) if family else (chunk_index,))
     return np.random.Generator(np.random.SFC64(seq))
 
 
@@ -503,14 +504,15 @@ def _check_two_chunks(R: int, n: int, npoints: int) -> None:
 
 def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
                 threads: int | None = None, cols: tuple[int, ...] | None = None,
-                draw=None) -> list:
-    """Generate chunks (optionally in parallel): `worker(chunk_index, start,
-    paths)` returns each chunk's result, and the engine returns the results
-    in chunk order.  Chunks hold the grid columns `cols` only (all when
-    None); their spans depend on the full grid, so jackknife groups are the
-    same at any width.  `draw(rng, count)`, when given, makes each
-    chunk's data in place of the paths.  A worker owns the paths it gets;
-    each thread keeps its `_scratch` buffers from chunk to chunk of a pass."""
+                draw=None, family: int = 0) -> list:
+    """Generate chunks (optionally in parallel) on substream family `family`:
+    `worker(chunk_index, start, paths)` returns each chunk's result, and the
+    engine returns the results in chunk order.  Chunks hold the grid columns
+    `cols` only (all when None); their spans depend on the full grid, so
+    jackknife groups are the same at any width.  `draw(rng, count)`, when
+    given, makes each chunk's data in place of the paths.  A worker owns the
+    paths it gets; each thread keeps its `_scratch` buffers from chunk to
+    chunk of a pass."""
     if n > model.horizon:
         raise HorizonExceeded(f"requested n = {n} beyond horizon {model.horizon}")
     if R < 1:
@@ -519,7 +521,7 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
 
     def task(span):
         ci, start, count = span
-        rng = _chunk_rng(model.seed, ci)
+        rng = _chunk_rng(model.seed, ci, family)
         return worker(ci, start, _generate(model, n, rng, count, cols) if draw is None
                       else draw(rng, count))
 
@@ -533,36 +535,36 @@ def _run_chunks(model: MartingaleFieldModel, n: int, R: int, worker,
 
 
 #: One check's share of an engine pass of R replications to step n or beyond
-#: on the grid columns `cols`: `read(paths)` reduces a chunk's paths, or its
-#: `draw(rng, count)` when a closed law gives one, and `finish(parts)` makes
-#: the result from the parts in chunk order.
-Reader = namedtuple("Reader", "R n cols read finish draw", defaults=[None])
+#: on the grid columns `cols` and substream family `family`: `read(paths)`
+#: reduces a chunk's paths, or its `draw(rng, count)` when a closed law gives
+#: one, and `finish(parts)` makes the result from the parts in chunk order.
+Reader = namedtuple("Reader", "R n cols read finish draw family", defaults=[None, 0])
 
 
 def run_readers(model: MartingaleFieldModel, readers: list[Reader],
                 threads: int | None = None) -> list:
-    """Each reader's result, in order.  Readers with the same R and columns and
-    no draw share one engine pass, sized (chunk spans too) for the largest of
+    """Each reader's result, in order.  Readers with the same R, columns and family
+    and no draw share one engine pass, sized (chunk spans too) for the largest of
     their n; any other has a pass of its own, in the order of first readers."""
     groups, results = {}, {}
     for k, r in enumerate(readers):
-        groups.setdefault((r.R, r.cols) if r.draw is None else k, []).append(k)
+        groups.setdefault((r.R, r.cols, r.family) if r.draw is None else k, []).append(k)
     for ks in groups.values():
         group = [readers[k] for k in ks]
         parts = _run_chunks(model, max(r.n for r in group), group[0].R,
                             lambda ci, start, data: [r.read(data) for r in group],
-                            threads, group[0].cols, group[0].draw)
+                            threads, group[0].cols, group[0].draw, group[0].family)
         results.update((k, readers[k].finish([p[j] for p in parts])) for j, k in enumerate(ks))
     return [results[k] for k in range(len(readers))]
 
 
-def _sums_reader(model: MartingaleFieldModel, n_values, R: int, cols: tuple[int, ...],
-                 closed_law: bool = True) -> Reader:
-    """`_partial_sums`' reader: the closed law of the sums (`Law.sums`) plus the
-    bias when asked for and known, else paths summed in blocks between
-    consecutive n."""
-    ns = [int(n) for n in n_values]
-    draw = model.law.sums(np.array(ns), cols) if closed_law and model.law.sums else None
+def _sums_reader(model: MartingaleFieldModel, n_values, R: int,
+                 cols: tuple[int, ...] | None = None) -> Reader:
+    """The one reader of eta_n at each n of the ascending `n_values` on the grid
+    columns `cols` (all when None): the law's closed sums (`Law.sums`) plus the
+    bias where it has them, else paths summed in blocks between consecutive n."""
+    ns, cols = [int(n) for n in n_values], tuple(range(model.npoints)) if cols is None else cols
+    draw = model.law.sums(np.array(ns), cols) if model.law.sums else None
     scale = np.array([1.0 / math.sqrt(n) for n in ns])[:, None, None]
     drift = model.bias * np.array(ns)[:, None, None]
 
@@ -576,12 +578,11 @@ def _sums_reader(model: MartingaleFieldModel, n_values, R: int, cols: tuple[int,
 
 
 def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | None = None,
-                  cols: tuple[int, ...] | None = None, closed_law: bool = True) -> np.ndarray:
+                  cols: tuple[int, ...] | None = None) -> np.ndarray:
     """eta_n = n**-0.5 S_n on the grid columns `cols` (all when None) for each n
     of the ascending `n_values`, shape (len(n_values), R, len(cols)), from one
     engine pass (`_sums_reader`), so rows at different n share draws."""
-    cols = tuple(range(model.npoints)) if cols is None else cols
-    return run_readers(model, [_sums_reader(model, n_values, R, cols, closed_law)], threads)[0]
+    return run_readers(model, [_sums_reader(model, n_values, R, cols)], threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +591,9 @@ def _partial_sums(model: MartingaleFieldModel, n_values, R: int, threads: int | 
 
 def simulate_eta(model: MartingaleFieldModel, n: int, R: int,
                  threads: int | None = None) -> np.ndarray:
-    """R replications of the normalized sums eta_n(x) = n**-0.5 sum_i xi_i(x),
-    each from its simulated path; returns an array of shape (R, npoints)."""
-    return _partial_sums(model, [n], R, threads, closed_law=False)[0]
+    """R replications of eta_n(x) = n**-0.5 sum_i xi_i(x) by `_sums_reader` (the
+    closed law where the model has one, else paths), of shape (R, npoints)."""
+    return _partial_sums(model, [n], R, threads)[0]
 
 
 def covariance_estimate(model: MartingaleFieldModel, n: int, R: int,
@@ -822,7 +823,7 @@ def eta_increment_curves(model: MartingaleFieldModel, pairs, p_grid, n_grid, R: 
     p_grid = tuple(float(p) for p in p_grid)
     n_grid = sorted(int(n) for n in n_grid)
     cols = _columns(model, [idx[x] for pr in pairs for x in pr])
-    etas = _partial_sums(model, n_grid, R, threads, cols, closed_law=False)
+    etas = _partial_sums(model, n_grid, R, threads, cols)
     prov = {"kind": "monte_carlo", "seed": model.seed, "replications": R}
     out = {}
     for pr in pairs:
@@ -937,26 +938,22 @@ def clt_diagnostic(model: MartingaleFieldModel, n_pair, R: int,
     Reports the two-sample KS statistic between the sup-over-x absolute
     values of eta at the two sample sizes, plus per-point one-sample KS
     against the closed-form Gaussian marginal when the model provides one.
-    Small values are evidence of (not a proof of) a stabilizing law.
+    Small values are evidence of (not a proof of) a stabilizing law.  Both
+    samples come from `_sums_reader`, the larger on substream family 1, so
+    that they share no draw, as the two-sample test assumes.
     """
     n_small, n_large = int(n_pair[0]), int(n_pair[1])
     if not n_small < n_large:
         raise ValueError("need n_small < n_large")
-    eta_a = simulate_eta(model, n_small, R, threads=threads)
-    eta_b = simulate_eta(model, n_large, R, threads=threads)
+    small, large = _sums_reader(model, [n_small], R), _sums_reader(model, [n_large], R)
+    eta_a, eta_b = (eta[0] for eta in run_readers(model, [small, large._replace(family=1)], threads))
     ks_sup = ks_two_sample(np.abs(eta_a).max(axis=1), np.abs(eta_b).max(axis=1))
     cov = model.analytic_covariance()
-    per_point = None
-    if cov is not None:
-        per_point = {}
-        stds = np.sqrt(np.diag(cov))
-        for j, lb in enumerate(model.labels):
-            per_point[lb] = {"n_small": ks_gaussian(eta_a[:, j], float(stds[j])),
-                             "n_large": ks_gaussian(eta_b[:, j], float(stds[j]))}
-    return {"n_small": n_small, "n_large": n_large, "replications": R,
-            "ks_supnorm": ks_sup,
-            "ks_critical_5pct": ks_two_sample_critical(R, R),
-            "per_point_ks": per_point}
+    per_point = None if cov is None else {
+        lb: {"n_small": ks_gaussian(eta_a[:, j], sd), "n_large": ks_gaussian(eta_b[:, j], sd)}
+        for j, (lb, sd) in enumerate(zip(model.labels, np.sqrt(np.diag(cov)).tolist()))}
+    return {"n_small": n_small, "n_large": n_large, "replications": R, "ks_supnorm": ks_sup,
+            "ks_critical_5pct": ks_two_sample_critical(R, R), "per_point_ks": per_point}
 
 
 # ---------------------------------------------------------------------------

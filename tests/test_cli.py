@@ -310,26 +310,44 @@ class TestExactMomentField:
         assert calls == [doc["model"]["kind"]]
 
     def test_readme_config_draws_only_the_clt(self, tmp_path, monkeypatch):
-        draws = []
-        generate = simulate._generate
+        # the CLT's two samples come from the closed law of the sums: no path
+        # is generated, and each sample is one normal per replication and point
+        draws, normals = [], []
+        generate, kind = simulate._generate, KINDS["iid_gaussian_field"]
 
         def counted(*args, **kwargs):
             paths = generate(*args, **kwargs)
             draws.append(paths.size)
             return paths
 
+        def law(model, p):
+            real = kind.law(model, p)
+
+            def sums(ns, cols):
+                draw = real.sums(ns, cols)
+
+                def counted_draw(rng, count):
+                    out = draw(rng, count)     # one normal per entry
+                    normals.append(out.size)
+                    return out
+                return counted_draw
+            return real._replace(sums=sums)
+
         monkeypatch.setattr("uclt.simulate._generate", counted)
+        monkeypatch.setitem(KINDS, "iid_gaussian_field", kind._replace(law=law))
         monkeypatch.setattr("uclt.cli.estimate_moment_curves", estimator_must_not_run)
         cfg = write_cfg(tmp_path / "c.json", readme_theorem_cfg())
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["check-theorem", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-        assert sum(draws) == 2000 * (16 + 64) * 9      # the CLT's R * (n_small + n_large) * points
+        assert draws == []
+        assert sum(normals) == 2 * 2000 * 9      # the CLT's two samples of R * points
 
     def test_garch_tree_frozen(self, tmp_path):
         # sha256 of c10's check-theorem tree: the Monte Carlo moment path keeps
-        # the bytes it had before the exact Gaussian field; only the exact lower
+        # the bytes it had before the exact Gaussian field; the exact lower
         # transform moved the integrand column of entropy_trace.csv and the
-        # moment-level value of verdict.json
+        # moment-level value of verdict.json, and the CLT's larger sample on its
+        # own substream family moved ks.csv and verdict.json's clt_diagnostic
         doc = {"seed": 20260808, "replications": 1000,
                "model": {"kind": "garch_like", "name": "garch",
                          "x_points": {"grid_1d": {"n": 4, "low": 0.1, "high": 1.0}},
@@ -344,7 +362,7 @@ class TestExactMomentField:
         for name, data in sorted(read_tree(tmp_path / "run").items()):
             h.update(name.encode())
             h.update(data)
-        assert h.hexdigest() == "e2e37196790930a8350ae1161c418cd445db7866bb43d60b237bfdffb2b98ee3"
+        assert h.hexdigest() == "4b9cf263e85e6e91667efe95c55a9aa1de891d851dda94e2791d3aafe1b64d4a"
 
 
 class TestModelBlock:
@@ -576,9 +594,9 @@ class TestInequalities:
         from uclt import simulate
         passes, real = [], simulate._run_chunks
 
-        def counted(model, n, R, worker, threads=None, cols=None, draw=None):
+        def counted(model, n, R, worker, threads=None, cols=None, draw=None, family=0):
             passes.append((model.name, n, R, cols, draw is not None))
-            return real(model, n, R, worker, threads, cols, draw)
+            return real(model, n, R, worker, threads, cols, draw, family)
 
         monkeypatch.setattr("uclt.simulate._run_chunks", counted)
         return passes

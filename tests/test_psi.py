@@ -384,6 +384,15 @@ class TestPsiLowerStar:
             got = psi_lower_star(psi, x, method="grid")
             assert got == pytest.approx(dense_lower_star(psi, x), abs=5e-7)
 
+    @pytest.mark.parametrize("method", ["gird", "Grid", "exact", ""])
+    @pytest.mark.parametrize("psi", [PsiFunction.closed_power(2),
+                                     PsiFunction.tabulated([2, 3, 4], [1.2, 1.3, 1.5])],
+                             ids=["power", "tabulated"])
+    def test_unknown_method_rejected(self, psi, method):
+        # a misspelt method once took the exact path without a word
+        with pytest.raises(ValueError, match=f"method must be auto, closed or grid, got {method!r}"):
+            psi_lower_star(psi, 1.0, method=method)
+
     def test_degenerate_is_linear(self):
         psi = PsiFunction.degenerate(4, support=(2, 8))
         for x in (0.0, 1.0, 9.0):

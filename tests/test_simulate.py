@@ -976,9 +976,10 @@ class TestColumnProjection:
 
     # sha256 of simulate_eta(model, 16, 500) rounded to 10 decimals (BLAS
     # kernels may differ in the last bit between CPUs), frozen before the
-    # engine learned to project
+    # engine learned to project; the Gaussian one since simulate_eta draws
+    # from the closed law of the sums
     FULL_WIDTH_DIGESTS = {
-        "iid_gaussian_field": "c6e80e9de37f5456",
+        "iid_gaussian_field": "5dd4f5887730b5b5",
         "weibull_field": "e94e937cfb2e344d",
         "garch_like": "42c54baed41faff3",
         "bounded_sign": "108d9bee4e0652f4",
@@ -1248,6 +1249,77 @@ class TestPartialSums:
             _partial_sums(SHARED_SIGNS, [16, 65], 10)
 
 
+class TestOneSumsReader:
+    """Every normalized sum is read by `_sums_reader`: a law with closed sums
+    generates no path, any other still does."""
+
+    @pytest.mark.parametrize("model,closed", [
+        (white_gaussian(), True), (SHARED_SIGNS, True), (INDEPENDENT_SIGNS, True),
+        (ALL_KINDS[2], False), (ALL_KINDS[3], False)], ids=lambda v: getattr(v, "name", str(v)))
+    def test_paths_only_without_closed_sums(self, monkeypatch, model, closed):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return _generate(*args, **kwargs)
+
+        monkeypatch.setattr("uclt.simulate._generate", counted)
+        for run in (lambda: simulate_eta(model, 16, 200),
+                    lambda: covariance_estimate(model, 16, 200),
+                    lambda: eta_increment_curves(model, [("x0", "x2")], [2.0], [4, 16], 200)):
+            calls.clear()
+            run()
+            assert (calls == []) == closed, calls
+
+
+def readme_model(kind: str) -> MartingaleFieldModel:
+    """The README's check-theorem model, of kind `kind`."""
+    return MartingaleFieldModel("holder-gaussian", kind, grid_coords(9, 0.1, 1.0),
+                                {"kernel": {"name": "fractional_brownian", "hurst": 0.5}},
+                                horizon=64, seed=20260808)
+
+
+class TestCltSamples:
+    """`clt_diagnostic`'s two KS samples come from `_sums_reader`, the larger on
+    its own substream family: no chunk generator of one sample's pass seeds
+    the other's, with or without a closed law."""
+
+    def capture(self, monkeypatch, model):
+        """The two samples and, per engine pass, the spawn keys of its chunk generators."""
+        passes, samples = [], []
+
+        def chunk_rng(*args):
+            rng = _chunk_rng(*args)
+            passes[-1].append(rng.bit_generator.seed_seq.spawn_key)
+            return rng
+
+        def run_chunks(*args, **kwargs):
+            passes.append([])
+            return _run_chunks(*args, **kwargs)
+
+        def readers(*args, **kwargs):
+            out = run_readers(*args, **kwargs)
+            samples.extend(eta[0] for eta in out)
+            return out
+
+        monkeypatch.setattr("uclt.simulate._chunk_rng", chunk_rng)
+        monkeypatch.setattr("uclt.simulate._run_chunks", run_chunks)
+        monkeypatch.setattr("uclt.simulate.run_readers", readers)
+        clt_diagnostic(model, (16, 64), 2000)
+        return passes, samples
+
+    @pytest.mark.parametrize("kind", ["iid_gaussian_field", "garch_like"])
+    def test_samples_share_no_draw(self, monkeypatch, kind):
+        passes, samples = self.capture(monkeypatch, readme_model(kind))
+        assert [len(keys) for keys in passes] == [16, 16]     # 125-row chunks
+        assert not set(passes[0]) & set(passes[1])
+        small, large = samples
+        assert small.shape == large.shape == (2000, 9)
+        assert not np.array_equal(small, large)
+        # summed paths on one family drew eta_64[0] = (eta_16[0] + ... + eta_16[3]) / 2 exactly
+        assert not np.allclose(large[0], small[:4].sum(axis=0) / 2.0)
+
+
 def same(a, b) -> bool:
     """Equal by content, dicts and arrays included."""
     if isinstance(a, dict):
@@ -1387,9 +1459,9 @@ class TestSharedPass:
         passes = []
         real = _run_chunks
 
-        def counted(model, n, R, worker, threads=None, cols=None, draw=None):
+        def counted(model, n, R, worker, threads=None, cols=None, draw=None, family=0):
             passes.append((model.name, n, R, cols, draw is not None))
-            return real(model, n, R, worker, threads, cols, draw)
+            return real(model, n, R, worker, threads, cols, draw, family)
 
         monkeypatch.setattr("uclt.simulate._run_chunks", counted)
         return passes
