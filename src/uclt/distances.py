@@ -253,6 +253,18 @@ def _pair_columns(field: PairwiseMomentField, pairs) -> list[int]:
         raise MissingData(f"no pair curves at {exc.args[0]}") from None
 
 
+#: Each semi-distance and the arguments it cannot do without.
+_DISTANCE_KINDS = {"dbar": ("psi",), "pisier": ("r",), "rho_q": ("q",), "di": ("psi", "i")}
+
+
+def _check_kind(kind: str, kw: dict) -> None:
+    if kind not in _DISTANCE_KINDS:
+        raise ValueError(f"kind must be one of {tuple(_DISTANCE_KINDS)}")
+    for name in _DISTANCE_KINDS[kind]:
+        if kw.get(name) is None:
+            raise ValueError(f"kind {kind!r} needs the argument {name}")
+
+
 def _increment_distances(field: PairwiseMomentField, kind: str, cols: list[int], *,
                          psi=None, n_grid=None, r=None, q=None, i=None) -> np.ndarray:
     """One semi-distance of each pair column in `cols`, in one array pass."""
@@ -277,6 +289,7 @@ def _increment_distances(field: PairwiseMomentField, kind: str, cols: list[int],
 
 
 def _one_pair(field: PairwiseMomentField, kind: str, x1: str, x2: str, **kw) -> float:
+    _check_kind(kind, kw)
     if x1 == x2:
         return 0.0
     return float(_increment_distances(field, kind, _pair_columns(field, [(x1, x2)]), **kw)[0])
@@ -334,20 +347,16 @@ def sigma_squared(field: PairwiseMomentField, n_grid=None,
     return float(values.min(initial=math.inf))
 
 
-_DISTANCE_KINDS = ("dbar", "pisier", "rho_q", "di")
-
-
 def distance_matrix(field: PairwiseMomentField, kind: str = "dbar", *,
                     psi: PsiFunction | None = None, n_grid=None, r: float | None = None,
                     q: float | None = None, i: int | None = None) -> FiniteMetricSpace:
     """Assemble a finite metric space from one of the named semi-distances,
     computed for all pairs of labels in one array pass."""
-    if kind not in _DISTANCE_KINDS:
-        raise ValueError(f"kind must be one of {_DISTANCE_KINDS}")
+    kw = {"psi": psi, "n_grid": n_grid, "r": r, "q": q, "i": i}
+    _check_kind(kind, kw)
     labels = field.x_labels
     a, b = np.triu_indices(len(labels), 1)
     cols = _pair_columns(field, [(labels[s], labels[t]) for s, t in zip(a, b)])
     mat = np.zeros((len(labels), len(labels)))
-    mat[a, b] = mat[b, a] = _increment_distances(field, kind, cols, psi=psi, n_grid=n_grid,
-                                                 r=r, q=q, i=i)
+    mat[a, b] = mat[b, a] = _increment_distances(field, kind, cols, **kw)
     return FiniteMetricSpace(labels, mat)

@@ -9,8 +9,9 @@ closed-form power-law model.  Three integrals are evaluated over (0, D]:
 * exp(H / r), i.e. N**(1/r)                    -- the fixed-order variant.
 
 Verdicts are honest about resolution: measured profiles can only ever be
-"finite-at-resolution", while model profiles are classified analytically by
-the log-slope of the integrand near zero radius (integrable iff slope > -1).
+"finite-at-resolution", while a model profile is classified exactly: near
+zero radius the integrand's log-slope in log eps is -(dim/alpha) * g, with g
+the integrand's rate d(log integrand)/dH, and it is integrable iff slope > -1.
 """
 from __future__ import annotations
 
@@ -29,10 +30,6 @@ from .psi import PsiFunction, psi_lower_star, rosenthal_transform
 DEFAULT_QUAD_NODES = 400
 DEFAULT_EPS_LO_FRAC = 1e-4
 
-#: Radii (as fractions of the diameter) used to estimate the model
-#: integrand's log-log slope near zero.
-_SLOPE_PROBE = (1e-10, 1e-9)
-
 VERDICT_FINITE = "finite"
 VERDICT_DIVERGENT = "divergent"
 VERDICT_AT_RESOLUTION = "finite-at-resolution"
@@ -42,11 +39,20 @@ CONCLUSION_SATISFIED = "hypotheses-satisfied-at-resolution"
 
 @dataclass(frozen=True)
 class HolderEntropyModel:
-    """Closed-form entropy (dim/alpha) * log(scale/eps), clipped at zero."""
+    """Closed-form entropy (dim/alpha) * log(scale/eps), clipped at zero; dim is
+    a whole number >= 1, 0 < alpha <= 1 and scale is finite and positive."""
 
     dim: int
     alpha: float
     scale: float
+
+    def __post_init__(self):
+        if not (self.dim >= 1 and float(self.dim).is_integer()):
+            raise ValueError(f"dim must be a whole number >= 1, got {self.dim!r}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be finite and positive, got {self.scale!r}")
 
     def entropy_at(self, eps: float) -> float:
         if eps <= 0:
@@ -158,62 +164,47 @@ class IntegralResult:
                 "resolution": {"eps_lo": self.eps_lo, "nodes": self.nodes},
                 "notes": self.notes}
 
-    def trace(self, power: float | None = None) -> list[tuple[float, float, float]]:
+    def trace(self) -> list[tuple[float, float, float]]:
         """(eps, H, integrand) rows at the quadrature radii: the integrand is
-        H**power for the integral of H to that power, else exp of the
-        log-integrand, capped at exp(700)."""
-        hs = [float(h) for h in self.entropy]
-        if power is not None:
-            vals = [h ** power for h in hs]
-        else:
-            vals = [math.exp(min(float(v), 700.0)) for v in self.log_integrand]
-        return list(zip((float(e) for e in self.eps), hs, vals))
-
-
-def _quad_grid(profile: EntropyProfile, nodes: int, eps_lo_frac: float) -> np.ndarray:
-    return np.geomspace(eps_lo_frac * profile.diameter, profile.diameter, nodes)
-
-
-def _trapezoid(xs: np.ndarray, ys: np.ndarray) -> float:
-    return float(np.trapezoid(ys, xs))
+        exp of the log-integrand, capped at exp(700)."""
+        vals = (math.exp(min(float(v), 700.0)) for v in self.log_integrand)
+        return list(zip((float(e) for e in self.eps), (float(h) for h in self.entropy), vals))
 
 
 def _log_integrand(profile: EntropyProfile, eps: np.ndarray, *, psi: PsiFunction | None = None,
                    power: float | None = None,
-                   r: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(H, log integrand) at the radii `eps` for exactly one of the three
-    integrals.  The chaining integrand takes one lower-transform call for
-    all radii."""
+                   r: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(H, log integrand, rate) at the radii `eps` for exactly one of the three
+    integrals, the rate being lim d(log integrand)/dH: 1/p_max for the chaining
+    integrand (the lower transform of a large x is x/p_max + log psi(p_max) at
+    psi's largest finite order p_max), 0 for H**power and 1/r for exp(H/r)."""
     hs = profile.entropies(eps)
     if psi is not None:
-        return hs, psi_lower_star(psi, math.log(2.0) + hs)
+        return hs, psi_lower_star(psi, math.log(2.0) + hs), 1.0 / float(psi.pieces().p[-1])
     if power is not None:
-        return hs, np.array([power * math.log(h) if h > 0 else -math.inf for h in hs])
-    return hs, hs / r
-
-
-def _classify_model_tail(profile: EntropyProfile, **integrand) -> tuple[str, str]:
-    """Power-law integrability test: integrand log-slope in log eps vs -1."""
-    e1, e2 = (f * profile.diameter for f in _SLOPE_PROBE)
-    _, (l1, l2) = _log_integrand(profile, np.array([e1, e2]), **integrand)
-    slope = (l2 - l1) / (math.log(e2) - math.log(e1))
-    verdict = VERDICT_FINITE if slope > -1.0 else VERDICT_DIVERGENT
-    return verdict, f"model tail log-slope {slope:.6g} vs -1"
+        return hs, np.array([power * math.log(h) if h > 0 else -math.inf for h in hs]), 0.0
+    return hs, hs / r, 1.0 / r
 
 
 def _integral(profile: EntropyProfile, nodes: int, eps_lo_frac: float,
               **integrand) -> IntegralResult:
-    grid = _quad_grid(profile, nodes, eps_lo_frac)
-    hs, logs = _log_integrand(profile, grid, **integrand)
+    grid = np.geomspace(eps_lo_frac * profile.diameter, profile.diameter, nodes)
+    hs, logs, rate = _log_integrand(profile, grid, **integrand)
     vals = np.where(np.isfinite(logs) | (logs == -math.inf), np.exp(logs), math.inf)
-    value = _trapezoid(grid, vals)
+    value = float(np.trapezoid(vals, grid))
     if profile.mode == "model":
-        verdict, notes = _classify_model_tail(profile, **integrand)
-        notes += "; value is the truncated quadrature"
+        slope = -profile.model.dim / profile.model.alpha * rate
+        verdict = VERDICT_FINITE if slope > -1.0 else VERDICT_DIVERGENT
+        notes = f"model tail log-slope {slope:.6g} vs -1; value is the truncated quadrature"
     else:
         verdict = VERDICT_AT_RESOLUTION
         notes = f"measured {profile.mode} profile truncated at eps = {grid[0]:.6g}"
     return IntegralResult(value, verdict, float(grid[0]), nodes, notes, grid, hs, logs)
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def entropy_integral(profile: EntropyProfile, psi: PsiFunction, *,
@@ -227,8 +218,7 @@ def power_entropy_integral(profile: EntropyProfile, exponent: float, *,
                            nodes: int = DEFAULT_QUAD_NODES,
                            eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> IntegralResult:
     """Integral of H**exponent over (0, D]; zero entropy contributes nothing."""
-    if exponent <= 0:
-        raise ValueError("exponent must be positive")
+    _require_finite_positive("exponent", exponent)
     return _integral(profile, nodes, eps_lo_frac, power=exponent)
 
 
@@ -236,8 +226,7 @@ def order_r_integral(profile: EntropyProfile, r: float, *,
                      nodes: int = DEFAULT_QUAD_NODES,
                      eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> IntegralResult:
     """Integral of N**(1/r) = exp(H / r) over (0, D]."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    _require_finite_positive("r", r)
     return _integral(profile, nodes, eps_lo_frac, r=r)
 
 
@@ -308,8 +297,7 @@ def subq_level_check(profile_under_rhoq: EntropyProfile, q: float, sigma2: float
                     eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> TheoremVerdict:
     """Stretched-exponential-level condition: entropy to the power
     (2 + q) / (2 q) must be integrable under the sub-q increment distance."""
-    if q <= 0:
-        raise ValueError("q must be positive")
+    _require_finite_positive("q", q)
     exponent = (2.0 + q) / (2.0 * q)
     integral = power_entropy_integral(profile_under_rhoq, exponent, nodes=nodes,
                                       eps_lo_frac=eps_lo_frac)
@@ -326,8 +314,8 @@ def pisier_condition(profile_under_dr: EntropyProfile, r: float, *,
                      eps_lo_frac: float = DEFAULT_EPS_LO_FRAC) -> IntegralResult:
     """Classical fixed-order covering condition: N**(1/r) integrable under
     the order-r increment distance."""
-    if r < 2:
-        raise ValueError("r must be at least 2")
+    if not r >= 2:
+        raise ValueError(f"r must be at least 2, got {r!r}")
     return order_r_integral(profile_under_dr, r, nodes=nodes, eps_lo_frac=eps_lo_frac)
 
 
@@ -340,6 +328,7 @@ def exponent_comparison(profile: EntropyProfile, q: float, *,
     while fully independent summands only need 1/q; which power is sharp in
     general is open, so both integrals are reported without adjudication.
     """
+    _require_finite_positive("q", q)
     dependent = power_entropy_integral(profile, (2.0 + q) / (2.0 * q),
                                        nodes=nodes, eps_lo_frac=eps_lo_frac)
     independent = power_entropy_integral(profile, 1.0 / q,
@@ -364,4 +353,4 @@ def integrand_trace(profile: EntropyProfile, *, psi: PsiFunction | None = None,
     chosen = [x is not None for x in (psi, power, r)]
     if sum(chosen) != 1:
         raise ValueError("specify exactly one of psi, power, r")
-    return _integral(profile, nodes, eps_lo_frac, psi=psi, power=power, r=r).trace(power)
+    return _integral(profile, nodes, eps_lo_frac, psi=psi, power=power, r=r).trace()

@@ -237,6 +237,23 @@ class TestMatrixAssembly:
             s = distance_matrix(field, **kwargs)
             assert np.all(s.dist >= 0)
 
+    @pytest.mark.parametrize("call,missing", [
+        (lambda f, psi: distance_matrix(f, "dbar"), "psi"),
+        (lambda f, psi: distance_matrix(f, "di", i=1), "psi"),
+        (lambda f, psi: distance_matrix(f, "di", psi=psi), "i"),
+        (lambda f, psi: distance_matrix(f, "pisier"), "r"),
+        (lambda f, psi: distance_matrix(f, "rho_q"), "q"),
+        (lambda f, psi: distance_bar(f, "x0", "x1", None), "psi"),
+        (lambda f, psi: distance_di(f, 1, "x0", "x0", None), "psi"),
+        (lambda f, psi: distance_di(f, None, "x0", "x1", psi), "i"),
+        (lambda f, psi: pisier_distance(f, "x0", "x1", None), "r"),
+        (lambda f, psi: rho_q_distance(f, "x0", "x0", None), "q"),
+    ])
+    def test_missing_argument_named(self, call, missing):
+        field, _ = brownian_field()
+        with pytest.raises(ValueError, match=f"needs the argument {missing}$"):
+            call(field, natural_function(field))
+
 
 def _with_cell(row, j, value):
     """A CSV line with its j-th cell replaced."""

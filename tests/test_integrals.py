@@ -21,7 +21,9 @@ from uclt.integrals import (
 )
 from uclt.psi import PsiFunction, psi_lower_star, rosenthal_transform
 
-CASES = [(dim, alpha, r) for dim in (1, 2) for alpha in (0.5, 1.0) for r in (2.5, 3.0, 5.0)]
+# the last three sit on the boundary alpha * r = dim, where the integral diverges
+CASES = [(dim, alpha, r) for dim in (1, 2) for alpha in (0.5, 1.0) for r in (2.5, 3.0, 5.0)] + [
+    (2, 0.5, 4.0), (1, 0.25, 4.0), (1, 0.125, 8.0)]
 
 
 def flat_profile(diam=1.0):
@@ -36,6 +38,16 @@ class TestProfiles:
             EntropyProfile((1.0, 0.5), (0.5, 0.0), 1.0, "exact")  # H decreasing at smaller eps
         with pytest.raises(ValueError):
             EntropyProfile((1.0, 0.5), (1.0, 2.0), 1.0, "model")  # model without closed form
+
+    @pytest.mark.parametrize("dim,alpha,scale,name", [
+        (1, 0.0, 1.0, "alpha"), (1, 1.5, 1.0, "alpha"), (1, math.nan, 1.0, "alpha"),
+        (1, 0.5, -1.0, "scale"), (1, 0.5, math.nan, "scale"), (1, 0.5, math.inf, "scale"),
+        (0, 0.5, 1.0, "dim"), (1.5, 0.5, 1.0, "dim")])
+    def test_holder_parameters_validated(self, dim, alpha, scale, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            HolderEntropyModel(dim, alpha, scale)
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            holder_profile(dim, alpha, scale, 1.0)
 
     def test_model_extrapolates_measured_clamps(self):
         model = holder_profile(1, 0.5, 1.0, 1.0)
@@ -99,6 +111,23 @@ class TestEntropyIntegral:
         res = entropy_integral(prof, rosenthal_transform(psi_r))
         assert (res.verdict == "finite") == (alpha * r > dim)
 
+    @pytest.mark.parametrize("psi", [
+        PsiFunction.closed_power(0.02), rosenthal_transform(PsiFunction.closed_power(0.02)),
+        PsiFunction.closed_power(2.0), PsiFunction.degenerate(3.0, support=(2.0, 8.0)),
+        PsiFunction.tabulated((2, 2.5, 3, 4, 6, 8), (1.0, 1.2, 1.5, 2.2, 4.0, 7.0))],
+        ids=["steep", "rosenthal-steep", "power", "degenerate", "tabulated"])
+    @pytest.mark.parametrize("dim,alpha", [(1, 0.5), (2, 0.25), (2, 1.0)])
+    def test_model_verdict_from_largest_order(self, psi, dim, alpha):
+        # far enough out the lower transform is exactly x/p_max + log psi(p_max),
+        # so the integrand is eps**(-(dim/alpha)/p_max) near zero
+        p_max = float(psi.pieces().p[-1])
+        xs = np.array([1e6, 1e7])
+        assert psi_lower_star(psi, xs) == pytest.approx(xs / p_max + math.log(psi.value(p_max)),
+                                                         rel=1e-15)
+        res = entropy_integral(holder_profile(dim, alpha, 1.0, 1.0), psi)
+        assert res.verdict == ("finite" if dim / alpha / p_max < 1 else "divergent")
+        assert f"log-slope {-dim / alpha / p_max:.6g} vs -1" in res.notes
+
     def test_monotone_in_entropy(self):
         psi = PsiFunction.closed_power(2)
         small = holder_profile(1, 1.0, 1.0, 1.0)
@@ -156,7 +185,7 @@ class TestTheorem22:
         v = subq_level_check(flat_profile(), 2.0, 1.0)
         assert "exponent=1" in v.condition
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("q", [0.02, 0.04, 0.045, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_log_entropy_always_integrable(self, q, dim):
         prof = holder_profile(dim, 0.5, 1.0, 1.0)
@@ -182,6 +211,19 @@ class TestPisierCondition:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             pisier_condition(flat_profile(), 1.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call,name", [
+    (lambda prof, v: power_entropy_integral(prof, v), "exponent"),
+    (lambda prof, v: order_r_integral(prof, v), "r"),
+    (lambda prof, v: pisier_condition(prof, v), "r"),
+    (lambda prof, v: subq_level_check(prof, v, 1.0), "q"),
+    (lambda prof, v: exponent_comparison(prof, v), "q")],
+    ids=["power", "order_r", "pisier", "subq", "comparison"])
+def test_non_finite_parameter_named(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(holder_profile(1, 0.5, 1.0, 1.0), bad)
 
 
 class TestExponentComparison:
@@ -215,3 +257,5 @@ class TestTrace:
         assert entropy_integral(prof, psi, nodes=60).trace() == rows
         assert order_r_integral(prof, 3.0, nodes=60).trace() == integrand_trace(prof, r=3.0,
                                                                                nodes=60)
+        assert power_entropy_integral(prof, 1.5, nodes=60).trace() == integrand_trace(
+            prof, power=1.5, nodes=60)
